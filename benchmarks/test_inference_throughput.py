@@ -10,8 +10,9 @@ Measures plans/sec for three serving scenarios —
   forward + length-bucketed batching from encoding costs —
 
 each on the fast path (encoding cache + graph-free fused LSTM forward +
-length bucketing) and on the pre-PR path (cold encode per pair,
-autograd forward, arrival-order batches). Results go to
+length bucketing) and on the legacy path (cold encode per pair, then
+the autograd forward over arrival-order batches from
+``tests/oracles.py``). Results go to
 ``BENCH_inference.json`` at the repo root so future PRs have a perf
 trajectory to regress against, plus the usual rendered table.
 
@@ -32,6 +33,7 @@ from repro.core import CostPredictor
 from repro.core.advisor import default_profile_grid
 from repro.encoding import PlanEncoder
 from repro.eval import render_table
+from tests.oracles import autograd_predict_seconds
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_inference.json"
 
@@ -66,7 +68,7 @@ def test_inference_throughput(benchmark):
 
     def legacy_predict(pairs):
         encoded = [legacy_encoder.encode(p, r) for p, r in pairs]
-        return trainer.predict_seconds(encoded, fast=False, bucket=False)
+        return autograd_predict_seconds(trainer, encoded)
 
     records = pipeline.split.test
     plans = list({id(r.plan): r.plan for r in records}.values())[:GRID_PLANS]
@@ -121,9 +123,9 @@ def test_inference_throughput(benchmark):
     bulk = [encoder.encode(r.plan, r.resources)
             for r in (records * 10)[:BULK_RECORDS]]
     fast_bulk_s, fast_bulk_out = _best_of(
-        lambda: trainer.predict_seconds(bulk, fast=True, bucket=True))
+        lambda: trainer.predict_seconds(bulk))
     legacy_bulk_s, legacy_bulk_out = _best_of(
-        lambda: trainer.predict_seconds(bulk, fast=False, bucket=False))
+        lambda: autograd_predict_seconds(trainer, bulk))
     bulk_diff = float(np.abs(fast_bulk_out - legacy_bulk_out).max())
     results["bulk"] = {
         "pairs": len(bulk),

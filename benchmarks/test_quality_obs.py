@@ -141,17 +141,23 @@ def test_quality_observability():
         audit=AuditTrail(capacity=4096), slo=slo, workload="imdb",
         retry_policy=RetryPolicy(attempts=1))
 
-    def feed_one(fast: bool = True) -> tuple[str, float | None]:
-        """Serve the next query and close its feedback loop.
+    # Serves the sustain phase: no ladder, so the learned stage keeps
+    # answering (and feedback keeps flowing) while the main guard's
+    # ladder sits in FALLBACK — the shape of feedback for queries that
+    # were served before a trip. It shares the audit trail, quality
+    # tracker and SLO tracker, and every observation is closed through
+    # the main guard, whose drift coupling keeps re-tripping the ladder.
+    unladdered = GuardedCostPredictor(
+        base, gpsj=gpsj, quality=quality, audit=guard.audit, slo=slo,
+        workload="imdb", retry_policy=RetryPolicy(attempts=1))
 
-        ``fast=False`` bypasses the ladder's tier routing, so the
-        learned stage keeps answering (and feedback keeps flowing)
-        even while the ladder sits in FALLBACK — the shape of feedback
-        for queries that were served before a trip.
-        """
+    def feed_one(server: GuardedCostPredictor = guard,
+                 ) -> tuple[str, float | None]:
+        """Serve the next query through ``server``, then close its
+        feedback loop through the main guard."""
         record = next(records)
-        explained = guard.predict_many_explained(
-            [(record.plan, record.resources)], fast=fast)
+        explained = server.predict_many_explained(
+            [(record.plan, record.resources)])
         qe = None
         if explained.request_id is not None:
             qe = guard.record_observation(explained.request_id,
@@ -209,7 +215,7 @@ def test_quality_observability():
             # the burn-rate SLO needs both windows burning, and the
             # ladder (already in FALLBACK) must stay re-tripped.
             for _ in range(SUSTAIN if samples_to_detect is not None else 0):
-                _, qe = feed_one(fast=False)
+                _, qe = feed_one(unladdered)
                 if qe is not None:
                     drift_q.append(qe)
             results["drift"] = {
@@ -274,6 +280,7 @@ def test_quality_observability():
     finally:
         telemetry.close()
         guard.close()
+        unladdered.close()
     report.write(REPORT_PATH)
 
     write_bench_json(BENCH_JSON, results)

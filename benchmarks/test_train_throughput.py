@@ -1,12 +1,14 @@
 """Training throughput: the fused analytic backward vs autograd.
 
 Measures epoch throughput (samples/sec) for ``Trainer.fit`` on the
-paper-sized RAAL configuration, on the fast path (graph-free forward
-with cached activations + closed-form backward + epoch-persistent
-bucketed collation) and on the legacy path (per-timestep autograd graph
-construction and traversal). Also records the maximum per-parameter
-gradient deviation between the two paths on one training batch, so the
-speedup claim and the correctness bound live in the same artifact.
+paper-sized RAAL configuration, on the production path (graph-free
+forward with cached activations + closed-form backward + epoch-persistent
+bucketed collation) and on the legacy path: the same ``Trainer.fit``
+with the autograd reference step from ``tests/oracles.py`` (per-timestep
+autograd graph construction and traversal). Also records the maximum
+per-parameter gradient deviation between the two paths on one training
+batch, so the speedup claim and the correctness bound live in the same
+artifact.
 
 Results go to ``BENCH_training.json`` at the repo root, alongside
 ``BENCH_inference.json``, so future PRs have a perf trajectory to
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -35,8 +38,8 @@ from repro.core import RAAL, RAALConfig, Trainer, TrainerConfig
 from repro.core.trainer import TrainingSample
 from repro.encoding import EncodedPlan
 from repro.eval import render_table
-from repro.nn import Tensor, mse_loss
 from repro.nn.layers import Dropout
+from tests.oracles import autograd_step, autograd_training
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_training.json"
 
@@ -68,8 +71,11 @@ def _random_samples(config, count, max_n, seed=0):
     return out
 
 
-def _fit_throughput(fast_path: bool, samples, repeats: int = 2) -> dict[str, float]:
+def _fit_throughput(autograd: bool, samples, repeats: int = 2) -> dict[str, float]:
     """Train fresh models for N_EPOCHS each; return samples/sec stats.
+
+    ``autograd`` trains through the reference step instead of the fused
+    one (the "legacy" arm).
 
     ``samples_per_sec`` is the best epoch across ``repeats`` runs — the
     best-of-N idiom the inference benchmark uses, which measures the
@@ -79,9 +85,10 @@ def _fit_throughput(fast_path: bool, samples, repeats: int = 2) -> dict[str, flo
     for _ in range(repeats):
         model = RAAL(MODEL_CONFIG)
         trainer = Trainer(model, TrainerConfig(
-            epochs=N_EPOCHS, batch_size=BATCH_SIZE, fast_path=fast_path,
+            epochs=N_EPOCHS, batch_size=BATCH_SIZE,
             early_stopping_patience=N_EPOCHS))
-        results.append(trainer.fit(samples))
+        with autograd_training(model) if autograd else nullcontext():
+            results.append(trainer.fit(samples))
     n_train = len(samples) - max(1, int(len(samples) * 0.1))
     total_epochs = sum(len(r.epoch_seconds) for r in results)
     total_seconds = sum(sum(r.epoch_seconds) for r in results)
@@ -107,7 +114,7 @@ def _gradient_deviation(samples) -> float:
     droppers = [l for l in model.dense if isinstance(l, Dropout)]
     states = [l._rng.bit_generator.state for l in droppers]
     model.zero_grad()
-    mse_loss(model(batch), Tensor(batch.targets)).backward()
+    autograd_step(model, batch)
     reference = {n: p.grad.copy() for n, p in model.named_parameters()}
     for layer, state in zip(droppers, states):
         layer._rng.bit_generator.state = state
@@ -122,11 +129,11 @@ def test_train_throughput():
 
     # Warm both paths (BLAS thread pools, allocator) before timing.
     warm = _random_samples(MODEL_CONFIG, 32, MAX_NODES, seed=1)
-    _fit_throughput(True, warm)
     _fit_throughput(False, warm)
+    _fit_throughput(True, warm)
 
-    fast = _fit_throughput(True, samples)
-    legacy = _fit_throughput(False, samples)
+    fast = _fit_throughput(False, samples)
+    legacy = _fit_throughput(True, samples)
     speedup = fast["samples_per_sec"] / legacy["samples_per_sec"]
     grad_dev = _gradient_deviation(samples)
 

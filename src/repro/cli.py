@@ -236,9 +236,6 @@ def _pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=50)
     parser.add_argument("--catalog-scale", type=float, default=0.15)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-fast-path", action="store_true",
-                        help="train through the legacy autograd path "
-                             "instead of the fused analytic backward")
 
 
 def _telemetry_arg(parser: argparse.ArgumentParser) -> None:
@@ -254,7 +251,6 @@ def _make_pipeline(args: argparse.Namespace) -> ExperimentPipeline:
         catalog_scale=args.catalog_scale,
         num_queries=args.queries,
         epochs=args.epochs,
-        fast_path=not getattr(args, "no_fast_path", False),
         seed=args.seed,
     )
     return ExperimentPipeline(dataset=args.dataset, scale=scale)

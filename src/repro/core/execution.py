@@ -36,9 +36,9 @@ inline in :meth:`Trainer.predict_log`:
   every not-yet-started bucket and re-raises on the caller's thread
   immediately; the pool itself stays healthy for subsequent requests.
 
-The autograd fallback (``fast=False``) stays float64-only: it exists to
-cross-check the fused kernels against the training graph, which is a
-float64 artifact.
+This is the only inference path: it never builds an autograd graph.
+The unbucketed autograd forward it is checked against lives in the
+test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.nn.precision import (
     inference_weights,
 )
 from repro.nn.inference import raal_grid_inference
-from repro.nn.tensor import no_grad
 
 __all__ = ["BucketExecutor", "collate_inference", "resolve_threads"]
 
@@ -74,13 +73,12 @@ def collate_inference(encoded: list, dtype: np.dtype,
                       arena: ScratchArena | None = None) -> RAALBatch:
     """Zero-pad encoded plans into an inference-only :class:`RAALBatch`.
 
-    The inference twin of :func:`repro.core.trainer.collate`: identical
-    padding and batch layout (so bucketed predictions are bit-identical
-    to the training collate at float64), but it skips TrainingSample
-    wrapping and targets, casts directly into the execution ``dtype``,
-    and — when given an ``arena`` — writes into reusable scratch
-    buffers instead of fresh allocations. Arena-backed batches are only
-    valid until the same thread's next collate call.
+    The one padding implementation: the training
+    :func:`repro.core.trainer.collate` calls it at float64 and adds
+    targets. Casts directly into the execution ``dtype`` and — when
+    given an ``arena`` — writes into reusable scratch buffers instead
+    of fresh allocations. Arena-backed batches are only valid until the
+    same thread's next collate call.
     """
     if not encoded:
         raise PredictionError("cannot collate an empty batch")
@@ -174,18 +172,19 @@ class BucketExecutor:
         """The current weight bundle (cached per model version)."""
         return inference_weights(self.model, self.precision)
 
-    def _bucket_order(self, lengths: list[int], bucket: bool) -> np.ndarray:
-        if bucket:
-            return np.argsort(lengths, kind="stable")
-        return np.arange(len(lengths))
+    def _slices(self, encoded: list) -> list[np.ndarray]:
+        """Input indices per bucket: stable-sorted by node count."""
+        order = np.argsort([e.num_nodes for e in encoded], kind="stable")
+        return [order[lo : lo + self.batch_size]
+                for lo in range(0, len(order), self.batch_size)]
 
-    def _run_buckets(self, slices: list[np.ndarray], run, parallel: bool,
-                     deadline) -> None:
+    def _run_buckets(self, slices: list[np.ndarray], run, deadline) -> None:
         """Execute ``run`` over every bucket, honouring the deadline.
 
-        Serial path: cooperative — the deadline is checked before each
-        bucket (``run`` itself re-checks at bucket start, so the
-        threaded workers share the same guard).
+        Serial path (one thread, or one bucket without a deadline):
+        cooperative — the deadline is checked before each bucket
+        (``run`` itself re-checks at bucket start, so the threaded
+        workers share the same guard).
 
         Threaded path: the buckets are submitted to the pool and the
         caller becomes a *watchdog*: it waits on the futures with the
@@ -196,15 +195,26 @@ class BucketExecutor:
         raised promptly. On a worker fault, pending buckets are
         cancelled and the fault re-raises immediately — the pool is
         never poisoned and the caller never deadlocks on its siblings.
+        A deadline forces the watchdog even for a single bucket: the
+        serial path can only cancel *between* buckets, so a lone hung
+        bucket would overrun the budget by its full runtime.
         """
-        if not parallel:
-            for idx in slices:
-                if deadline is not None:
-                    deadline.check("between buckets")
-                run(idx)
+        try:
+            if self.threads > 1 and (len(slices) > 1 or deadline is not None):
+                self._watch_buckets(slices, run, deadline)
+            else:
+                for idx in slices:
+                    if deadline is not None:
+                        deadline.check("between buckets")
+                    run(idx)
             if deadline is not None:
                 deadline.check("after final bucket")
-            return
+        except DeadlineExceeded:
+            obs.inc("predict.deadline_exceeded_total",
+                    help="Predict calls abandoned past their deadline")
+            raise
+
+    def _watch_buckets(self, slices: list[np.ndarray], run, deadline) -> None:
         pool = self._ensure_pool()
         pending = set(pool.submit(run, idx) for idx in slices)
         try:
@@ -227,64 +237,35 @@ class BucketExecutor:
             for future in pending:
                 future.cancel()
             raise
-        if deadline is not None:
-            deadline.check("after final bucket")
 
-    def predict_log(self, encoded: list, fast: bool = True,
-                    bucket: bool = True, deadline=None) -> tuple[np.ndarray, int]:
+    def predict_log(self, encoded: list,
+                    deadline=None) -> tuple[np.ndarray, int]:
         """Log-space predictions for encoded plans.
 
         Returns ``(predictions, n_batches)`` with predictions in input
-        order. ``fast=False`` forces the Tensor/autograd forward
-        (float64 tier only — it cross-checks against the training
-        graph, which is a float64 artifact). ``deadline`` bounds the
-        call: expiry raises :class:`~repro.errors.DeadlineExceeded`
-        instead of returning a late answer.
+        order. ``deadline`` bounds the call: expiry raises
+        :class:`~repro.errors.DeadlineExceeded` instead of returning a
+        late answer.
         """
         if not encoded:
             return np.zeros(0), 0
-        if not fast and self.precision != "f64":
-            raise PredictionError(
-                f"the autograd fallback (fast=False) only supports the f64 "
-                f"tier, not {self.precision!r}")
         if deadline is not None:
             deadline.check("before predict")
         self.model.eval()
-        weights = self.weights() if fast else None
-        order = self._bucket_order([e.num_nodes for e in encoded], bucket)
+        weights = self.weights()
+        slices = self._slices(encoded)
         preds = np.empty(len(encoded))
-        slices = [order[lo : lo + self.batch_size]
-                  for lo in range(0, len(order), self.batch_size)]
 
         def run(idx: np.ndarray) -> None:
             if deadline is not None:
                 deadline.check("at bucket start")
-            batch = collate_inference(
-                [encoded[i] for i in idx],
-                weights.dtype if weights is not None else np.float64,
-                arena=thread_local_arena())
-            with no_grad():
-                if fast:
-                    out = self.model.forward_inference(batch, weights)
-                else:
-                    out = self.model(batch).numpy()
+            batch = collate_inference([encoded[i] for i in idx],
+                                      weights.dtype,
+                                      arena=thread_local_arena())
             # Disjoint index sets per bucket: concurrent writes are safe.
-            preds[idx] = out
+            preds[idx] = self.model.forward_inference(batch, weights)
 
-        try:
-            # A deadline forces the watchdog even for a single bucket:
-            # the serial path can only cancel *between* buckets, so a
-            # lone hung bucket would overrun the budget by its full
-            # runtime instead of being abandoned at expiry.
-            self._run_buckets(
-                slices, run,
-                parallel=(self.threads > 1 and fast
-                          and (len(slices) > 1 or deadline is not None)),
-                deadline=deadline)
-        except DeadlineExceeded:
-            obs.inc("predict.deadline_exceeded_total",
-                    help="Predict calls abandoned past their deadline")
-            raise
+        self._run_buckets(slices, run, deadline)
         return preds, len(slices)
 
     def predict_log_grid(self, encoded_plans: list,
@@ -307,11 +288,9 @@ class BucketExecutor:
             deadline.check("before grid predict")
         self.model.eval()
         weights = self.weights()
-        order = self._bucket_order([e.num_nodes for e in encoded_plans], True)
         out = np.empty((n_profiles, len(encoded_plans)))
         profiles = np.ascontiguousarray(profile_features, dtype=weights.dtype)
-        slices = [order[lo : lo + self.batch_size]
-                  for lo in range(0, len(order), self.batch_size)]
+        slices = self._slices(encoded_plans)
 
         def run(idx: np.ndarray) -> None:
             if deadline is not None:
@@ -319,20 +298,9 @@ class BucketExecutor:
             batch = collate_inference(
                 [encoded_plans[i] for i in idx], weights.dtype,
                 arena=thread_local_arena())
-            with no_grad():
-                grid = raal_grid_inference(
-                    weights, batch.node_features, batch.child_mask,
-                    batch.node_mask, batch.extras, profiles)
-            out[:, idx] = grid
+            out[:, idx] = raal_grid_inference(
+                weights, batch.node_features, batch.child_mask,
+                batch.node_mask, batch.extras, profiles)
 
-        try:
-            self._run_buckets(
-                slices, run,
-                parallel=(self.threads > 1
-                          and (len(slices) > 1 or deadline is not None)),
-                deadline=deadline)
-        except DeadlineExceeded:
-            obs.inc("predict.deadline_exceeded_total",
-                    help="Predict calls abandoned past their deadline")
-            raise
+        self._run_buckets(slices, run, deadline)
         return out, len(slices)

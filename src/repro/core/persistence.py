@@ -27,6 +27,8 @@ import hashlib
 import json
 import os
 import pathlib
+import types
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -258,8 +260,15 @@ def load_predictor(directory: str | os.PathLike,
         trainer_cfg = dict(meta["trainer_config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{_META_FILE} is corrupt: {exc}") from exc
-
-    model = RAAL(RAALConfig(**model_cfg))
+    # Retired switch: checkpoints written before the autograd training
+    # path was removed still carry it.
+    trainer_cfg.pop("fast_path", None)
+    trainer_config = _config(TrainerConfig, trainer_cfg, "trainer_config")
+    model_config = _config(RAALConfig, model_cfg, "model_config")
+    try:
+        model = RAAL(model_config)
+    except TrainingError as exc:
+        raise CheckpointError(f"{_META_FILE} model_config: {exc}") from exc
     try:
         load_model(model, path / _MODEL_FILE)
     except FileNotFoundError as exc:
@@ -288,8 +297,41 @@ def load_predictor(directory: str | os.PathLike,
         use_structure=enc_meta["use_structure"],
         use_onehot=enc_meta["use_onehot"],
     )
-    trainer = Trainer(model, TrainerConfig(**trainer_cfg))
-    return CostPredictor(encoder, trainer)
+    return CostPredictor(encoder, Trainer(model, trainer_config))
+
+
+def _config(cls, values: dict, section: str):
+    """Build config dataclass ``cls`` from one ``meta.json`` section.
+
+    An unknown key or a value of the wrong type raises
+    :class:`CheckpointError` naming the file, instead of escaping from
+    the constructor as a raw ``TypeError``.
+    """
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if key not in hints:
+            raise CheckpointError(
+                f"{_META_FILE} {section} has unknown key {key!r}")
+        hint = hints[key]
+        if not _has_type(value, hint):
+            raise CheckpointError(
+                f"{_META_FILE} {section}.{key} = {value!r} is not of type "
+                f"{getattr(hint, '__name__', hint)}")
+    return cls(**values)
+
+
+def _has_type(value, hint) -> bool:
+    """``isinstance`` for the annotation shapes config fields use."""
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if origin is not None:
+        hint = origin  # tuple[int, ...] -> tuple
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _jsonable(mapping: dict) -> dict:

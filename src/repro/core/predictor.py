@@ -48,11 +48,10 @@ class CostPredictor:
     and a trained model so downstream code (the plan selector, the
     benchmarks) can ask for costs directly.
 
-    Prediction runs on the inference fast path by default: plan-side
-    features are served from the encoder's LRU cache, the model forward
-    is graph-free (no autograd), and batches are length-bucketed. Pass
-    ``fast=False`` to force the Tensor/autograd forward (still under
-    ``no_grad``); predictions agree to ≤ 1e-8.
+    Prediction has one path: plan-side features are served from the
+    encoder's LRU cache, the model forward is graph-free (no autograd),
+    and batches are length-bucketed. The test suite checks it against
+    an unbucketed autograd forward (``tests/oracles.py``) to ≤ 1e-8.
 
     A :class:`PredictorConfig` selects the execution policy — precision
     tier (f64 / f32 / int8), bucket-parallel threading, and factored
@@ -135,7 +134,7 @@ class CostPredictor:
                                        deadline=deadline)[0])
 
     def predict_encoded(self, encoded: list[EncodedPlan],
-                        fast: bool = True, deadline=None) -> np.ndarray:
+                        deadline=None) -> np.ndarray:
         """Predicted costs (seconds) for already-encoded pairs.
 
         The execution entry point shared by :meth:`predict_many` and
@@ -143,12 +142,11 @@ class CostPredictor:
         configured engine, so precision, threading, and deadline policy
         apply under the fallback chain too.
         """
-        return self.trainer.predict_seconds(encoded, fast=fast,
-                                            executor=self.executor,
+        return self.trainer.predict_seconds(encoded, executor=self.executor,
                                             deadline=deadline)
 
     def predict_many(self, pairs: list[tuple[PhysicalPlan, ResourceProfile]],
-                     fast: bool = True, deadline=None) -> np.ndarray:
+                     deadline=None) -> np.ndarray:
         """Vector of predicted costs for many (plan, resources) pairs.
 
         Repeated plans across pairs are encoded once (the encoder
@@ -156,7 +154,7 @@ class CostPredictor:
         (a :class:`~repro.reliability.deadline.Deadline`) bounds the
         call; expiry raises :class:`~repro.errors.DeadlineExceeded`.
         """
-        with obs.span("predict", pairs=len(pairs), fast=fast):
+        with obs.span("predict", pairs=len(pairs)):
             start = self.trainer.clock()
             obs.inc("predict.requests_total",
                     help="CostPredictor batch prediction calls")
@@ -165,28 +163,28 @@ class CostPredictor:
             encoded = self.encoder.encode_many(pairs)
             if deadline is not None:
                 deadline.check("after encode")
-            costs = self.predict_encoded(encoded, fast=fast, deadline=deadline)
+            costs = self.predict_encoded(encoded, deadline=deadline)
             obs.observe("predict.latency_seconds", self.trainer.clock() - start,
                         help="End-to-end predict_many latency")
             return costs
 
     def predict_grid(self, plans: list[PhysicalPlan],
                      profiles: list[ResourceProfile],
-                     fast: bool = True, deadline=None) -> np.ndarray:
+                     deadline=None) -> np.ndarray:
         """Cost matrix ``(len(profiles), len(plans))`` for a full grid.
 
         The plan-selection / resource-recommendation workload: every
         plan scored under every resource profile. Each plan is encoded
         exactly once regardless of the number of profiles.
 
-        With ``config.factor_grids`` (and ``fast=True``) the grid runs
+        With ``config.factor_grids`` the grid runs
         through the factored kernel: the plan-side network (embedding,
         LSTM, node attention) executes once per *plan*, and the
         resource side scores all profiles in batched GEMMs — the same
         math regrouped, equivalent to the pairwise path to float
         rounding at the configured precision.
         """
-        factored = bool(self.config.factor_grids and fast and plans and profiles)
+        factored = bool(self.config.factor_grids and plans and profiles)
         annotations = {"plans": len(plans), "profiles": len(profiles)}
         if factored:
             annotations["factored"] = True
@@ -197,7 +195,7 @@ class CostPredictor:
                 return self._predict_grid_factored(plans, profiles,
                                                    deadline=deadline)
             pairs = [(plan, profile) for profile in profiles for plan in plans]
-            costs = self.predict_many(pairs, fast=fast, deadline=deadline)
+            costs = self.predict_many(pairs, deadline=deadline)
             return costs.reshape(len(profiles), len(plans))
 
     def _predict_grid_factored(self, plans: list[PhysicalPlan],

@@ -63,8 +63,7 @@ class PlanSelector:
         self.config = config or EnumeratorConfig()
 
     def select(self, query: AnalyzedQuery, resources: ResourceProfile,
-               candidates: list[PhysicalPlan] | None = None,
-               fast: bool = True) -> SelectionResult:
+               candidates: list[PhysicalPlan] | None = None) -> SelectionResult:
         """Pick the best plan for ``query`` given ``resources``.
 
         ``candidates`` may be supplied when the caller already
@@ -87,10 +86,10 @@ class PlanSelector:
             if hasattr(self.predictor, "predict_many_explained"):
                 # Guarded predictor: run the fallback chain and keep the
                 # provenance it reports.
-                explained = self.predictor.predict_many_explained(pairs, fast=fast)
+                explained = self.predictor.predict_many_explained(pairs)
                 costs, source, reason = explained.costs, explained.source, explained.reason
             else:
-                costs = self.predictor.predict_many(pairs, fast=fast)
+                costs = self.predictor.predict_many(pairs)
             if source != "raal":
                 obs.inc("selector.degraded_total",
                         help="Selections served by a fallback cost source")

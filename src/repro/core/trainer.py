@@ -14,10 +14,11 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
+from repro.core.execution import BucketExecutor, collate_inference
 from repro.core.raal import RAAL, RAALBatch
 from repro.encoding.plan_encoder import EncodedPlan
 from repro.errors import TrainingError
-from repro.nn import Adam, StepLR, clip_grad_norm, mse_loss, no_grad, Tensor
+from repro.nn import Adam, StepLR, clip_grad_norm, mse_loss, Tensor
 
 __all__ = ["TrainingSample", "TrainerConfig", "TrainResult", "RecoveryEvent",
            "Trainer", "collate"]
@@ -36,8 +37,13 @@ class TrainingSample:
         return float(np.log1p(max(self.cost_seconds, 0.0)))
 
 
-def collate(samples: list[TrainingSample], max_nodes: int | None = None) -> RAALBatch:
-    """Zero-pad a list of samples into one :class:`RAALBatch`."""
+def collate(samples: list[TrainingSample]) -> RAALBatch:
+    """Zero-pad a list of samples into one float64 :class:`RAALBatch`.
+
+    Checks that every sample has the same feature widths, pads through
+    :func:`~repro.core.execution.collate_inference` (the one padding
+    implementation) and attaches the log-space targets.
+    """
     if not samples:
         raise TrainingError("cannot collate an empty batch")
     node_dims = {s.encoded.node_features.shape[1] for s in samples}
@@ -51,26 +57,9 @@ def collate(samples: list[TrainingSample], max_nodes: int | None = None) -> RAAL
         if len(dims) > 1:
             raise TrainingError(
                 f"inconsistent {name} shapes in batch: {sorted(dims)}")
-    n = max(s.encoded.num_nodes for s in samples)
-    if max_nodes is not None:
-        n = max(n, max_nodes)
-    batch_size = len(samples)
-    node_dim = samples[0].encoded.node_features.shape[1]
-    feats = np.zeros((batch_size, n, node_dim))
-    child = np.zeros((batch_size, n, n), dtype=bool)
-    mask = np.zeros((batch_size, n), dtype=bool)
-    resources = np.stack([s.encoded.resources for s in samples])
-    extras = np.stack([s.encoded.extras for s in samples])
-    targets = np.array([s.log_cost for s in samples])
-    for i, sample in enumerate(samples):
-        k = sample.encoded.num_nodes
-        feats[i, :k] = sample.encoded.node_features
-        child[i, :k, :k] = sample.encoded.child_mask
-        mask[i, :k] = True
-    return RAALBatch(
-        node_features=feats, child_mask=child, node_mask=mask,
-        resources=resources, extras=extras, targets=targets,
-    )
+    batch = collate_inference([s.encoded for s in samples], np.float64)
+    batch.targets = np.array([s.log_cost for s in samples])
+    return batch
 
 
 @dataclass(frozen=True)
@@ -99,13 +88,6 @@ class TrainerConfig:
     # raises TrainingError instead of returning a poisoned model.
     divergence_max_recoveries: int = 3
     divergence_spike_factor: float = 50.0
-    # Fused training step: gradients computed in closed form over
-    # contiguous numpy buffers (``RAAL.forward_backward``) instead of
-    # the per-timestep autograd graph, and validation evaluated through
-    # the graph-free ``forward_inference``. Equivalent to the legacy
-    # autograd path to ≤ 1e-8 per parameter; set False to train through
-    # autograd (``repro train --no-fast-path``).
-    fast_path: bool = True
     seed: int = 0
     verbose: bool = False
 
@@ -184,12 +166,10 @@ class Trainer:
 
         # Epoch-persistent collation: length-bucketed batches are padded
         # exactly once, before the epoch loop; epochs only reshuffle the
-        # batch *order* (one rng draw per epoch, identical on the fast
-        # and legacy paths). Validation batches are likewise collated
-        # once and reused by every evaluation.
+        # batch *order* (one rng draw per epoch). Validation batches are
+        # likewise collated once and reused by every evaluation.
         train_batches = self._collate_bucketed(train_samples)
         val_batches = self._collate_bucketed(val_samples)
-        use_fast = cfg.fast_path and hasattr(self.model, "forward_backward")
 
         current_lr = cfg.learning_rate
 
@@ -218,17 +198,11 @@ class Trainer:
             for bi in perm:
                 batch = train_batches[bi]
                 optimizer.zero_grad()
-                if use_fast:
-                    # Analytic gradients straight into .grad; the loss
-                    # value is still computed through the module-level
-                    # mse_loss so fault injection and monkeypatching
-                    # see the same call sites as the legacy path.
-                    _, pred_np = self.model.forward_backward(batch)
-                    loss = mse_loss(Tensor(pred_np), Tensor(batch.targets))
-                else:
-                    pred = self.model(batch)
-                    loss = mse_loss(pred, Tensor(batch.targets))
-                    loss.backward()
+                # Analytic gradients straight into .grad; the loss value
+                # goes through the module-level mse_loss so fault
+                # injection and monkeypatching have one call site.
+                _, pred_np = self.model.forward_backward(batch)
+                loss = mse_loss(Tensor(pred_np), Tensor(batch.targets))
                 clip_grad_norm(optimizer.parameters, cfg.grad_clip)
                 optimizer.step()
                 epoch_loss += loss.item()
@@ -342,26 +316,20 @@ class Trainer:
     def _evaluate_batches(self, batches: list[RAALBatch]) -> float:
         """Mean MSE (log space) over pre-collated batches, in eval mode.
 
-        With ``fast_path`` the forward runs through the fused graph-free
-        :meth:`RAAL.forward_inference`; the loss value itself always
-        goes through the module-level :func:`mse_loss` (same call sites
-        as the legacy path, so fault injection keeps working).
+        The forward runs through the fused graph-free
+        :meth:`RAAL.forward_inference`; the loss value goes through the
+        module-level :func:`mse_loss` (the call site fault injection
+        patches).
         """
         if not batches:
             raise TrainingError("cannot evaluate on an empty sample list")
         self.model.eval()
-        use_fast = (self.config.fast_path
-                    and hasattr(self.model, "forward_inference"))
         total = 0.0
         count = 0
-        with no_grad():
-            for batch in batches:
-                if use_fast:
-                    pred = Tensor(self.model.forward_inference(batch))
-                else:
-                    pred = self.model(batch)
-                total += mse_loss(pred, Tensor(batch.targets)).item() * batch.size
-                count += batch.size
+        for batch in batches:
+            pred = Tensor(self.model.forward_inference(batch))
+            total += mse_loss(pred, Tensor(batch.targets)).item() * batch.size
+            count += batch.size
         return total / count
 
     def evaluate_loss(self, samples: list[TrainingSample]) -> float:
@@ -370,47 +338,37 @@ class Trainer:
             raise TrainingError("cannot evaluate on an empty sample list")
         return self._evaluate_batches(self._collate_bucketed(samples))
 
-    def bucket_executor(self):
+    def bucket_executor(self) -> BucketExecutor:
         """The default (f64, single-thread) execution engine."""
         if self._executor is None:
-            from repro.core.execution import BucketExecutor
             self._executor = BucketExecutor(
                 self.model, self.config.batch_size)
         return self._executor
 
-    def predict_log(self, encoded: list[EncodedPlan], fast: bool = True,
-                    bucket: bool = True, executor=None,
+    def predict_log(self, encoded: list[EncodedPlan], executor=None,
                     deadline=None) -> np.ndarray:
-        """Log-space predictions for encoded plans.
+        """Log-space predictions for encoded plans, in input order.
 
-        The entire path runs under :func:`no_grad` — no autograd graph
-        is built or retained. Two inference optimizations are on by
-        default:
-
-        * ``fast`` — use the graph-free fused forward
-          (:meth:`RAAL.forward_inference`) instead of the
-          Tensor/autograd forward; numerically equivalent to ≤ 1e-8.
-        * ``bucket`` — sort plans by node count before batching, so a
-          batch of short plans is not padded to the longest plan in the
-          workload. Output order always matches the input order.
+        Runs the graph-free fused forward
+        (:meth:`RAAL.forward_inference`) over length-bucketed batches:
+        plans are sorted by node count before batching, so a batch of
+        short plans is not padded to the longest plan in the workload.
+        No autograd graph is built.
 
         ``executor`` optionally supplies a configured
         :class:`~repro.core.execution.BucketExecutor` (precision tier,
         bucket-level threading); the default engine runs float64 on the
-        calling thread and is bit-identical to the pre-engine path.
-        ``deadline`` bounds the forward — expiry raises
+        calling thread. ``deadline`` bounds the forward — expiry raises
         :class:`~repro.errors.DeadlineExceeded` instead of returning a
         late answer.
         """
         if not encoded:
             return np.zeros(0)
         engine = executor if executor is not None else self.bucket_executor()
-        with obs.span("forward", plans=len(encoded), fast=fast,
-                      bucket=bucket, precision=engine.precision) as sp:
+        with obs.span("forward", plans=len(encoded),
+                      precision=engine.precision) as sp:
             start = self.clock()
-            preds, batches = engine.predict_log(encoded, fast=fast,
-                                                bucket=bucket,
-                                                deadline=deadline)
+            preds, batches = engine.predict_log(encoded, deadline=deadline)
             sp.annotate(batches=batches)
             obs.observe("predict.forward_seconds", self.clock() - start,
                         help="Model forward latency per predict call")
@@ -425,8 +383,7 @@ class Trainer:
                     help="Predictions clamped at log_clamp_max")
         return np.expm1(np.clip(log_preds, 0.0, hi))
 
-    def predict_seconds(self, encoded: list[EncodedPlan], fast: bool = True,
-                        bucket: bool = True, executor=None,
+    def predict_seconds(self, encoded: list[EncodedPlan], executor=None,
                         deadline=None) -> np.ndarray:
         """Predicted costs in seconds (inverse of the log transform).
 
@@ -437,6 +394,6 @@ class Trainer:
         rather than silently hidden (the guarded predictor treats a
         saturated batch as a degradation trigger).
         """
-        log_preds = self.predict_log(encoded, fast=fast, bucket=bucket,
-                                     executor=executor, deadline=deadline)
+        log_preds = self.predict_log(encoded, executor=executor,
+                                     deadline=deadline)
         return self._seconds_from_log(log_preds)

@@ -53,9 +53,6 @@ class ExperimentScale:
     epochs: int = 60
     batch_size: int = 32
     max_joins: int = 5
-    # Fused training step (analytic backward + persistent collation);
-    # False selects the legacy autograd path (``--no-fast-path``).
-    fast_path: bool = True
     seed: int = 0
 
 
@@ -228,7 +225,6 @@ class ExperimentPipeline:
         trainer = Trainer(model, TrainerConfig(
             epochs=epochs if epochs is not None else self.scale.epochs,
             batch_size=self.scale.batch_size,
-            fast_path=self.scale.fast_path,
             seed=run_seed,
         ))
         samples = train_samples if train_samples is not None \

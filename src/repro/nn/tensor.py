@@ -31,8 +31,8 @@ from repro.errors import AutogradError, ShapeError
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-# Per-thread gradient mode: bucket-parallel inference runs no_grad
-# contexts concurrently, and a process-global flag would let one
+# Per-thread gradient mode: threads may run no_grad contexts
+# concurrently, and a process-global flag would let one
 # thread's __exit__ clobber another's (leaving gradients disabled for
 # the whole process once the restores interleave). New threads start
 # with gradients enabled.

@@ -19,8 +19,9 @@ parameter's ``.grad`` — exactly what ``model(batch)`` followed by
 Gate order, masking semantics, and operation shapes follow
 :mod:`repro.nn.rnn` / :mod:`repro.nn.attention`. Dropout draws its
 masks from the same module-owned generators as the autograd layers, so
-the fast and legacy training paths consume identical random streams and
-``Trainer.fit`` produces the same loss trajectory either way.
+the fused step and the autograd reference step in ``tests/oracles.py``
+consume identical random streams and ``Trainer.fit`` walks the same
+loss trajectory with either.
 """
 
 from __future__ import annotations
@@ -438,8 +439,8 @@ def dense_forward_cached(
     """Forward through a Linear/ReLU/Dropout stack, caching per-layer state.
 
     In training mode Dropout draws its mask from the layer's own
-    generator with the same call the autograd layer makes, so the fast
-    and legacy paths consume identical random streams.
+    generator with the same call the autograd layer makes, so the fused
+    and autograd steps consume identical random streams.
     """
     caches: list[tuple[str, Linear | None, np.ndarray | None]] = []
     for layer in dense:

@@ -104,8 +104,8 @@ class FaultInjector:
                              message: str = "injected forward fault") -> Callable[[], None]:
         """Make the model's forward passes raise :class:`TrainingError`.
 
-        Patches both the autograd ``forward`` and the inference fast
-        path. Returns a restore callable.
+        Patches both the autograd ``forward`` and the graph-free
+        ``forward_inference``. Returns a restore callable.
         """
         def _boom(*args, **kwargs):
             raise TrainingError(message)

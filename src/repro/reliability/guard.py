@@ -331,29 +331,24 @@ class GuardedCostPredictor:
         )
 
     def predict_many(self, pairs: list[tuple[PhysicalPlan, ResourceProfile]],
-                     fast: bool = True,
                      deadline: Deadline | None = None) -> np.ndarray:
         """Guarded cost vector (drop-in for ``CostPredictor.predict_many``)."""
-        return self.predict_many_explained(pairs, fast=fast,
-                                           deadline=deadline).costs
+        return self.predict_many_explained(pairs, deadline=deadline).costs
 
     def predict_grid(self, plans: list[PhysicalPlan],
                      profiles: list[ResourceProfile],
-                     fast: bool = True,
                      deadline: Deadline | None = None) -> np.ndarray:
         """Guarded cost matrix (drop-in for ``CostPredictor.predict_grid``)."""
-        return self.predict_grid_explained(plans, profiles, fast=fast,
+        return self.predict_grid_explained(plans, profiles,
                                            deadline=deadline).costs
 
     def predict_grid_explained(self, plans: list[PhysicalPlan],
                                profiles: list[ResourceProfile],
-                               fast: bool = True,
                                deadline: Deadline | None = None,
                                ) -> ExplainedPredictions:
         """Guarded ``(len(profiles), len(plans))`` grid with provenance."""
         pairs = [(plan, profile) for profile in profiles for plan in plans]
-        explained = self.predict_many_explained(pairs, fast=fast,
-                                                deadline=deadline)
+        explained = self.predict_many_explained(pairs, deadline=deadline)
         return ExplainedPredictions(
             costs=explained.costs.reshape(len(profiles), len(plans)),
             source=explained.source,
@@ -416,7 +411,6 @@ class GuardedCostPredictor:
     # -- the chain ---------------------------------------------------------
     def predict_many_explained(
         self, pairs: list[tuple[PhysicalPlan, ResourceProfile]],
-        fast: bool = True,
         deadline: Deadline | None = None,
     ) -> ExplainedPredictions:
         """Run the fallback chain for a batch of (plan, resources) pairs.
@@ -454,7 +448,7 @@ class GuardedCostPredictor:
                                        stage="raal", reason=problem)
                         reasons.append(f"raal: {problem}")
                         continue
-                    if self.ladder is not None and fast:
+                    if self.ladder is not None:
                         tier = self.ladder.precision()
                         if tier is None:
                             stats.ladder_fallback += 1
@@ -474,10 +468,10 @@ class GuardedCostPredictor:
                     continue
                 try:
                     if stage == "raal":
-                        costs = self._guarded_raal(pairs, fast=fast,
-                                                   deadline=deadline, tier=tier)
+                        costs = self._guarded_raal(pairs, deadline=deadline,
+                                                   tier=tier)
                     else:
-                        costs = self._run_stage(stage, pairs, fast=fast)
+                        costs = self._run_stage(stage, pairs)
                 except Overloaded as exc:
                     stats.shed += 1
                     obs.emit_event("guard", "shed", stage="raal",
@@ -619,12 +613,12 @@ class GuardedCostPredictor:
             self.ladder.trip_drift(detector.last_reason or "accuracy drift")
 
     # -- stages ------------------------------------------------------------
-    def _run_stage(self, stage: str, pairs, fast: bool) -> np.ndarray:
+    def _run_stage(self, stage: str, pairs) -> np.ndarray:
         if stage == "gpsj":
             return self._gpsj_costs(pairs)
         return self._heuristic_costs(pairs)
 
-    def _guarded_raal(self, pairs, fast: bool, deadline: Deadline | None,
+    def _guarded_raal(self, pairs, deadline: Deadline | None,
                       tier: str | None) -> np.ndarray:
         """Admission-gated, ladder-tiered, retried learned prediction.
 
@@ -645,8 +639,8 @@ class GuardedCostPredictor:
             start = self._clock()
             try:
                 costs = retry_call(
-                    lambda: self._raal_costs(pairs, fast=fast,
-                                             deadline=deadline, tier=tier),
+                    lambda: self._raal_costs(pairs, deadline=deadline,
+                                             tier=tier),
                     policy=self.retry_policy, sleep=self._sleep,
                     give_up_on=(DeadlineExceeded, Overloaded),
                     on_retry=_on_retry)
@@ -669,7 +663,7 @@ class GuardedCostPredictor:
             self._tier_predictors[tier] = cached
         return cached
 
-    def _raal_costs(self, pairs, fast: bool, deadline: Deadline | None = None,
+    def _raal_costs(self, pairs, deadline: Deadline | None = None,
                     tier: str | None = None) -> np.ndarray:
         encoded = self.predictor.encoder.encode_many(pairs)
         bad = [i for i, e in enumerate(encoded)
@@ -685,7 +679,7 @@ class GuardedCostPredictor:
         # Route through the (possibly ladder-degraded) configured engine
         # so precision tier and bucket threading apply under the guard.
         serving = self._tier_predictor(tier)
-        costs = serving.predict_encoded(encoded, fast=fast, deadline=deadline)
+        costs = serving.predict_encoded(encoded, deadline=deadline)
         if not np.all(np.isfinite(costs)):
             raise PredictionError("model produced non-finite costs")
         saturated = getattr(self.predictor.trainer, "last_saturated", 0)

@@ -21,6 +21,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train"])
 
+    @pytest.mark.parametrize("argv", [["train", "--out", "x"], ["experiment"]])
+    def test_retired_no_fast_path_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--no-fast-path"])
+        assert "unrecognized arguments: --no-fast-path" in capsys.readouterr().err
+
     def test_predict_args(self):
         args = build_parser().parse_args([
             "predict", "--model", "m", "--sql", "select count(*) from title t",

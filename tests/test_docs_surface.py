@@ -4,7 +4,9 @@ Enumerate the CLI verbs from the real argument parser and the HTTP
 endpoints from the serving layer's declarative route table, then fail
 if any of them is missing from the user documentation (README.md +
 docs/). New surface area cannot land undocumented — CI runs this in
-the serving job.
+the serving job. In the reverse direction, README.md, docs/ and
+DESIGN.md may not advertise a verb, endpoint or ``--flag`` that no
+longer exists.
 """
 
 from __future__ import annotations
@@ -20,11 +22,27 @@ from repro.serving.http import ROUTES
 
 REPO = pathlib.Path(__file__).parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+FLAG_DOC_FILES = [*DOC_FILES, REPO / "DESIGN.md"]
+#: Lines invoking these tools document *their* flags, not the repro CLI's.
+FOREIGN_TOOLS = ("pytest", "perfbench/", "pip ")
 
 
 @pytest.fixture(scope="module")
 def docs_text() -> str:
     return "\n".join(path.read_text() for path in DOC_FILES)
+
+
+def _cli_flags() -> set[str]:
+    """Every option string of the parser and all its subcommands."""
+    flags: set[str] = set()
+    pending = [build_parser()]
+    while pending:
+        parser = pending.pop()
+        for action in parser._actions:
+            flags.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                pending.extend(action.choices.values())
+    return flags
 
 
 def _cli_verbs() -> list[str]:
@@ -91,3 +109,15 @@ class TestDocsMentionNoDeadSurface:
         known = {route.path for route in ROUTES}
         unknown = advertised - known
         assert not unknown, f"docs advertise nonexistent endpoints: {unknown}"
+
+    def test_no_unknown_cli_flags_advertised(self):
+        known = _cli_flags()
+        unknown = {}
+        for path in FLAG_DOC_FILES:
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if any(tool in line for tool in FOREIGN_TOOLS):
+                    continue
+                for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line):
+                    if flag not in known:
+                        unknown[flag] = f"{path.name}:{lineno}"
+        assert not unknown, f"docs advertise nonexistent flags: {unknown}"

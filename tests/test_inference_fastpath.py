@@ -1,9 +1,10 @@
 """Inference fast path: graph-free forward equivalence and no-grad guarantees.
 
-The fast path (`RAAL.forward_inference` / `Trainer.predict_*(fast=True)`)
-must be numerically interchangeable with the autograd forward for every
-model variant, with and without padding, and the whole prediction path
-must never build or retain an autograd graph.
+The graph-free forward (`RAAL.forward_inference`, the only path behind
+`Trainer.predict_*`) must be numerically interchangeable with the
+autograd forward for every model variant, with and without padding, and
+the whole prediction path must never build or retain an autograd graph.
+The autograd reference predictions come from `tests/oracles.py`.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.errors import ShapeError
 from repro.nn import Tensor, raal_forward_inference
 from repro.plan.physical import FileScan, FilterExec, HashAggregate, PhysicalPlan
 from repro.cluster.resources import ResourceProfile
+from tests.oracles import autograd_predict_log, autograd_predict_seconds
 
 TOL = 1e-8
 
@@ -129,21 +131,33 @@ class TestPredictionPath:
 
     def test_fast_matches_autograd_predictions(self, trainer):
         encoded = random_encoded(trainer.model.config, count=13, seed=1)
-        fast = trainer.predict_seconds(encoded, fast=True)
-        slow = trainer.predict_seconds(encoded, fast=False, bucket=False)
+        fast = trainer.predict_seconds(encoded)
+        slow = autograd_predict_seconds(trainer, encoded)
         np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(
+            trainer.predict_log(encoded),
+            autograd_predict_log(trainer.model, encoded,
+                                 trainer.config.batch_size),
+            rtol=0.0, atol=TOL)
 
     def test_bucketing_preserves_input_order(self, trainer):
+        """Length-sorted buckets, answers back in input order: compare
+        against the oracle's arrival-order batches, and against a
+        reversed input."""
         encoded = random_encoded(trainer.model.config, count=17, seed=2)
-        bucketed = trainer.predict_log(encoded, bucket=True)
-        plain = trainer.predict_log(encoded, bucket=False)
+        bucketed = trainer.predict_log(encoded)
+        plain = autograd_predict_log(trainer.model, encoded,
+                                     trainer.config.batch_size)
         np.testing.assert_allclose(bucketed, plain, rtol=0.0, atol=TOL)
+        reversed_preds = trainer.predict_log(encoded[::-1])
+        np.testing.assert_allclose(reversed_preds[::-1], bucketed,
+                                   rtol=0.0, atol=TOL)
 
     def test_empty_input(self, trainer):
         assert trainer.predict_seconds([]).shape == (0,)
 
     def test_no_graph_retained_after_prediction(self, trainer, monkeypatch):
-        """Regression: the whole prediction path runs under no_grad."""
+        """Regression: the autograd reference runs under no_grad."""
         captured = []
         original = RAAL.forward
 
@@ -154,7 +168,7 @@ class TestPredictionPath:
 
         monkeypatch.setattr(RAAL, "forward", spy)
         encoded = random_encoded(trainer.model.config, count=6, seed=3)
-        trainer.predict_seconds(encoded, fast=False)
+        autograd_predict_seconds(trainer, encoded)
         assert captured, "autograd forward was not exercised"
         for out in captured:
             assert isinstance(out, Tensor)
@@ -169,9 +183,9 @@ class TestPredictionPath:
             RAAL, "forward",
             lambda self, batch: calls.append(1) or original(self, batch))
         encoded = random_encoded(trainer.model.config, count=6, seed=4)
-        out = trainer.predict_seconds(encoded, fast=True)
+        out = trainer.predict_seconds(encoded)
         assert isinstance(out, np.ndarray)
-        assert not calls, "fast path fell back to the autograd forward"
+        assert not calls, "prediction reached the autograd forward"
         assert all(p.grad is None for p in trainer.model.parameters())
 
 
@@ -204,10 +218,9 @@ class TestPredictorNoGrad:
 
         monkeypatch.setattr(RAAL, "forward", spy)
         pairs = [(tiny_plan(0.1 * i), ResourceProfile()) for i in range(1, 4)]
-        costs = predictor.predict_many(pairs, fast=False)
+        costs = predictor.predict_many(pairs)
         assert costs.shape == (3,)
-        for out in captured:
-            assert not out.requires_grad and out._parents == ()
+        assert not captured, "predict_many reached the autograd forward"
         assert all(p.grad is None for p in predictor.trainer.model.parameters())
 
     def test_predict_grid_shape_and_consistency(self):

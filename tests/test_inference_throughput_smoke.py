@@ -1,9 +1,9 @@
-"""Tier-1 perf smoke: the fast path must not be slower than autograd.
+"""Tier-1 perf smoke: prediction must not be slower than autograd.
 
 A tiny-model, best-of-N timing comparison that fails fast if a change
-regresses the graph-free forward below the autograd forward's
-throughput — without running the full benchmark suite. Full numbers
-live in ``benchmarks/test_inference_throughput.py``.
+regresses the graph-free forward below the throughput of the autograd
+reference in ``tests/oracles.py`` — without running the full benchmark
+suite. Full numbers live in ``benchmarks/test_inference_throughput.py``.
 """
 
 import time
@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core import RAAL, RAALConfig, Trainer, TrainerConfig
 from repro.encoding import EncodedPlan
+from tests.oracles import autograd_predict_seconds
 
 
 def _random_encoded(config, count, max_n, seed=0):
@@ -46,11 +47,11 @@ def test_fast_path_at_least_autograd_throughput():
     encoded = _random_encoded(config, count=96, max_n=14)
 
     # Warm both paths (BLAS thread pools, allocator) before timing.
-    trainer.predict_seconds(encoded, fast=True)
-    trainer.predict_seconds(encoded, fast=False)
+    trainer.predict_seconds(encoded)
+    autograd_predict_seconds(trainer, encoded)
 
-    fast = _best_of(lambda: trainer.predict_seconds(encoded, fast=True))
-    slow = _best_of(lambda: trainer.predict_seconds(encoded, fast=False))
+    fast = _best_of(lambda: trainer.predict_seconds(encoded))
+    slow = _best_of(lambda: autograd_predict_seconds(trainer, encoded))
 
     # The graph-free forward skips Tensor allocation and backward-closure
     # wiring entirely; it must at least match autograd throughput. The

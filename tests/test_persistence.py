@@ -1,6 +1,7 @@
 """Tests for model persistence: word2vec, the full cost predictor, and
 checkpoint integrity (manifest verification under fault injection)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -100,6 +101,20 @@ class TestPredictorPersistence:
         assert not (tmp_path / "oh" / "word2vec.npz").exists()
         after = load_predictor(tmp_path / "oh").predict(record.plan, record.resources)
         assert before == pytest.approx(after, abs=1e-9)
+
+
+def rewrite_meta(directory, edit) -> None:
+    """Apply ``edit`` to a checkpoint's meta.json and re-seal the manifest,
+    as if the checkpoint had been saved with that meta in the first place."""
+    meta_path = directory / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta, indent=2))
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"]["meta.json"] = hashlib.sha256(
+        meta_path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, indent=2))
 
 
 @pytest.fixture()
@@ -205,3 +220,43 @@ class TestCheckpointIntegrity:
         record = pipeline.records[0]
         assert strict.predict(record.plan, record.resources) == pytest.approx(
             recovered.predict(record.plan, record.resources), abs=1e-9)
+
+
+class TestCheckpointConfigKeys:
+    def test_checkpoint_with_retired_fast_path_key_predicts_identically(
+            self, saved_dir, pipeline):
+        """Checkpoints saved before the autograd switches were removed
+        carry ``"fast_path": true`` in their trainer config."""
+        pairs = [(r.plan, r.resources) for r in pipeline.records[:6]]
+        expected = load_predictor(saved_dir).predict_many(pairs)
+        rewrite_meta(saved_dir,
+                     lambda meta: meta["trainer_config"].update(fast_path=True))
+        assert verify_checkpoint(saved_dir).ok
+        restored = load_predictor(saved_dir)
+        assert not hasattr(restored.trainer.config, "fast_path")
+        np.testing.assert_array_equal(restored.predict_many(pairs), expected)
+
+    @pytest.mark.parametrize("section", ["trainer_config", "model_config"])
+    def test_unknown_config_key_is_a_checkpoint_error(self, saved_dir,
+                                                      section):
+        rewrite_meta(saved_dir, lambda meta: meta[section].update(turbo=1))
+        with pytest.raises(CheckpointError, match="meta.json.*'turbo'"):
+            load_predictor(saved_dir)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model_config", "hidden_size", "48"),
+        ("model_config", "use_node_attention", 1),
+        ("trainer_config", "batch_size", 32.5),
+        ("trainer_config", "lr_decay_epochs", True),
+    ])
+    def test_ill_typed_config_value_is_a_checkpoint_error(
+            self, saved_dir, section, key, value):
+        rewrite_meta(saved_dir, lambda meta: meta[section].update({key: value}))
+        with pytest.raises(CheckpointError, match=f"meta.json {section}.{key}"):
+            load_predictor(saved_dir)
+
+    def test_invalid_model_config_value_is_a_checkpoint_error(self, saved_dir):
+        rewrite_meta(saved_dir, lambda meta: meta["model_config"].update(
+            feature_layer="gru"))
+        with pytest.raises(CheckpointError, match="meta.json"):
+            load_predictor(saved_dir)

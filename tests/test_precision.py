@@ -234,25 +234,22 @@ class TestBucketExecutor:
             b, _ = threaded.predict_log_grid(encoded, profiles)
         assert np.array_equal(a, b)
 
-    def test_autograd_fallback_requires_f64(self):
-        model = eval_model("RAAL")
-        encoded = encoded_workload(model.config, count=3)
-        executor = BucketExecutor(model, batch_size=4, precision="f32")
-        with pytest.raises(PredictionError):
-            executor.predict_log(encoded, fast=False)
-
     def test_collate_inference_matches_training_collate(self):
         from repro.core.trainer import TrainingSample, collate
 
         model = eval_model("RAAL")
         encoded = encoded_workload(model.config, count=5)
-        reference = collate([TrainingSample(e, 0.0) for e in encoded])
+        reference = collate([TrainingSample(e, float(i))
+                             for i, e in enumerate(encoded)])
         batch = collate_inference(encoded, np.float64, arena=ScratchArena())
-        assert np.array_equal(batch.node_features, reference.node_features)
-        assert np.array_equal(batch.child_mask, reference.child_mask)
-        assert np.array_equal(batch.node_mask, reference.node_mask)
-        assert np.array_equal(batch.resources, reference.resources)
-        assert np.array_equal(batch.extras, reference.extras)
+        for name in ("node_features", "child_mask", "node_mask",
+                     "resources", "extras"):
+            got, want = getattr(batch, name), getattr(reference, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert batch.targets is None
+        np.testing.assert_array_equal(reference.targets,
+                                      np.log1p(np.arange(5.0)))
 
     def test_arena_reuses_buffers(self):
         arena = ScratchArena()

@@ -1,18 +1,21 @@
-"""Tier-1 perf smoke: fast-path training must not be slower than autograd.
+"""Tier-1 perf smoke: training must not be slower than autograd.
 
 A tiny-model, best-of-N timing comparison that fails fast if a change
-regresses the fused analytic backward below the autograd training
-loop's throughput — without running the full benchmark suite. Full
-numbers live in ``benchmarks/test_train_throughput.py``.
+regresses the fused analytic backward below the throughput of the
+autograd training step in ``tests/oracles.py`` — without running the
+full benchmark suite. Full numbers live in
+``benchmarks/test_train_throughput.py``.
 """
 
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
 from repro.core import RAAL, RAALConfig, Trainer, TrainerConfig
 from repro.core.trainer import TrainingSample
 from repro.encoding import EncodedPlan
+from tests.oracles import autograd_training
 
 
 def _random_samples(config, count, max_n, seed=0):
@@ -33,16 +36,16 @@ def _random_samples(config, count, max_n, seed=0):
     return out
 
 
-def _fit_seconds(fast_path, samples, config, repeats=2):
+def _fit_seconds(autograd, samples, config, repeats=2):
     best = float("inf")
     for _ in range(repeats):
         model = RAAL(config)
         trainer = Trainer(model, TrainerConfig(
-            epochs=2, batch_size=16, fast_path=fast_path,
-            early_stopping_patience=2))
-        start = time.perf_counter()
-        trainer.fit(samples)
-        best = min(best, time.perf_counter() - start)
+            epochs=2, batch_size=16, early_stopping_patience=2))
+        with autograd_training(model) if autograd else nullcontext():
+            start = time.perf_counter()
+            trainer.fit(samples)
+            best = min(best, time.perf_counter() - start)
     return best
 
 
@@ -51,11 +54,11 @@ def test_fast_path_at_least_autograd_training_throughput():
     samples = _random_samples(config, count=64, max_n=12)
 
     # Warm both paths (BLAS thread pools, allocator) before timing.
-    _fit_seconds(True, samples, config, repeats=1)
     _fit_seconds(False, samples, config, repeats=1)
+    _fit_seconds(True, samples, config, repeats=1)
 
-    fast = _fit_seconds(True, samples, config)
-    slow = _fit_seconds(False, samples, config)
+    fast = _fit_seconds(False, samples, config)
+    slow = _fit_seconds(True, samples, config)
 
     # The analytic backward skips Tensor allocation and backward-closure
     # wiring for both the forward and the gradient pass; it must at

@@ -1,24 +1,25 @@
 """Training fast path: analytic backward equivalence and fit() parity.
 
-The fused training step (`RAAL.forward_backward` /
-`TrainerConfig.fast_path`) must produce, for every model variant, the
-same gradients as the autograd path to ≤ 1e-8 per parameter, and
-`Trainer.fit` must walk the same loss trajectory whichever path computes
-the gradients (both share the epoch-persistent bucketed collation, so
-the gradient kernel is the only difference).
+The fused training step (`RAAL.forward_backward`, the only step
+`Trainer.fit` takes) must produce, for every model variant, the same
+gradients as the autograd path to ≤ 1e-8 per parameter, and `Trainer.fit`
+must walk the same loss trajectory as when the autograd reference step
+in `tests/oracles.py` computes the gradients (both share the
+epoch-persistent bucketed collation, so the gradient kernel is the only
+difference).
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.cli import build_parser, _make_pipeline
 from repro.core import RAAL, RAALConfig, Trainer, TrainerConfig
 from repro.core.trainer import TrainingSample
 from repro.encoding import EncodedPlan
 from repro.errors import TrainingError
 from repro.nn import Tensor, mse_loss, raal_forward_backward
 from repro.nn.layers import Dropout
+from tests.oracles import autograd_training
 
 TOL = 1e-8
 
@@ -160,14 +161,18 @@ def random_samples(config: RAALConfig, count=28, max_n=10, seed=0):
     return out
 
 
-def fit_once(fast_path: bool, epochs=5, dropout=0.1, seed=0):
+def fit_once(autograd: bool = False, epochs=5, dropout=0.1, seed=0):
+    """Fit a small model; ``autograd`` swaps in the reference step."""
     config = small_config(seed=seed, dropout=dropout)
     model = RAAL(config)
     trainer = Trainer(model, TrainerConfig(
-        epochs=epochs, batch_size=8, fast_path=fast_path,
+        epochs=epochs, batch_size=8,
         early_stopping_patience=epochs, seed=seed))
-    result = trainer.fit(random_samples(config, seed=seed))
-    return result, model
+    samples = random_samples(config, seed=seed)
+    if autograd:
+        with autograd_training(model):
+            return trainer.fit(samples), model
+    return trainer.fit(samples), model
 
 
 class TestFitParity:
@@ -179,8 +184,8 @@ class TestFitParity:
         kernel, equivalent to ≤ 1e-8 — so the loss trajectories must
         coincide to float accumulation error.
         """
-        fast, fast_model = fit_once(fast_path=True)
-        legacy, legacy_model = fit_once(fast_path=False)
+        fast, fast_model = fit_once()
+        legacy, legacy_model = fit_once(autograd=True)
         assert len(fast.train_losses) == len(legacy.train_losses)
         assert fast.best_epoch == legacy.best_epoch
         np.testing.assert_allclose(fast.train_losses, legacy.train_losses,
@@ -193,14 +198,14 @@ class TestFitParity:
                                        err_msg=pname)
 
     def test_fast_fit_is_deterministic(self):
-        one, _ = fit_once(fast_path=True)
-        two, _ = fit_once(fast_path=True)
+        one, _ = fit_once()
+        two, _ = fit_once()
         assert one.train_losses == two.train_losses
         assert one.val_losses == two.val_losses
         assert one.best_epoch == two.best_epoch
 
     def test_fit_records_throughput(self):
-        result, _ = fit_once(fast_path=True, epochs=3)
+        result, _ = fit_once(epochs=3)
         assert len(result.samples_per_sec) == len(result.train_losses)
         assert all(t > 0 for t in result.samples_per_sec)
 
@@ -208,10 +213,11 @@ class TestFitParity:
         config = small_config()
         model = RAAL(config)
         samples = random_samples(config, count=13, seed=3)
-        fast = Trainer(model, TrainerConfig(batch_size=4, fast_path=True))
-        legacy = Trainer(model, TrainerConfig(batch_size=4, fast_path=False))
-        assert fast.evaluate_loss(samples) == pytest.approx(
-            legacy.evaluate_loss(samples), abs=TOL)
+        trainer = Trainer(model, TrainerConfig(batch_size=4))
+        fast = trainer.evaluate_loss(samples)
+        with autograd_training(model):
+            legacy = trainer.evaluate_loss(samples)
+        assert fast == pytest.approx(legacy, abs=TOL)
 
     def test_fast_fit_never_calls_autograd_forward(self, monkeypatch):
         calls = []
@@ -219,15 +225,15 @@ class TestFitParity:
         monkeypatch.setattr(
             RAAL, "forward",
             lambda self, batch: calls.append(1) or original(self, batch))
-        fit_once(fast_path=True, epochs=2)
-        assert not calls, "fast-path fit fell back to the autograd forward"
+        fit_once(epochs=2)
+        assert not calls, "fit reached the autograd forward"
 
 
 class TestTrainingTelemetry:
     def test_fit_emits_throughput_metrics_and_events(self):
         telemetry = obs.Telemetry.create()
         with obs.attached(telemetry):
-            result, _ = fit_once(fast_path=True, epochs=2)
+            result, _ = fit_once(epochs=2)
         reg = telemetry.registry
         tput = reg.histogram("train.samples_per_sec").snapshot()
         assert tput["count"] == len(result.train_losses)
@@ -239,19 +245,3 @@ class TestTrainingTelemetry:
         for event in epochs:
             assert event["throughput"] > 0
 
-
-class TestCLIWiring:
-    def test_no_fast_path_flag_parses(self):
-        args = build_parser().parse_args(
-            ["train", "--out", "x", "--no-fast-path"])
-        assert args.no_fast_path is True
-        args = build_parser().parse_args(["train", "--out", "x"])
-        assert args.no_fast_path is False
-
-    def test_flag_reaches_trainer_config(self):
-        args = build_parser().parse_args(
-            ["experiment", "--queries", "4", "--no-fast-path"])
-        pipeline = _make_pipeline(args)
-        assert pipeline.scale.fast_path is False
-        args = build_parser().parse_args(["experiment", "--queries", "4"])
-        assert _make_pipeline(args).scale.fast_path is True
