@@ -16,7 +16,6 @@ resource profile.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from collections import OrderedDict
@@ -61,14 +60,9 @@ def plan_fingerprint(plan: PhysicalPlan) -> str:
     tree edges (structure embedding / child mask), and the per-node
     cardinality estimates (cardinality features and extras). Two plans
     with equal fingerprints encode to identical plan-side features.
+    A frozen plan returns the digest computed when it was frozen.
     """
-    hasher = hashlib.blake2b(digest_size=16)
-    for node in plan.nodes():
-        hasher.update(";".join(node.statements()).encode())
-        hasher.update(f"|{node.est_rows:.17g}|{node.est_bytes:.17g}\n".encode())
-    for child_idx, parent_idx in plan.edges():
-        hasher.update(f"{child_idx}>{parent_idx},".encode())
-    return hasher.hexdigest()
+    return plan.fingerprint()
 
 
 @dataclass(frozen=True)
@@ -389,11 +383,15 @@ class PlanEncoder:
         Repeated plans within one call are deduplicated: each distinct
         plan object is fingerprinted and encoded once, then shared
         across all its (plan, profile) pairs — the advisor/selector grid
-        shape (``plans × profiles``) hits this path.
+        shape (``plans × profiles``) hits this path. Likewise each
+        distinct profile object is normalized once; the shared resource
+        vector is read-only, like the cached plan-side arrays. A frozen
+        plan's fingerprint is read from its facts, not recomputed.
         """
         with obs.span("encode", pairs=len(pairs)) as sp:
             hits_before = self._hits
             fingerprints: dict[int, str] = {}
+            vectors: dict[int, np.ndarray] = {}
             out: list[EncodedPlan] = []
             for plan, resources in pairs:
                 key = fingerprints.get(id(plan))
@@ -401,10 +399,15 @@ class PlanEncoder:
                     key = plan_fingerprint(plan)
                     fingerprints[id(plan)] = key
                 features = self._plan_features(plan, fingerprint=key)
+                vector = vectors.get(id(resources))
+                if vector is None:
+                    vector = np.array(resources.as_features(), dtype=self._dtype)
+                    vector.setflags(write=False)
+                    vectors[id(resources)] = vector
                 out.append(EncodedPlan(
                     node_features=features.node_features,
                     child_mask=features.child_mask,
-                    resources=np.asarray(resources.as_features(), dtype=self._dtype),
+                    resources=vector,
                     extras=features.extras,
                 ))
             sp.annotate(cache_hits=self._hits - hits_before)

@@ -76,12 +76,14 @@ class EventLog:
                 f"{self._RESERVED}")
         record = {"ts": self._clock(), "component": component,
                   "event": event, **fields}
-        line = json.dumps(record, default=_jsonify, sort_keys=True)
+        # The ring stores the dict; serialize only for the JSONL file.
+        line = (json.dumps(record, default=_jsonify, sort_keys=True)
+                if self.path is not None else None)
         with self._lock:
             self._ring.append(record)
             self._tally[f"{component}.{event}"] += 1
             self._emitted += 1
-            if self.path is not None:
+            if line is not None:
                 if self._file is None:
                     self._file = open(self.path, "a", encoding="utf-8")
                 self._file.write(line + "\n")

@@ -21,6 +21,7 @@ import json
 import math
 import re
 import threading
+from bisect import bisect_left
 
 from repro.errors import TelemetryError
 
@@ -152,11 +153,8 @@ class Histogram:
         value = float(value)
         if math.isnan(value):
             raise TelemetryError(f"histogram {self.name} rejects NaN samples")
-        idx = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
+        # First bound >= value; len(buckets) is the +Inf slot.
+        idx = bisect_left(self.buckets, value)
         with self._lock:
             self._counts[idx] += 1
             self._sum += value

@@ -14,12 +14,24 @@ carries cardinality annotations:
 
 Node ordering follows the paper: nodes are numbered bottom-up in
 execution order (post-order traversal), children before parents.
+
+A plan can be *frozen* (:meth:`PhysicalPlan.freeze`) once it is
+complete. Freezing computes the facts every consumer re-derives — the
+post-order nodes, the edges, the node count, the fingerprint and the
+"all estimates finite" flag — exactly once, and from then on any write
+to an estimate or a structural field raises :class:`PlanError`, so the
+facts cannot go stale. ``obs_rows`` / ``obs_bytes`` stay writable: the
+executor records observations on plans that were already costed, and
+no frozen fact depends on them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.errors import PlanError
 from repro.sql.ast import (
@@ -52,6 +64,9 @@ __all__ = [
     "PhysicalPlan",
 ]
 
+#: The node fields a frozen plan still accepts writes to.
+_OBSERVED_FIELDS = frozenset({"obs_rows", "obs_bytes"})
+
 
 def _render_predicate(pred) -> str:
     """Spark-style rendering, e.g. ``(isnotnull(x) && (x > 2))``."""
@@ -79,6 +94,16 @@ class PhysicalNode:
     est_bytes: float = field(default=0.0, init=False)
     obs_rows: float | None = field(default=None, init=False)
     obs_bytes: float | None = field(default=None, init=False)
+
+    #: Set per instance by :meth:`PhysicalPlan.freeze`.
+    _frozen: ClassVar[bool] = False
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._frozen and name not in _OBSERVED_FIELDS:
+            raise PlanError(
+                f"cannot set {name!r} on a frozen {type(self).__name__}: "
+                f"only {sorted(_OBSERVED_FIELDS)} stay writable")
+        object.__setattr__(self, name, value)
 
     @property
     def op_name(self) -> str:
@@ -349,24 +374,95 @@ class LimitExec(PhysicalNode):
         return [f"GlobalLimit {self.count}"]
 
 
+#: Canonical tuples for frozen plans' edges: one per (child, parent)
+#: pair and one per tree shape. A full statement cache holds thousands
+#: of plans but only a few hundred shapes, so sharing keeps the memoized
+#: edges small. Bounded: once full, new tuples are simply not shared.
+_SHARED_TUPLES: dict[tuple, tuple] = {}
+_SHARED_TUPLES_CAP = 1 << 14
+
+
+def _shared(value: tuple) -> tuple:
+    """The canonical tuple equal to ``value`` (``value`` when full)."""
+    shared = _SHARED_TUPLES.get(value)
+    if shared is not None:
+        return shared
+    if len(_SHARED_TUPLES) >= _SHARED_TUPLES_CAP:
+        return value
+    return _SHARED_TUPLES.setdefault(value, value)
+
+
+def _digest(nodes, edges) -> str:
+    hasher = hashlib.blake2b(digest_size=16)
+    for node in nodes:
+        hasher.update(";".join(node.statements()).encode())
+        hasher.update(f"|{node.est_rows:.17g}|{node.est_bytes:.17g}\n".encode())
+    for child_idx, parent_idx in edges:
+        hasher.update(f"{child_idx}>{parent_idx},".encode())
+    return hasher.hexdigest()
+
+
 class PhysicalPlan:
     """A complete physical plan: root node + per-query metadata.
 
     ``nodes()`` returns operators in execution order (post-order), the
     ordering both the structure encoder and the simulator rely on.
+    After :meth:`freeze`, ``nodes``, ``edges``, ``num_nodes``,
+    :meth:`fingerprint` and :meth:`estimates_finite` read the facts
+    memoized on the plan instead of walking the tree.
     """
 
+    # Slots keep a cached plan, facts included, smaller than a plain
+    # instance dict would.
+    __slots__ = ("root", "alias_to_table", "label", "plan_id",
+                 "_nodes", "_edges", "_fingerprint", "_estimates_finite")
     _ids = itertools.count()
 
     def __init__(self, root: PhysicalNode, alias_to_table: dict[str, str],
                  label: str = "") -> None:
+        self._nodes: tuple[PhysicalNode, ...] | None = None  # None: not frozen
+        self._edges: tuple[tuple[int, int], ...] = ()
+        self._fingerprint = ""
+        self._estimates_finite = True
         self.root = root
         self.alias_to_table = dict(alias_to_table)
         self.label = label
         self.plan_id = next(PhysicalPlan._ids)
 
+    def __setattr__(self, name: str, value) -> None:
+        if name == "root" and getattr(self, "_nodes", None) is not None:
+            raise PlanError("cannot replace the root of a frozen plan")
+        object.__setattr__(self, name, value)
+
+    # -- freezing ----------------------------------------------------------
+    def freeze(self) -> "PhysicalPlan":
+        """Compute the plan's facts once and lock its nodes; idempotent.
+
+        The facts are the post-order nodes, the edges, the node count,
+        the fingerprint and the "all estimates finite" flag. Returns the
+        plan itself.
+        """
+        if self._nodes is None:
+            nodes = self.nodes()
+            edges = self.edges()
+            self._edges = _shared(tuple(_shared(edge) for edge in edges))
+            self._fingerprint = _digest(nodes, edges)
+            self._estimates_finite = self.estimates_finite()
+            for node in nodes:
+                object.__setattr__(node, "_frozen", True)
+            self._nodes = tuple(nodes)  # last: marks the plan frozen
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """Whether :meth:`freeze` has run."""
+        return self._nodes is not None
+
+    # -- structure ---------------------------------------------------------
     def nodes(self) -> list[PhysicalNode]:
         """Post-order (bottom-up execution order) list of operators."""
+        if self._nodes is not None:
+            return list(self._nodes)
         out: list[PhysicalNode] = []
 
         def visit(node: PhysicalNode) -> None:
@@ -383,9 +479,12 @@ class PhysicalPlan:
 
     def edges(self) -> list[tuple[int, int]]:
         """(child_index, parent_index) pairs in execution order."""
-        index = self.node_index()
+        if self._nodes is not None:
+            return list(self._edges)
+        nodes = self.nodes()
+        index = {id(node): i for i, node in enumerate(nodes)}
         out: list[tuple[int, int]] = []
-        for node in self.nodes():
+        for node in nodes:
             for child in node.children:
                 out.append((index[id(child)], index[id(node)]))
         return out
@@ -393,7 +492,23 @@ class PhysicalPlan:
     @property
     def num_nodes(self) -> int:
         """Number of operators in the plan."""
+        if self._nodes is not None:
+            return len(self._nodes)
         return len(self.nodes())
+
+    def fingerprint(self) -> str:
+        """Stable digest of the per-node statements, the per-node
+        cardinality estimates and the tree edges."""
+        if self._nodes is not None:
+            return self._fingerprint
+        return _digest(self.nodes(), self.edges())
+
+    def estimates_finite(self) -> bool:
+        """Whether every node's ``est_rows`` and ``est_bytes`` is finite."""
+        if self._nodes is not None:
+            return self._estimates_finite
+        return all(math.isfinite(node.est_rows) and math.isfinite(node.est_bytes)
+                   for node in self.nodes())
 
     def operator_counts(self) -> dict[str, int]:
         """Histogram of operator names (useful for tests/debugging)."""

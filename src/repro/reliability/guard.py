@@ -666,10 +666,20 @@ class GuardedCostPredictor:
     def _raal_costs(self, pairs, deadline: Deadline | None = None,
                     tier: str | None = None) -> np.ndarray:
         encoded = self.predictor.encoder.encode_many(pairs)
+        # Encoded pairs share their plan-side and resource arrays (one
+        # per distinct plan and profile): check each array once.
+        finite: dict[int, bool] = {}
+
+        def all_finite(array: np.ndarray) -> bool:
+            verdict = finite.get(id(array))
+            if verdict is None:
+                verdict = finite[id(array)] = bool(np.all(np.isfinite(array)))
+            return verdict
+
         bad = [i for i, e in enumerate(encoded)
-               if not (np.all(np.isfinite(e.node_features))
-                       and np.all(np.isfinite(e.resources))
-                       and np.all(np.isfinite(e.extras)))]
+               if not (all_finite(e.node_features)
+                       and all_finite(e.resources)
+                       and all_finite(e.extras))]
         if bad:
             raise PredictionError(
                 f"non-finite encoded features for {len(bad)} of "
@@ -737,7 +747,6 @@ class GuardedCostPredictor:
                 return f"resource profile {i} has non-finite features"
             if resources.executor_memory_gb <= 0 or resources.task_slots < 1:
                 return f"resource profile {i} has non-positive resources"
-            for node in plan.nodes():
-                if not (np.isfinite(node.est_rows) and np.isfinite(node.est_bytes)):
-                    return f"plan {i} carries non-finite cardinality estimates"
+            if not plan.estimates_finite():
+                return f"plan {i} carries non-finite cardinality estimates"
         return None

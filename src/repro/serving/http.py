@@ -107,6 +107,8 @@ def _status_for(exc: BaseException) -> int:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # TCP_NODELAY on every accepted socket (see _respond).
+    disable_nagle_algorithm = True
     # Set by ReproHTTPServer; class attribute so the stdlib handler
     # factory (which only passes socket args) can reach the service.
     service: PredictionService
@@ -116,21 +118,33 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
         pass
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _respond(self, status: int, result: dict | str) -> None:
+        """Send one response — status line, headers and body — in one write.
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
+        A ``str`` result is the ``/metrics`` text exposition; anything
+        else is serialized as JSON. Headers and body leaving in two
+        writes on a kept-alive socket let Nagle's algorithm hold the
+        body until the client's delayed ACK of the headers (~40 ms on
+        Linux loopback); one write, plus ``TCP_NODELAY`` on the
+        accepted socket, removes that stall.
+        """
+        if isinstance(result, str):
+            body = result.encode("utf-8")
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            body = json.dumps(result).encode("utf-8")
+            content_type = "application/json"
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        # end_headers() would flush the headers on their own: append the
+        # blank line and the body to the stdlib's header buffer instead,
+        # so flush_headers() writes everything at once.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -149,14 +163,14 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         methods = _BY_PATH.get(path)
         if methods is None:
-            self._send_json(404, {"error": f"unknown path {path!r}",
-                                  "type": "NotFound"})
+            self._respond(404, {"error": f"unknown path {path!r}",
+                                "type": "NotFound"})
             return
         route = methods.get(method)
         if route is None:
-            self._send_json(405, {"error": f"{method} not allowed on {path}",
-                                  "type": "MethodNotAllowed",
-                                  "allowed": sorted(methods)})
+            self._respond(405, {"error": f"{method} not allowed on {path}",
+                                "type": "MethodNotAllowed",
+                                "allowed": sorted(methods)})
             return
         try:
             handler = getattr(self.service, route.handler)
@@ -164,13 +178,9 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # typed errors become status codes
             status = _status_for(exc)
             payload = {"error": str(exc), "type": type(exc).__name__}
-            self._send_json(status, payload)
+            self._respond(status, payload)
             return
-        if isinstance(result, str):     # /metrics text exposition
-            self._send_text(
-                200, result, "text/plain; version=0.0.4; charset=utf-8")
-        else:
-            self._send_json(200, result)
+        self._respond(200, result)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         self._dispatch("GET")

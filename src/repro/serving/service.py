@@ -13,7 +13,9 @@ Request flow for ``predict``:
 
 1. the SQL is parsed/analyzed once and its candidate plans come from a
    bounded LRU keyed by the statement (steady-state request cost is a
-   cache hit plus the model forward);
+   cache hit plus the model forward); cached plans are frozen
+   (:meth:`~repro.plan.physical.PhysicalPlan.freeze`), so their
+   fingerprints and node facts are computed once on entry;
 2. the (plan, profile) pairs are submitted to the model's shard, whose
    micro-batcher coalesces them with concurrent requests into one
    fused forward through the guarded predictor;
@@ -182,6 +184,11 @@ class PredictionService:
         plans = enumerate_plans(query, self.catalog)
         if not plans:
             raise ServingError(f"no candidate plans for statement: {sql!r}")
+        # Cached plans are shared by every later request for this
+        # statement: freeze them so fingerprint, node list and estimate
+        # checks are computed once here, never per request.
+        for plan in plans:
+            plan.freeze()
         with self._plan_lock:
             self._plan_cache[key] = plans
             self._plan_cache.move_to_end(key)

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.obs import events as events_module
 from repro.errors import TelemetryError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -89,6 +90,29 @@ class TestHistogram:
         assert snap["min"] == 0.001
         assert snap["max"] == 0.5
         assert snap["sum"] == pytest.approx(0.5021)
+
+    def test_bucket_index_matches_linear_scan(self):
+        """observe() bisects; the slot must equal the first bound >= value
+        found by a linear scan, +Inf past the last bound."""
+        bounds = (-2.0, -0.5, 0.0, 0.25, 1.0, 8.0)
+
+        def linear_slot(value):
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    return i
+            return len(bounds)
+
+        values = [*bounds,                       # exactly on every bound
+                  -1e9, -2.0000001,              # below the first bound
+                  8.0000001, 1e12, math.inf,     # above the last: +Inf
+                  -1.0, -0.5000001, -1e-12,      # negatives between bounds
+                  1e-12, 0.3, 7.999]
+        for value in values:
+            h = Histogram("slots", buckets=bounds)
+            h.observe(value)
+            expected = [0] * (len(bounds) + 1)
+            expected[linear_slot(value)] = 1
+            assert h.snapshot()["counts"] == expected, value
 
     def test_default_buckets_are_log_scale_ascending(self):
         bounds = DEFAULT_LATENCY_BUCKETS
@@ -356,6 +380,32 @@ class TestEventLog:
         records = [json.loads(line) for line in lines]
         assert [r["event"] for r in records] == ["cache_evict", "recovery"]
         assert records[0]["component"] == "encoder"
+
+    def test_json_built_only_for_the_file(self, tmp_path, monkeypatch):
+        """Without a path emit() never serializes; with one, the ring,
+        returned records, tallies and file lines are unchanged."""
+        def emit_all(log):
+            return [log.emit("audit", "prediction", index=i, tier="f64",
+                             resources={"executors": 2})
+                    for i in range(3)]
+
+        filed = EventLog(path=str(tmp_path / "e.jsonl"), clock=FakeClock(5.0))
+        filed_records = emit_all(filed)
+        filed.close()
+        lines = (tmp_path / "e.jsonl").read_text().splitlines()
+        assert lines == [json.dumps(r, sort_keys=True) for r in filed_records]
+
+        class NoJSON:
+            @staticmethod
+            def dumps(*args, **kwargs):
+                raise AssertionError("json.dumps called without a file sink")
+
+        monkeypatch.setattr(events_module, "json", NoJSON)
+        memory = EventLog(clock=FakeClock(5.0))
+        assert emit_all(memory) == filed_records
+        assert memory.events() == filed.events() == filed_records
+        assert memory.counts() == filed.counts() == {"audit.prediction": 3}
+        assert memory.emitted == filed.emitted == 3
 
     def test_ring_eviction_keeps_tallies(self):
         log = EventLog(capacity=2)

@@ -243,6 +243,85 @@ class TestPhysicalPlan:
         assert text.count("FileScan") == 3
 
 
+class TestFrozenPlan:
+    """Freezing memoizes a plan's facts and locks what they depend on."""
+
+    @staticmethod
+    def _twins(query, catalog):
+        """The same candidate plans, enumerated twice: one frozen copy."""
+        frozen = [p.freeze() for p in enumerate_plans(query, catalog)]
+        return frozen, enumerate_plans(query, catalog)
+
+    def test_facts_match_an_unfrozen_twin(self, three_table_query, catalog):
+        from repro.encoding import plan_fingerprint
+
+        frozen, fresh = self._twins(three_table_query, catalog)
+        assert len(frozen) == len(fresh) > 1
+        for plan, twin in zip(frozen, fresh):
+            assert plan.frozen and not twin.frozen
+            assert plan_fingerprint(plan) == plan_fingerprint(twin)
+            assert plan.fingerprint() == twin.fingerprint()
+            assert plan.edges() == twin.edges()
+            assert plan.num_nodes == twin.num_nodes
+            assert [n.statements() for n in plan.nodes()] == \
+                [n.statements() for n in twin.nodes()]
+            assert [(n.est_rows, n.est_bytes) for n in plan.nodes()] == \
+                [(n.est_rows, n.est_bytes) for n in twin.nodes()]
+            assert plan.estimates_finite() and twin.estimates_finite()
+            assert plan.signature() == twin.signature()
+
+    def test_freeze_is_idempotent_and_returns_the_plan(self, three_table_query,
+                                                       catalog):
+        plan = enumerate_plans(three_table_query, catalog)[0]
+        assert plan.freeze() is plan
+        nodes = plan.nodes()
+        assert plan.freeze() is plan
+        assert plan.nodes() == nodes
+        # Callers get copies: editing one cannot corrupt the memo.
+        nodes.clear()
+        plan.edges().clear()
+        assert plan.num_nodes > 0 and plan.edges()
+
+    def test_estimate_writes_raise_and_keep_facts(self, three_table_query,
+                                                  catalog):
+        plan = enumerate_plans(three_table_query, catalog)[0].freeze()
+        before = (plan.fingerprint(), plan.edges(), plan.num_nodes)
+        node = plan.nodes()[0]
+        old = (node.est_rows, node.est_bytes)
+        for field_name in ("est_rows", "est_bytes"):
+            with pytest.raises(PlanError, match="frozen"):
+                setattr(node, field_name, 1234.0)
+        assert (node.est_rows, node.est_bytes) == old
+        assert (plan.fingerprint(), plan.edges(), plan.num_nodes) == before
+
+    def test_structural_writes_raise(self, three_table_query, catalog):
+        plan = enumerate_plans(three_table_query, catalog)[0].freeze()
+        scan = next(n for n in plan.nodes() if isinstance(n, FileScan))
+        with pytest.raises(PlanError):
+            scan.columns = ["id"]
+        with pytest.raises(PlanError):
+            plan.root.child = scan
+        with pytest.raises(PlanError):
+            plan.root = scan
+
+    def test_observations_stay_writable(self, three_table_query, catalog):
+        plan = enumerate_plans(three_table_query, catalog)[0].freeze()
+        fingerprint = plan.fingerprint()
+        for node in plan.nodes():
+            node.obs_rows = 42.0
+            node.obs_bytes = 336.0
+        assert all(n.rows == 42.0 and n.bytes == 336.0 for n in plan.nodes())
+        assert plan.fingerprint() == fingerprint
+
+    def test_non_finite_estimate_is_a_fact(self, three_table_query, catalog):
+        plan = enumerate_plans(three_table_query, catalog)[0]
+        plan.nodes()[0].est_rows = float("nan")
+        assert not plan.estimates_finite()
+        plan.freeze()
+        assert not plan.estimates_finite()
+        assert plan.fingerprint()
+
+
 class TestEnumerator:
     def test_single_table_has_two_plans(self, catalog):
         q = analyze(parse(

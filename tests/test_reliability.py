@@ -325,6 +325,66 @@ class TestGuardedPredictor:
         assert explained.source == "raal"
 
 
+def _frozen_and_fresh(pipeline, count=3):
+    """The first ``count`` candidate plans of one query, enumerated twice:
+    a frozen list (as the serving plan cache holds them) and a fresh
+    unfrozen twin."""
+    from repro.plan import analyze, enumerate_plans
+    from repro.sql import parse
+
+    query = analyze(parse(pipeline.queries[0]), pipeline.catalog)
+    frozen = enumerate_plans(query, pipeline.catalog)[:count]
+    fresh = enumerate_plans(query, pipeline.catalog)[:count]
+    return frozen, fresh
+
+
+class TestFrozenPlansUnderTheGuard:
+    def test_nan_estimate_rejected_like_an_unfrozen_plan(self, guarded,
+                                                         pipeline):
+        frozen, fresh = _frozen_and_fresh(pipeline, count=2)
+        for plans in (frozen, fresh):
+            plans[1].nodes()[0].est_rows = float("nan")
+        for plan in frozen:
+            plan.freeze()
+        resources = pipeline.records[0].resources
+        expected = "plan 1 carries non-finite cardinality estimates"
+        assert guarded._validate_inputs(
+            [(p, resources) for p in fresh]) == expected
+        pairs = [(p, resources) for p in frozen]
+        assert guarded._validate_inputs(pairs) == expected
+        result = guarded.predict_many_explained(pairs)
+        assert result.source != "raal"
+        assert f"raal: {expected}" in result.reason
+        assert guarded.stats["raal"].rejected_input == 1
+        assert guarded.breakers["raal"].state == CLOSED
+
+    def test_audit_fingerprints_match_fresh_ones(self, fresh_predictor,
+                                                 pipeline):
+        from repro.encoding import plan_fingerprint
+        from repro.obs import AuditTrail
+
+        guard = GuardedCostPredictor(
+            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog),
+            audit=AuditTrail(capacity=64), sleep=FakeSleep())
+        frozen, fresh = _frozen_and_fresh(pipeline)
+        for plan in frozen:
+            plan.freeze()
+        profiles = [r.resources for r in pipeline.records[:2]]
+        pairs = [(p, r) for r in profiles for p in frozen]
+        twins = [p for _ in profiles for p in fresh]
+        explained = guard.predict_many_explained(pairs)
+        assert explained.source == "raal"
+        for index, twin in enumerate(twins):
+            record = guard.audit.get(explained.request_id, index=index)
+            assert record.plan_fingerprint == plan_fingerprint(twin)
+            assert record.plan_nodes == twin.num_nodes
+        # Served costs do not depend on whether the plans were frozen.
+        np.testing.assert_array_equal(
+            explained.costs,
+            guard.predict_many_explained(
+                [(p, r) for r in profiles for p in fresh]).costs)
+
+
 class TestFaultInjectorDeterminism:
     def test_same_seed_same_corruption(self, pipeline, trained, tmp_path):
         from repro.core import load_predictor, save_predictor

@@ -11,7 +11,10 @@ fixtures (the same SMOKE pipeline the overload tests use).
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -29,6 +32,7 @@ from repro.eval.experiments import SMOKE, ExperimentPipeline
 from repro.reliability import Deadline
 from repro.serving import (MicroBatcher, PredictionService, ROUTES,
                            ServingConfig, serve)
+from repro.serving.http import _Handler
 
 
 # -- shared fixtures -------------------------------------------------------
@@ -335,6 +339,19 @@ class TestService:
         service.predict({"sql": "  " + sql + "  "})  # normalizes to same key
         assert len(service._plan_cache) == before
 
+    def test_cached_plans_are_frozen(self, service, sql):
+        from repro.plan import analyze, enumerate_plans
+        from repro.sql import parse
+
+        service.predict({"sql": sql})
+        plans = service._plans_for(sql)
+        assert plans is service._plans_for(" " + sql)
+        assert plans and all(plan.frozen for plan in plans)
+        fresh = enumerate_plans(analyze(parse(sql), service.catalog),
+                                service.catalog)
+        assert [p.fingerprint() for p in plans] == \
+            [p.fingerprint() for p in fresh]
+
     def test_malformed_bodies_rejected(self, service, sql):
         for bad in (
             {},                                        # no sql
@@ -394,13 +411,18 @@ def _get(base, path):
 
 
 @pytest.fixture()
-def server(pipeline, checkpoint):
+def http_server(pipeline, checkpoint):
     svc = PredictionService(ServingConfig(batch_window_ms=2.0),
                             catalog=pipeline.catalog)
     svc.load_model(checkpoint)
     srv = serve(svc, port=0, background=True)
-    yield f"http://127.0.0.1:{srv.port}"
+    yield srv
     srv.close()
+
+
+@pytest.fixture()
+def server(http_server):
+    return f"http://127.0.0.1:{http_server.port}"
 
 
 class TestHTTP:
@@ -461,6 +483,113 @@ class TestHTTP:
             else:
                 status, _ = _post(server, route.path, bodies[route.path])
             assert status in (200, 409), (route.path, status)
+
+
+class RecordingConnection:
+    """Stands in for an accepted socket: replays ``raw`` as the request
+    stream and records every ``sendall`` and ``setsockopt`` call."""
+
+    def __init__(self, raw: bytes) -> None:
+        self._incoming = io.BytesIO(raw)
+        self.sends: list[bytes] = []
+        self.options: list[tuple] = []
+
+    def makefile(self, mode, buffering=-1):
+        assert mode == "rb"
+        return self._incoming
+
+    def sendall(self, data) -> None:
+        self.sends.append(bytes(data))
+
+    def setsockopt(self, *option) -> None:
+        self.options.append(option)
+
+
+def _request(method: str, path: str, body: bytes = b"") -> bytes:
+    head = f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+    if body:
+        head += f"Content-Length: {len(body)}\r\n"
+    return head.encode() + b"\r\n" + body
+
+
+def _split_response(data: bytes) -> tuple[bytes, dict, bytes]:
+    head, _, body = data.partition(b"\r\n\r\n")
+    status, *lines = head.decode().split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    return status.encode(), headers, body
+
+
+class TestWire:
+    def test_each_response_is_one_send(self, service, sql):
+        """Status line, headers and body leave in a single write, for
+        JSON answers, errors and the /metrics text alike."""
+        service.predict({"sql": sql})
+        raw = b"".join([
+            _request("POST", "/v1/predict", json.dumps({"sql": sql}).encode()),
+            _request("GET", "/metrics"),
+            _request("GET", "/healthz"),
+            _request("GET", "/no/such/path"),
+            _request("POST", "/v1/predict", b"not json"),
+            b"GET /healthz\r\n",  # HTTP/0.9: body only, then close
+        ])
+        connection = RecordingConnection(raw)
+        handler = type("Handler", (_Handler,), {"service": service})
+        handler(connection, ("127.0.0.1", 40000), None)
+        assert len(connection.sends) == 6
+        assert json.loads(connection.sends[5])["status"] == "ok"
+        statuses, types = [], []
+        for data in connection.sends[:5]:
+            status, headers, body = _split_response(data)
+            assert int(headers["Content-Length"]) == len(body)
+            statuses.append(status.split()[1])
+            types.append(headers["Content-Type"].split(";")[0])
+        assert statuses == [b"200", b"200", b"200", b"404", b"400"]
+        assert types == ["application/json", "text/plain",
+                         "application/json", "application/json",
+                         "application/json"]
+        assert b"serve_predict_requests_total" in connection.sends[1]
+        assert json.loads(_split_response(connection.sends[0])[2])["plans"]
+        assert connection.options == [
+            (socket.IPPROTO_TCP, socket.TCP_NODELAY, True)]
+
+    def test_accepted_socket_has_nodelay(self, http_server):
+        seen = []
+
+        class Probe(http_server.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                seen.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        http_server.RequestHandlerClass = Probe
+        status, _ = _get(f"http://127.0.0.1:{http_server.port}", "/healthz")
+        assert status == 200
+        assert len(seen) == 1 and seen[0] != 0
+
+    def test_keep_alive_predict_latency_clears_the_ack_stall(self, http_server,
+                                                             sql):
+        """20 predicts of one cached statement on one kept-alive
+        connection. A response split across two writes waits out the
+        client's delayed ACK (~40 ms per request on Linux loopback);
+        one write keeps the median far below that."""
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", http_server.port, timeout=30.0)
+        body = json.dumps({"sql": sql}).encode()
+        headers = {"Content-Type": "application/json"}
+        try:
+            latencies = []
+            for i in range(21):
+                start = time.perf_counter()
+                connection.request("POST", "/v1/predict", body, headers)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 200 and payload["plans"]
+                if i:  # the first request fills the plan cache
+                    latencies.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert len(latencies) == 20
+        assert float(np.median(latencies)) < 0.030, latencies
 
 
 # -- the integration contract: concurrent clients during a hot swap --------
