@@ -289,8 +289,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     catalog = builder(scale=args.catalog_scale)
     predictor = load_predictor(args.model)
     exec_config = PredictorConfig(precision=args.precision,
-                                  threads=args.threads,
-                                  factor_grids=args.precision != "f64")
+                                  threads=args.threads)
     if exec_config != PredictorConfig():
         predictor = predictor.configured(exec_config)
     resources = PAPER_CLUSTER

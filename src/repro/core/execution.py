@@ -1,12 +1,22 @@
 """Precision-tiered, bucket-parallel execution engine for inference.
 
-:class:`BucketExecutor` owns the prediction hot loop that used to live
-inline in :meth:`Trainer.predict_log`:
+:class:`BucketExecutor` owns the one inference kernel. Every predict
+path — a guarded request's learned stage, the canary shadow,
+``CostPredictor.predict_grid`` and evaluation — runs through
+:meth:`BucketExecutor.predict_log`:
 
-* **Length bucketing** — plans are stable-sorted by node count before
-  batching, so a batch of short plans is never padded to the longest
-  plan in the workload. Same order and batch composition as before, so
-  the default configuration is bit-identical to the pre-engine path.
+* **One forward per plan** — encoded pairs are grouped by distinct
+  plan (the encoder shares one ``node_features`` array per plan). The
+  plan side of the network (embedding → LSTM/CNN → node attention)
+  runs once per distinct plan, and the resource side scores each
+  plan's own profiles over a padded ``(B, P_max, R)`` profile block.
+  A ``plans × profiles`` grid therefore costs one plan-side pass per
+  plan, and a batch of distinct plans costs what it always did. At f64
+  the answers agree with a pairwise (one row per pair) forward to a
+  relative 1e-12 — the GEMM groupings differ, so not bit for bit.
+* **Length bucketing** — distinct plans are stable-sorted by node
+  count before batching, so a batch of short plans is never padded to
+  the longest plan in the workload.
 * **Precision tiers** — the forward runs over an
   :class:`~repro.nn.precision.InferenceWeights` bundle (f64 / f32 /
   int8); collation pads directly into the execution dtype.
@@ -20,11 +30,7 @@ inline in :meth:`Trainer.predict_log`:
   Tensor targets or fresh allocations; pads are written into grow-only
   per-thread scratch buffers, so a steady-state request stream performs
   no collation allocations at all.
-* **Factored grids** — :meth:`predict_log_grid` evaluates a
-  ``plans × profiles`` grid through
-  :func:`~repro.nn.inference.raal_grid_inference`, running the
-  plan-side network once per *plan* instead of once per *pair*.
-* **Deadlines** — both predict paths accept a
+* **Deadlines** — :meth:`BucketExecutor.predict_log` accepts a
   :class:`~repro.reliability.deadline.Deadline`. The serial path
   checks it cooperatively before every bucket; the threaded path adds
   a watchdog wait over the bucket futures that abandons late work
@@ -36,9 +42,11 @@ inline in :meth:`Trainer.predict_log`:
   every not-yet-started bucket and re-raises on the caller's thread
   immediately; the pool itself stays healthy for subsequent requests.
 
-This is the only inference path: it never builds an autograd graph.
-The unbucketed autograd forward it is checked against lives in the
-test suite (``tests/oracles.py``).
+Every bucket goes through ``model.forward_inference``, so fault hooks
+that replace it (:class:`~repro.reliability.faults.FaultInjector`)
+reach every predict path. It never builds an autograd graph; the
+unbucketed autograd forward it is checked against lives in the test
+suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -57,9 +65,9 @@ from repro.nn.precision import (
     InferenceWeights,
     inference_weights,
 )
-from repro.nn.inference import raal_grid_inference
 
-__all__ = ["BucketExecutor", "collate_inference", "resolve_threads"]
+__all__ = ["BucketExecutor", "collate_inference", "group_by_plan",
+           "resolve_threads"]
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -70,7 +78,9 @@ def resolve_threads(threads: int | None) -> int:
 
 
 def collate_inference(encoded: list, dtype: np.dtype,
-                      arena: ScratchArena | None = None) -> RAALBatch:
+                      arena: ScratchArena | None = None,
+                      profiles: tuple[np.ndarray, np.ndarray] | None = None,
+                      ) -> RAALBatch:
     """Zero-pad encoded plans into an inference-only :class:`RAALBatch`.
 
     The one padding implementation: the training
@@ -79,12 +89,19 @@ def collate_inference(encoded: list, dtype: np.dtype,
     given an ``arena`` — writes into reusable scratch buffers instead
     of fresh allocations. Arena-backed batches are only valid until the
     same thread's next collate call.
+
+    Resources come from each encoded plan, ``(B, R)``, unless
+    ``profiles`` gives ``(slots, rows)``: a boolean ``(B, P_max)`` mask
+    of each plan's filled profile slots and the ``(slots.sum(), R)``
+    resource rows that fill them in row-major order. The result is then
+    a zero-padded ``(B, P_max, R)`` profile block.
     """
     if not encoded:
         raise PredictionError("cannot collate an empty batch")
     n = max(e.num_nodes for e in encoded)
     batch = len(encoded)
     node_dim = encoded[0].node_features.shape[1]
+    resource_dim = len(encoded[0].resources)
 
     def zeros(key, shape, dt):
         if arena is None:
@@ -99,17 +116,43 @@ def collate_inference(encoded: list, dtype: np.dtype,
     feats = zeros("collate.feats", (batch, n, node_dim), dtype)
     child = zeros("collate.child", (batch, n, n), np.bool_)
     mask = zeros("collate.mask", (batch, n), np.bool_)
-    resources = empty("collate.resources", (batch, len(encoded[0].resources)), dtype)
     extras = empty("collate.extras", (batch, len(encoded[0].extras)), dtype)
+    if profiles is None:
+        resources = empty("collate.resources", (batch, resource_dim), dtype)
+    else:
+        slots, rows = profiles
+        resources = zeros("collate.profiles",
+                          (batch, slots.shape[1], resource_dim), dtype)
+        resources[slots] = rows
     for i, e in enumerate(encoded):
         k = e.num_nodes
         feats[i, :k] = e.node_features
         child[i, :k, :k] = e.child_mask
         mask[i, :k] = True
-        resources[i] = e.resources
         extras[i] = e.extras
+        if profiles is None:
+            resources[i] = e.resources
     return RAALBatch(node_features=feats, child_mask=child, node_mask=mask,
                      resources=resources, extras=extras)
+
+
+def group_by_plan(encoded: list) -> list[list[int]]:
+    """Pair indices per distinct plan, in order of first appearance.
+
+    Pairs share a plan when they share its encoded arrays — the
+    encoder hands every pair of one plan the same ``node_features``,
+    ``child_mask`` and ``extras``. Pairs encoded separately never
+    share, so each becomes its own single-profile group.
+    """
+    slot: dict[tuple[int, int, int], int] = {}
+    groups: list[list[int]] = []
+    for i, e in enumerate(encoded):
+        key = (id(e.node_features), id(e.child_mask), id(e.extras))
+        g = slot.setdefault(key, len(groups))
+        if g == len(groups):
+            groups.append([])
+        groups[g].append(i)
+    return groups
 
 
 class BucketExecutor:
@@ -120,10 +163,10 @@ class BucketExecutor:
     model:
         A RAAL-family model (must expose the staged inference kernels).
     batch_size:
-        Max plans per bucket (usually ``TrainerConfig.batch_size``).
+        Max distinct plans per bucket (usually
+        ``TrainerConfig.batch_size``); each carries all its profiles.
     precision:
-        ``"f64"`` (default, bit-identical to the legacy path), ``"f32"``,
-        or ``"int8"``.
+        ``"f64"`` (default), ``"f32"``, or ``"int8"``.
     threads:
         Bucket-level parallelism. ``1`` (default) stays single-threaded
         on the caller's thread; ``None``/``0`` means one worker per CPU
@@ -240,10 +283,13 @@ class BucketExecutor:
 
     def predict_log(self, encoded: list,
                     deadline=None) -> tuple[np.ndarray, int]:
-        """Log-space predictions for encoded plans.
+        """Log-space predictions for encoded (plan, resources) pairs.
 
-        Returns ``(predictions, n_batches)`` with predictions in input
-        order. ``deadline`` bounds the call: expiry raises
+        Pairs are grouped by distinct plan (:func:`group_by_plan`); the
+        distinct plans are length-bucketed, and each bucket runs one
+        ``model.forward_inference`` over its plans' padded profile
+        block. Returns ``(predictions, n_batches)`` with predictions in
+        input order. ``deadline`` bounds the call: expiry raises
         :class:`~repro.errors.DeadlineExceeded` instead of returning a
         late answer.
         """
@@ -253,54 +299,29 @@ class BucketExecutor:
             deadline.check("before predict")
         self.model.eval()
         weights = self.weights()
-        slices = self._slices(encoded)
+        groups = group_by_plan(encoded)
+        plans = [encoded[members[0]] for members in groups]
+        slices = self._slices(plans)
         preds = np.empty(len(encoded))
 
         def run(idx: np.ndarray) -> None:
             if deadline is not None:
                 deadline.check("at bucket start")
-            batch = collate_inference([encoded[i] for i in idx],
-                                      weights.dtype,
-                                      arena=thread_local_arena())
-            # Disjoint index sets per bucket: concurrent writes are safe.
-            preds[idx] = self.model.forward_inference(batch, weights)
+            bucket = [groups[g] for g in idx]
+            counts = np.array([len(members) for members in bucket])
+            slots = np.arange(counts.max()) < counts[:, None]
+            # The bucket's pairs, plan by plan: the row-major order of
+            # the filled slots.
+            pairs = [i for members in bucket for i in members]
+            rows = np.array([encoded[i].resources for i in pairs],
+                            dtype=weights.dtype)
+            batch = collate_inference(
+                [plans[g] for g in idx], weights.dtype,
+                arena=thread_local_arena(), profiles=(slots, rows))
+            block = self.model.forward_inference(batch, weights)
+            # Each pair belongs to one plan, and each plan to one
+            # bucket: concurrent writes are disjoint.
+            preds[pairs] = block[slots]
 
         self._run_buckets(slices, run, deadline)
         return preds, len(slices)
-
-    def predict_log_grid(self, encoded_plans: list,
-                         profile_features: np.ndarray,
-                         deadline=None) -> tuple[np.ndarray, int]:
-        """Factored log-space grid: ``(profiles, plans)`` predictions.
-
-        ``encoded_plans`` holds each distinct plan **once** (any
-        resource vector — it is ignored); ``profile_features`` is the
-        ``(P, R)`` profile matrix. Plans are length-bucketed and each
-        bucket runs the plan-side network once, then scores every
-        profile in a handful of flat GEMMs
-        (:func:`~repro.nn.inference.raal_grid_inference`). Returns
-        ``(matrix, n_batches)``.
-        """
-        n_profiles = profile_features.shape[0]
-        if not encoded_plans:
-            return np.zeros((n_profiles, 0)), 0
-        if deadline is not None:
-            deadline.check("before grid predict")
-        self.model.eval()
-        weights = self.weights()
-        out = np.empty((n_profiles, len(encoded_plans)))
-        profiles = np.ascontiguousarray(profile_features, dtype=weights.dtype)
-        slices = self._slices(encoded_plans)
-
-        def run(idx: np.ndarray) -> None:
-            if deadline is not None:
-                deadline.check("at bucket start")
-            batch = collate_inference(
-                [encoded_plans[i] for i in idx], weights.dtype,
-                arena=thread_local_arena())
-            out[:, idx] = raal_grid_inference(
-                weights, batch.node_features, batch.child_mask,
-                batch.node_mask, batch.extras, profiles)
-
-        self._run_buckets(slices, run, deadline)
-        return out, len(slices)

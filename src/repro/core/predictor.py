@@ -1,4 +1,13 @@
-"""High-level cost prediction API (the "cost prediction" phase, Fig. 3)."""
+"""High-level cost prediction API (the "cost prediction" phase, Fig. 3).
+
+:class:`CostPredictor` has one inference path. ``predict``,
+``predict_many``, ``predict_grid`` and the guarded predictor's learned
+stage all encode through the plan-side cache and then call
+:meth:`CostPredictor.predict_encoded`, which runs the configured
+:class:`~repro.core.execution.BucketExecutor`: one forward per distinct
+plan, each plan scored under all of its profiles. A grid is
+``predict_many`` over its pairs plus a reshape.
+"""
 
 from __future__ import annotations
 
@@ -21,23 +30,20 @@ __all__ = ["CostPredictor", "PredictorConfig"]
 class PredictorConfig:
     """Serving-side execution policy for a :class:`CostPredictor`.
 
-    The default configuration is **bit-identical** to the historical
-    predictor: float64 weights, single-threaded bucket execution, grids
-    evaluated pairwise.
+    The default configuration is float64 weights with single-threaded
+    bucket execution.
     """
 
-    #: Precision tier: ``"f64"`` (exact legacy behavior), ``"f32"``
+    #: Precision tier: ``"f64"`` (the reference), ``"f32"``
     #: (reduced-precision kernels), or ``"int8"`` (per-channel weight
     #: quantization, float32 execution over the dequantized cache).
     precision: str = DEFAULT_PRECISION
     #: Bucket-level parallelism inside predict calls. ``1`` stays on
     #: the calling thread; ``0``/``None`` means one worker per core.
     threads: int | None = 1
-    #: Evaluate ``predict_grid`` through the factored plan-side/
-    #: resource-side kernel (one plan-side pass per *plan* instead of
-    #: per *pair*). Off by default: the pairwise path is the
-    #: bit-for-bit legacy behavior; the factored kernel is numerically
-    #: equivalent only to float rounding.
+    #: No effect: accepted so callers that pass it keep working. Every
+    #: predict path already runs the plan-side network once per
+    #: distinct plan.
     factor_grids: bool = False
 
 
@@ -49,14 +55,13 @@ class CostPredictor:
     benchmarks) can ask for costs directly.
 
     Prediction has one path: plan-side features are served from the
-    encoder's LRU cache, the model forward is graph-free (no autograd),
-    and batches are length-bucketed. The test suite checks it against
-    an unbucketed autograd forward (``tests/oracles.py``) to ≤ 1e-8.
+    encoder's LRU cache, the model forward is graph-free (no autograd)
+    and runs once per distinct plan, and batches are length-bucketed.
+    The test suite checks it against an unbucketed autograd forward
+    (``tests/oracles.py``) to ≤ 1e-8.
 
-    A :class:`PredictorConfig` selects the execution policy — precision
-    tier (f64 / f32 / int8), bucket-parallel threading, and factored
-    grid evaluation. The default config reproduces the historical
-    float64 single-threaded behavior bit for bit.
+    A :class:`PredictorConfig` selects the execution policy: precision
+    tier (f64 / f32 / int8) and bucket-parallel threading.
 
     This class is the *unguarded* path: encoding or forward failures
     propagate to the caller. Serving code that must never crash plan
@@ -134,25 +139,29 @@ class CostPredictor:
                                        deadline=deadline)[0])
 
     def predict_encoded(self, encoded: list[EncodedPlan],
-                        deadline=None) -> np.ndarray:
+                        deadline=None) -> tuple[np.ndarray, int]:
         """Predicted costs (seconds) for already-encoded pairs.
 
         The execution entry point shared by :meth:`predict_many` and
         the guarded predictor's RAAL stage — both route through the
         configured engine, so precision, threading, and deadline policy
-        apply under the fallback chain too.
+        apply under the fallback chain too. Returns ``(costs,
+        saturated)``: the number of this call's predictions clamped at
+        the trainer's ``log_clamp_max``.
         """
-        return self.trainer.predict_seconds(encoded, executor=self.executor,
-                                            deadline=deadline)
+        log_preds = self.trainer.predict_log(encoded, executor=self.executor,
+                                             deadline=deadline)
+        return self.trainer.seconds_from_log(log_preds)
 
     def predict_many(self, pairs: list[tuple[PhysicalPlan, ResourceProfile]],
                      deadline=None) -> np.ndarray:
         """Vector of predicted costs for many (plan, resources) pairs.
 
         Repeated plans across pairs are encoded once (the encoder
-        dedups within the call and memoizes across calls). ``deadline``
-        (a :class:`~repro.reliability.deadline.Deadline`) bounds the
-        call; expiry raises :class:`~repro.errors.DeadlineExceeded`.
+        dedups within the call and memoizes across calls) and run
+        through the plan side of the network once. ``deadline`` (a
+        :class:`~repro.reliability.deadline.Deadline`) bounds the call;
+        expiry raises :class:`~repro.errors.DeadlineExceeded`.
         """
         with obs.span("predict", pairs=len(pairs)):
             start = self.trainer.clock()
@@ -163,7 +172,7 @@ class CostPredictor:
             encoded = self.encoder.encode_many(pairs)
             if deadline is not None:
                 deadline.check("after encode")
-            costs = self.predict_encoded(encoded, deadline=deadline)
+            costs, _ = self.predict_encoded(encoded, deadline=deadline)
             obs.observe("predict.latency_seconds", self.trainer.clock() - start,
                         help="End-to-end predict_many latency")
             return costs
@@ -174,44 +183,15 @@ class CostPredictor:
         """Cost matrix ``(len(profiles), len(plans))`` for a full grid.
 
         The plan-selection / resource-recommendation workload: every
-        plan scored under every resource profile. Each plan is encoded
-        exactly once regardless of the number of profiles.
-
-        With ``config.factor_grids`` the grid runs
-        through the factored kernel: the plan-side network (embedding,
-        LSTM, node attention) executes once per *plan*, and the
-        resource side scores all profiles in batched GEMMs — the same
-        math regrouped, equivalent to the pairwise path to float
-        rounding at the configured precision.
+        plan scored under every resource profile. :meth:`predict_many`
+        over the profile-major pairs, reshaped: each plan is encoded
+        and run through the plan side of the network once, whatever
+        the number of profiles.
         """
-        factored = bool(self.config.factor_grids and plans and profiles)
-        annotations = {"plans": len(plans), "profiles": len(profiles)}
-        if factored:
-            annotations["factored"] = True
-        with obs.span("predict_grid", **annotations):
+        with obs.span("predict_grid", plans=len(plans),
+                      profiles=len(profiles)):
             obs.inc("predict.grids_total",
                     help="CostPredictor grid prediction calls")
-            if factored:
-                return self._predict_grid_factored(plans, profiles,
-                                                   deadline=deadline)
             pairs = [(plan, profile) for profile in profiles for plan in plans]
             costs = self.predict_many(pairs, deadline=deadline)
             return costs.reshape(len(profiles), len(plans))
-
-    def _predict_grid_factored(self, plans: list[PhysicalPlan],
-                               profiles: list[ResourceProfile],
-                               deadline=None) -> np.ndarray:
-        start = self.trainer.clock()
-        # One encode per plan; the attached resource vector is a
-        # placeholder — the factored kernel takes the profile matrix
-        # separately.
-        encoded = self.encoder.encode_many([(p, profiles[0]) for p in plans])
-        if deadline is not None:
-            deadline.check("after encode")
-        profile_features = np.stack([p.as_features() for p in profiles])
-        log_grid, _ = self.executor.predict_log_grid(encoded, profile_features,
-                                                     deadline=deadline)
-        costs = self.trainer._seconds_from_log(log_grid.ravel())
-        obs.observe("predict.latency_seconds", self.trainer.clock() - start,
-                    help="End-to-end predict_many latency")
-        return costs.reshape(len(profiles), len(plans))

@@ -76,7 +76,9 @@ class RAALBatch:
     node_mask:
         ``(B, N)`` boolean; True on real nodes.
     resources:
-        ``(B, resource_dim)`` normalized resource vectors.
+        ``(B, resource_dim)`` normalized resource vectors, or — for
+        inference only — a ``(B, P, resource_dim)`` profile block that
+        scores each plan under ``P`` profiles.
     extras:
         ``(B, extras_dim)`` plan-level statistics.
     targets:
@@ -185,7 +187,7 @@ class RAAL(Module):
 
     def forward_inference(self, batch: RAALBatch,
                           weights=None) -> np.ndarray:
-        """Graph-free eval-mode forward; returns a ``(B,)`` numpy array.
+        """Graph-free eval-mode forward: ``(B,)``, or ``(B, P)`` for a block.
 
         Numerically equivalent to ``forward`` in eval mode (≤ 1e-8) but
         builds no autograd graph and fuses the LSTM input projections

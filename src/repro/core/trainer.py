@@ -79,7 +79,7 @@ class TrainerConfig:
     lr_decay_gamma: float = 0.5
     # Upper clamp on log-space predictions before ``expm1`` — bounds
     # ``predict_seconds`` output at ``expm1(log_clamp_max)``. Clamped
-    # (saturated) predictions are counted in ``Trainer.last_saturated``.
+    # (saturated) predictions are counted by ``Trainer.seconds_from_log``.
     log_clamp_max: float = 25.0
     # Divergence guard: an epoch whose loss is non-finite, or spikes
     # above ``divergence_spike_factor`` × the best train loss so far,
@@ -136,9 +136,6 @@ class Trainer:
         #: Monotonic time source for epoch/total wall-clock accounting;
         #: injectable so tests assert exact timings without sleeping.
         self.clock = clock
-        #: Count of predictions clamped at ``log_clamp_max`` in the most
-        #: recent :meth:`predict_seconds` call (saturation indicator).
-        self.last_saturated = 0
         # Default (f64, single-thread) execution engine, built lazily;
         # CostPredictor passes its own configured engine instead.
         self._executor = None
@@ -349,11 +346,11 @@ class Trainer:
                     deadline=None) -> np.ndarray:
         """Log-space predictions for encoded plans, in input order.
 
-        Runs the graph-free fused forward
-        (:meth:`RAAL.forward_inference`) over length-bucketed batches:
-        plans are sorted by node count before batching, so a batch of
-        short plans is not padded to the longest plan in the workload.
-        No autograd graph is built.
+        Runs the one inference kernel
+        (:meth:`~repro.core.execution.BucketExecutor.predict_log`): one
+        graph-free forward per distinct plan, length-bucketed, each
+        plan scored under all of its profiles. No autograd graph is
+        built.
 
         ``executor`` optionally supplies a configured
         :class:`~repro.core.execution.BucketExecutor` (precision tier,
@@ -374,26 +371,31 @@ class Trainer:
                         help="Model forward latency per predict call")
         return preds
 
-    def _seconds_from_log(self, log_preds: np.ndarray) -> np.ndarray:
-        """Clamp + ``expm1`` with saturation accounting (shared logic)."""
+    def seconds_from_log(self, log_preds: np.ndarray) -> tuple[np.ndarray, int]:
+        """Clamp + ``expm1``: ``(seconds, saturated)``.
+
+        Log-space predictions are clamped to ``[0, log_clamp_max]``
+        before ``expm1``. Predictions that hit the upper clamp are
+        *saturated* — the model asked for a cost beyond its trained
+        range. Their count comes back with the costs rather than being
+        silently hidden (the guarded predictor treats a saturated batch
+        as a degradation trigger), so concurrent callers sharing this
+        trainer each see their own count.
+        """
         hi = self.config.log_clamp_max
-        self.last_saturated = int(np.count_nonzero(log_preds > hi))
-        if self.last_saturated:
-            obs.inc("predict.saturated_total", self.last_saturated,
+        saturated = int(np.count_nonzero(log_preds > hi))
+        if saturated:
+            obs.inc("predict.saturated_total", saturated,
                     help="Predictions clamped at log_clamp_max")
-        return np.expm1(np.clip(log_preds, 0.0, hi))
+        return np.expm1(np.clip(log_preds, 0.0, hi)), saturated
 
     def predict_seconds(self, encoded: list[EncodedPlan], executor=None,
                         deadline=None) -> np.ndarray:
         """Predicted costs in seconds (inverse of the log transform).
 
-        Log-space predictions are clamped to ``[0, log_clamp_max]``
-        before ``expm1``. Predictions that hit the upper clamp are
-        *saturated* — the model asked for a cost beyond its trained
-        range — and their count is surfaced in :attr:`last_saturated`
-        rather than silently hidden (the guarded predictor treats a
-        saturated batch as a degradation trigger).
+        Clamped as in :meth:`seconds_from_log`; use that method on
+        :meth:`predict_log` output when the saturation count matters.
         """
         log_preds = self.predict_log(encoded, executor=executor,
                                      deadline=deadline)
-        return self._seconds_from_log(log_preds)
+        return self.seconds_from_log(log_preds)[0]

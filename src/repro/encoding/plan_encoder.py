@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,8 +267,11 @@ class PlanEncoder:
             self._evictions = 0
 
     def _plan_features(self, plan: PhysicalPlan,
-                       fingerprint: str | None = None) -> _PlanFeatures:
+                       repeats: int = 0) -> _PlanFeatures:
         """Plan-side features, served from the LRU cache when possible.
+
+        ``repeats`` counts further uses of the plan in the same call:
+        they are served by this one lookup and tallied as cache hits.
 
         Thread-safe: lookup, insertion, and eviction all run under the
         encoder lock. A miss computes the features inside the lock —
@@ -277,12 +280,14 @@ class PlanEncoder:
         """
         if self.cache_size == 0:
             return self._compute_plan_features(plan)
-        key = fingerprint if fingerprint is not None else plan_fingerprint(plan)
+        key = plan_fingerprint(plan)
         with self._lock:
             cached = self._cache.get(key)
+            hits = repeats + (cached is not None)
+            if hits:
+                self._hits += hits
+                obs.inc("encoder.cache.hits", hits)
             if cached is not None:
-                self._hits += 1
-                obs.inc("encoder.cache.hits")
                 self._cache.move_to_end(key)
                 return cached
             self._misses += 1
@@ -381,34 +386,34 @@ class PlanEncoder:
         """Encode a list of (plan, resources) pairs.
 
         Repeated plans within one call are deduplicated: each distinct
-        plan object is fingerprinted and encoded once, then shared
+        plan object is fingerprinted and looked up once, then shared
         across all its (plan, profile) pairs — the advisor/selector grid
-        shape (``plans × profiles``) hits this path. Likewise each
-        distinct profile object is normalized once; the shared resource
-        vector is read-only, like the cached plan-side arrays. A frozen
-        plan's fingerprint is read from its facts, not recomputed.
+        shape (``plans × profiles``) hits this path. The repeats still
+        count as cache hits. Likewise each distinct profile object is
+        normalized once; the shared resource vector is read-only, like
+        the cached plan-side arrays. A frozen plan's fingerprint is read
+        from its facts, not recomputed.
         """
         with obs.span("encode", pairs=len(pairs)) as sp:
             hits_before = self._hits
-            fingerprints: dict[int, str] = {}
+            plans = {id(plan): plan for plan, _ in pairs}
+            uses = Counter(id(plan) for plan, _ in pairs)
+            features = {key: self._plan_features(plan, repeats=uses[key] - 1)
+                        for key, plan in plans.items()}
             vectors: dict[int, np.ndarray] = {}
             out: list[EncodedPlan] = []
             for plan, resources in pairs:
-                key = fingerprints.get(id(plan))
-                if key is None and self.cache_size > 0:
-                    key = plan_fingerprint(plan)
-                    fingerprints[id(plan)] = key
-                features = self._plan_features(plan, fingerprint=key)
+                plan_side = features[id(plan)]
                 vector = vectors.get(id(resources))
                 if vector is None:
                     vector = np.array(resources.as_features(), dtype=self._dtype)
                     vector.setflags(write=False)
                     vectors[id(resources)] = vector
                 out.append(EncodedPlan(
-                    node_features=features.node_features,
-                    child_mask=features.child_mask,
+                    node_features=plan_side.node_features,
+                    child_mask=plan_side.child_mask,
                     resources=vector,
-                    extras=features.extras,
+                    extras=plan_side.extras,
                 ))
             sp.annotate(cache_hits=self._hits - hits_before)
             return out

@@ -14,7 +14,6 @@ from repro.nn.inference import (
     masked_mean_forward,
     node_attention_forward,
     raal_forward_inference,
-    raal_grid_inference,
     resource_attention_forward,
 )
 from repro.nn.layers import (
@@ -80,7 +79,6 @@ __all__ = [
     "save_model",
     "load_model",
     "raal_forward_inference",
-    "raal_grid_inference",
     "fused_lstm_forward",
     "node_attention_forward",
     "resource_attention_forward",

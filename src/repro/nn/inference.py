@@ -14,20 +14,21 @@ front, so the per-timestep loop only carries the (irreducibly
 sequential) recurrent ``h @ W_h`` product.
 
 Every kernel is *dtype-generic*: arithmetic runs in the dtype of its
-inputs, so the same code serves the float64 tier (bit-identical to the
-pre-precision path), the float32 tier, and the int8 tier (which
-executes in float32 over dequantized weights — see
-:mod:`repro.nn.precision`). Scratch allocations, mask floats, and the
-masked-softmax logit floor all follow the execution dtype.
+inputs, so the same code serves the float64 tier, the float32 tier,
+and the int8 tier (which executes in float32 over dequantized weights
+— see :mod:`repro.nn.precision`). Scratch allocations, mask floats,
+and the masked-softmax logit floor all follow the execution dtype.
 
 The forward is split into a *plan-side* stage (embedding → LSTM/CNN →
 node-aware attention; depends only on the plan) and a *resource-side*
 stage (resource-aware attention → dense head; depends on the resource
-profile too). :func:`raal_forward_inference` runs both for one batch of
-(plan, resources) pairs; :func:`raal_grid_inference` exploits the split
-for grid workloads (``plans × profiles``), computing the plan-side
-stage once per plan instead of once per pair and batching the entire
-resource side into a handful of GEMMs.
+profile too). A batch's resources are either one vector per plan
+``(B, R)`` — the pairwise shape training uses — or a padded *profile
+block* ``(B, P, R)``: each plan scored under up to ``P`` profiles after
+one plan-side pass. The resource side treats the pairwise shape as a
+block with ``P = 1``, so both run the same arithmetic; the block form
+is how the inference engine serves every guarded batch (see
+:class:`repro.core.execution.BucketExecutor`).
 
 Entry point: :func:`raal_forward_inference`, also exposed as
 ``RAAL.forward_inference``.
@@ -56,7 +57,6 @@ __all__ = [
     "plan_side_forward",
     "resource_side_forward",
     "raal_forward_inference",
-    "raal_grid_inference",
 ]
 
 _NEG_INF = -1e9
@@ -160,19 +160,25 @@ def resource_attention_forward(
     node_mask: np.ndarray,
     latent_dim: int,
 ) -> np.ndarray:
-    """Numpy twin of :class:`repro.nn.attention.ResourceAwareAttention`."""
+    """Numpy twin of :class:`repro.nn.attention.ResourceAwareAttention`.
+
+    Scores a profile block: ``hidden`` ``(B, N, H)`` and ``resources``
+    ``(B, P, R)`` give the resource-attended context ``(B, P, H)`` of
+    each plan under each of its ``P`` profiles. The keys are computed
+    once per plan, not once per profile.
+    """
     if resources.shape[-1] != w_resource.shape[0]:
         raise ShapeError(
             f"expected resource dim {w_resource.shape[0]}, got {resources.shape[-1]}")
-    query = resources @ w_resource                      # (batch, K)
-    keys = hidden @ w_key                               # (batch, n, K)
-    scores = (keys @ query[:, :, None]).squeeze(2)      # (batch, n)
+    query = resources @ w_resource                      # (B, P, K)
+    keys = hidden @ w_key                               # (B, N, K)
+    scores = keys @ query.transpose(0, 2, 1)            # (B, N, P)
     # float(sqrt): a Python-float scale keeps float32 arrays float32
     # under NEP 50 (a numpy float64 scalar would silently upcast).
-    scores = scores * (1.0 / float(np.sqrt(latent_dim)))
-    bias = _mask_bias(node_mask, scores.dtype)
-    attn = _softmax(scores + bias, axis=-1)
-    return (hidden * attn[:, :, None]).sum(axis=1)
+    scores *= 1.0 / float(np.sqrt(latent_dim))
+    scores += _mask_bias(node_mask, scores.dtype)[:, :, None]
+    attn = _softmax(scores, axis=1)                     # over nodes
+    return attn.transpose(0, 2, 1) @ hidden             # (B, P, H)
 
 
 def masked_mean_forward(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -278,21 +284,35 @@ def resource_side_forward(
     weights: InferenceWeights,
     hidden: np.ndarray,
     plan_vec: np.ndarray,
-    resources: np.ndarray | None,
+    resources: np.ndarray,
     extras: np.ndarray,
     node_mask: np.ndarray,
 ) -> np.ndarray:
-    """Resource attention + dense head for one batch of pairs: ``(B,)``."""
-    parts = [plan_vec]
-    if weights.resource_attention is not None:
-        w_resource, w_key = weights.resource_attention
-        parts.append(resource_attention_forward(
-            hidden, resources, w_resource, w_key, node_mask,
-            weights.latent_dim))
-        parts.append(resources)
-    parts.append(extras)
-    joined = np.concatenate(parts, axis=1)
-    return dense_forward_ops(weights.dense, joined).squeeze(-1)
+    """Resource attention + dense head over a profile block: ``(B, P)``.
+
+    ``resources`` is the ``(B, P, R)`` block in the execution dtype.
+    The resource-blind ablation never reads it: its one answer per plan
+    is broadcast to every profile.
+    """
+    batch, n_profiles, resource_dim = resources.shape
+    if weights.resource_attention is None:
+        joined = np.concatenate([plan_vec, extras], axis=1)
+        row = dense_forward_ops(weights.dense, joined)              # (B, 1)
+        return np.repeat(row, n_profiles, axis=1)
+    w_resource, w_key = weights.resource_attention
+    res_vec = resource_attention_forward(
+        hidden, resources, w_resource, w_key, node_mask, weights.latent_dim)
+    hs = plan_vec.shape[1]
+    off = 2 * hs + resource_dim
+    joined = np.empty((batch, n_profiles, off + extras.shape[1]),
+                      dtype=weights.dtype)
+    joined[:, :, :hs] = plan_vec[:, None, :]
+    joined[:, :, hs : 2 * hs] = res_vec
+    joined[:, :, 2 * hs : off] = resources
+    joined[:, :, off:] = extras[:, None, :]
+    out = dense_forward_ops(weights.dense,
+                            joined.reshape(batch * n_profiles, -1))
+    return out.reshape(batch, n_profiles)
 
 
 def raal_forward_inference(model, batch,
@@ -301,15 +321,15 @@ def raal_forward_inference(model, batch,
 
     Numerically equivalent (≤ 1e-8) to ``model(batch)`` in eval mode,
     but builds no autograd graph and fuses the LSTM input projections.
-    With the default float64 weights the result is bit-identical to the
-    pre-precision fast path.
 
     Parameters
     ----------
     model:
         A :class:`repro.core.raal.RAAL` instance (any ablation variant).
     batch:
-        A :class:`repro.core.raal.RAALBatch`.
+        A :class:`repro.core.raal.RAALBatch`. Its ``resources`` are
+        either ``(B, R)`` — one profile per plan — or a ``(B, P, R)``
+        profile block, each plan under ``P`` profiles.
     weights:
         Optional precision-tier weight bundle
         (:func:`repro.nn.precision.inference_weights`); defaults to a
@@ -318,7 +338,8 @@ def raal_forward_inference(model, batch,
     Returns
     -------
     np.ndarray
-        Predicted (log-)costs, shape ``(batch,)``.
+        Predicted (log-)costs: ``(B,)`` for pairwise resources,
+        ``(B, P)`` for a profile block.
     """
     if weights is None:
         weights = inference_weights(model, "f64")
@@ -329,90 +350,11 @@ def raal_forward_inference(model, batch,
             f"model node_dim {weights.node_dim}")
     hidden, plan_vec = plan_side_forward(
         weights, node_features, batch.child_mask, batch.node_mask)
-    resources = None
-    if weights.resource_attention is not None:
-        resources = np.asarray(batch.resources, dtype=weights.dtype)
+    resources = np.asarray(batch.resources, dtype=weights.dtype)
+    pairwise = resources.ndim == 2
+    if pairwise:
+        resources = resources[:, None, :]
     extras = np.asarray(batch.extras, dtype=weights.dtype)
-    return resource_side_forward(
+    out = resource_side_forward(
         weights, hidden, plan_vec, resources, extras, batch.node_mask)
-
-
-def raal_grid_inference(
-    weights: InferenceWeights,
-    node_features: np.ndarray,
-    child_mask: np.ndarray,
-    node_mask: np.ndarray,
-    extras: np.ndarray,
-    profile_features: np.ndarray,
-) -> np.ndarray:
-    """Factored grid forward: every plan under every resource profile.
-
-    The grid workload (plan selection, resource recommendation) scores
-    ``B`` plans × ``P`` profiles. The pairwise path re-runs the whole
-    network per pair — including the LSTM and node attention, which do
-    not depend on the profile at all. This kernel runs the plan-side
-    stage once per plan, then evaluates the entire resource side for
-    all ``B × P`` combinations in a handful of flat GEMMs:
-
-    * attention keys ``(B·N, H) @ (H, K)`` — once per plan;
-    * attention scores ``(B·N, K) @ (K, P)`` — all pairs at once;
-    * one masked softmax over ``(B, N, P)``;
-    * context ``(B, P, N) @ (B, N, H)`` batched matmul;
-    * one dense-head GEMM over all ``B·P`` joined rows.
-
-    Numerically equivalent to the pairwise path to float-rounding (the
-    GEMM groupings differ, so results are *not* bit-identical — see the
-    precision equivalence tests for the per-tier tolerances).
-
-    Parameters
-    ----------
-    weights:
-        Precision-tier weight bundle.
-    node_features / child_mask / node_mask / extras:
-        One collated batch of ``B`` **distinct plans** (not pairs):
-        ``(B, N, D)``, ``(B, N, N)``, ``(B, N)``, ``(B, E)``.
-    profile_features:
-        ``(P, R)`` normalized resource vectors.
-
-    Returns
-    -------
-    np.ndarray
-        Log-cost matrix ``(P, B)`` — profile-major, matching
-        ``CostPredictor.predict_grid``'s output layout.
-    """
-    node_features = np.asarray(node_features, dtype=weights.dtype)
-    extras = np.asarray(extras, dtype=weights.dtype)
-    profiles = np.asarray(profile_features, dtype=weights.dtype)
-    n_plans = node_features.shape[0]
-    n_profiles = profiles.shape[0]
-    hidden, plan_vec = plan_side_forward(
-        weights, node_features, child_mask, node_mask)
-    hs = hidden.shape[-1]
-
-    if weights.resource_attention is None:
-        # Resource-blind ablation: every profile sees the same answer.
-        joined = np.concatenate([plan_vec, extras], axis=1)
-        row = dense_forward_ops(weights.dense, joined).squeeze(-1)  # (B,)
-        return np.broadcast_to(row, (n_profiles, n_plans)).copy()
-
-    w_resource, w_key = weights.resource_attention
-    batch, n, _ = hidden.shape
-    queries = profiles @ w_resource                                  # (P, K)
-    keys = hidden.reshape(batch * n, hs) @ w_key                     # (B·N, K)
-    scores = (keys @ queries.T).reshape(batch, n, n_profiles)        # (B, N, P)
-    scores *= 1.0 / float(np.sqrt(weights.latent_dim))
-    scores += _mask_bias(node_mask, scores.dtype)[:, :, None]
-    attn = _softmax(scores, axis=1)                                  # (B, N, P)
-    # res_vec[b, p, :] = sum_n hidden[b, n, :] * attn[b, n, p]
-    res_vec = np.matmul(attn.transpose(0, 2, 1), hidden)             # (B, P, H)
-
-    joined_dim = 2 * hs + profiles.shape[1] + extras.shape[1]
-    joined = np.empty((n_profiles, n_plans, joined_dim), dtype=weights.dtype)
-    joined[:, :, :hs] = plan_vec
-    joined[:, :, hs : 2 * hs] = res_vec.transpose(1, 0, 2)
-    off = 2 * hs
-    joined[:, :, off : off + profiles.shape[1]] = profiles[:, None, :]
-    joined[:, :, off + profiles.shape[1] :] = extras
-    out = dense_forward_ops(
-        weights.dense, joined.reshape(n_profiles * n_plans, joined_dim))
-    return out.reshape(n_profiles, n_plans)
+    return out[:, 0] if pairwise else out

@@ -689,10 +689,9 @@ class GuardedCostPredictor:
         # Route through the (possibly ladder-degraded) configured engine
         # so precision tier and bucket threading apply under the guard.
         serving = self._tier_predictor(tier)
-        costs = serving.predict_encoded(encoded, deadline=deadline)
+        costs, saturated = serving.predict_encoded(encoded, deadline=deadline)
         if not np.all(np.isfinite(costs)):
             raise PredictionError("model produced non-finite costs")
-        saturated = getattr(self.predictor.trainer, "last_saturated", 0)
         if saturated:
             raise PredictionError(
                 f"model output saturated the log-cost clamp for "
@@ -709,7 +708,8 @@ class GuardedCostPredictor:
         part of the serving path — and swallows its own failures.
         """
         try:
-            reference = self._tier_predictor("f64").predict_encoded(encoded)
+            reference, _ = self._tier_predictor("f64").predict_encoded(
+                encoded)
         except Exception as exc:
             obs.inc("canary.errors_total",
                     help="Canary shadow predictions that failed")

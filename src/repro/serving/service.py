@@ -118,8 +118,7 @@ class PredictionService:
             catalog = self._build_catalog()
         self.catalog = catalog
         exec_config = PredictorConfig(
-            precision=self.config.precision, threads=self.config.threads,
-            factor_grids=self.config.precision != "f64")
+            precision=self.config.precision, threads=self.config.threads)
         self.registry = ModelRegistry(
             default_guard_builder(
                 catalog,

@@ -9,6 +9,10 @@ forward directly, so tests and benchmarks can compare against it:
 * :func:`autograd_predict_log` / :func:`autograd_predict_seconds` —
   arrival-order (unbucketed) batches through ``RAAL.forward`` under
   ``no_grad``.
+* :func:`pairwise_predict_log` — the graph-free forward with every
+  (plan, resources) pair collated as its own row: the pairwise
+  computation the per-plan kernel regroups, and the baseline the grid
+  benchmarks measure it against.
 * :func:`autograd_step` — one training step through ``RAAL.forward``
   and ``mse_loss(...).backward()``, with the same signature as
   ``RAAL.forward_backward``.
@@ -29,9 +33,12 @@ import numpy as np
 
 from repro.core.execution import collate_inference
 from repro.nn import Tensor, mse_loss, no_grad
+from repro.nn.arena import thread_local_arena
+from repro.nn.precision import inference_weights
 
 __all__ = ["autograd_predict_log", "autograd_predict_seconds",
-           "autograd_forward", "autograd_step", "autograd_training"]
+           "autograd_forward", "autograd_step", "autograd_training",
+           "pairwise_predict_log"]
 
 
 def autograd_forward(model, batch, weights=None) -> np.ndarray:
@@ -63,6 +70,28 @@ def autograd_predict_seconds(trainer, encoded: list) -> np.ndarray:
     log_preds = autograd_predict_log(trainer.model, encoded,
                                      trainer.config.batch_size)
     return np.expm1(np.clip(log_preds, 0.0, trainer.config.log_clamp_max))
+
+
+def pairwise_predict_log(model, encoded: list, batch_size: int,
+                         weights=None) -> np.ndarray:
+    """Log-space predictions with one row per pair, length-bucketed.
+
+    Pairs are stable-sorted by node count and collated ``batch_size``
+    rows at a time through ``model.forward_inference`` — the plan side
+    of the network runs once per *pair*, however many pairs share a
+    plan. ``weights`` is a precision-tier bundle (default f64).
+    """
+    if weights is None:
+        weights = inference_weights(model, "f64")
+    model.eval()
+    order = np.argsort([e.num_nodes for e in encoded], kind="stable")
+    preds = np.empty(len(encoded))
+    for lo in range(0, len(order), batch_size):
+        idx = order[lo : lo + batch_size]
+        batch = collate_inference([encoded[i] for i in idx], weights.dtype,
+                                  arena=thread_local_arena())
+        preds[idx] = model.forward_inference(batch, weights)
+    return preds
 
 
 def autograd_step(model, batch) -> tuple[float, np.ndarray]:

@@ -186,6 +186,32 @@ class TestEncodeManyDedup:
         assert info.misses == 3            # one cold encode per distinct plan
         assert info.hits == 9
 
+    def test_grid_looks_each_plan_up_once(self, encoder, plans):
+        from repro import obs
+
+        lookups = []
+
+        class CountingCache(type(encoder._cache)):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        encoder._cache = CountingCache()
+        profiles = [PAPER_CLUSTER, ResourceProfile(executors=4),
+                    ResourceProfile(executor_cores=1)]
+        grid = [(plan, prof) for prof in profiles for plan in plans[:4]]
+        telemetry = obs.Telemetry.create()
+        with obs.attached(telemetry):
+            encoder.encode_many(grid)
+            encoder.encode_many(grid)
+        assert len(lookups) == 8  # 4 distinct plans, two calls
+        # Repeats within a call are served by the one lookup but still
+        # count as hits: 4 misses then 8 hits, then 12 hits.
+        info = encoder.cache_info()
+        assert (info.misses, info.hits) == (4, 20)
+        assert telemetry.registry.counter("encoder.cache.hits").value == 20
+        assert telemetry.registry.counter("encoder.cache.misses").value == 4
+
     def test_encode_many_matches_encode(self, encoder, plans):
         pairs = [(p, PAPER_CLUSTER) for p in plans[:3]]
         many = encoder.encode_many(pairs)

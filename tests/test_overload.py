@@ -527,6 +527,88 @@ class TestGuardOverload:
         assert health["default_deadline_ms"] == 100.0
 
 
+# -- grids reach the same faults as flat requests ---------------------------
+GRID_CONFIGS = {"default": PredictorConfig(),
+                # A no-op switch: it must not route grids around the
+                # fault hooks.
+                "factor_grids": PredictorConfig(factor_grids=True)}
+
+
+class TestGridFaultReachability:
+    """A grid request meets every forward fault a flat request meets."""
+
+    @pytest.fixture(params=sorted(GRID_CONFIGS))
+    def grid_predictor(self, request, predictor):
+        return predictor.configured(GRID_CONFIGS[request.param])
+
+    @staticmethod
+    def shapes(pipeline):
+        plans = [r.plan for r in pipeline.records[:3]]
+        profiles = [r.resources for r in pipeline.records[3:7]]
+        flat = [(r.plan, r.resources) for r in pipeline.records[:6]]
+        return plans, profiles, flat
+
+    def test_forward_error_raises_from_an_unguarded_grid(
+            self, grid_predictor, pipeline):
+        plans, profiles, flat = self.shapes(pipeline)
+        restore = FaultInjector().force_forward_errors(
+            grid_predictor.trainer.model)
+        try:
+            for call in (lambda: grid_predictor.predict_many(flat),
+                         lambda: grid_predictor.predict_grid(plans, profiles)):
+                with pytest.raises(TrainingError, match="injected forward"):
+                    call()
+        finally:
+            restore()
+
+    def test_bucket_hang_blows_an_unguarded_grid_deadline(
+            self, grid_predictor, pipeline):
+        plans, profiles, flat = self.shapes(pipeline)
+        clock = FakeClock()
+        restore = FaultInjector().force_bucket_hang(
+            grid_predictor.trainer.model, seconds=0.1, sleep=clock.advance)
+        try:
+            for call in (lambda d: grid_predictor.predict_many(
+                             flat, deadline=d),
+                         lambda d: grid_predictor.predict_grid(
+                             plans, profiles, deadline=d)):
+                with pytest.raises(DeadlineExceeded):
+                    call(Deadline.after(0.05, clock=clock))
+        finally:
+            restore()
+
+    @pytest.mark.parametrize("fault", ["forward_error", "bucket_hang"])
+    def test_guarded_grid_degrades_like_a_flat_request(
+            self, grid_predictor, pipeline, fault):
+        plans, profiles, flat = self.shapes(pipeline)
+        clock = FakeClock()
+        model = grid_predictor.trainer.model
+        if fault == "forward_error":
+            restore = FaultInjector().force_forward_errors(model)
+        else:
+            restore = FaultInjector().force_bucket_hang(
+                model, seconds=0.1, sleep=clock.advance)
+        try:
+            served = []
+            for call in (
+                    lambda guard, d: guard.predict_many_explained(
+                        flat, deadline=d),
+                    lambda guard, d: guard.predict_grid_explained(
+                        plans, profiles, deadline=d)):
+                guard = make_guard(grid_predictor, pipeline, clock=clock)
+                served.append(call(guard, Deadline.after(0.05, clock=clock)))
+                assert guard.degradation_counts() != {}
+        finally:
+            restore()
+        flat_result, grid_result = served
+        assert grid_result.costs.shape == (len(profiles), len(plans))
+        assert flat_result.source == grid_result.source == "gpsj"
+        expected = ("injected forward" if fault == "forward_error"
+                    else "deadline_exceeded")
+        assert expected in flat_result.reason
+        assert expected in grid_result.reason
+
+
 # -- fault injector additions ----------------------------------------------
 class TestThreadAwareFaults:
     def test_bucket_hang_restores(self, predictor, encoded):

@@ -1,15 +1,17 @@
-"""Precision tiers: f64 bit-identity, f32/int8 equivalence, threading.
+"""Precision tiers: f32/int8 equivalence, the per-plan kernel, threading.
 
 The contract under test (DESIGN.md "Precision-tiered inference"):
 
-* the default f64 tier is **bit-identical** to the historical fast
-  path — same arrays, same operation order;
+* the default f64 tier runs the same arithmetic whether or not a
+  weight bundle is passed explicitly (bitwise);
 * the f32 tier agrees with f64 within float32 rounding accumulated
   over the network (budget: 1e-4 relative in seconds space);
 * the int8 tier agrees within the quantization error budget (0.5% per
   GEMM weight, ≤ 5% end-to-end in seconds space);
-* the factored grid kernel is numerically equivalent to the pairwise
-  path at every tier (same math, regrouped GEMMs);
+* the one inference kernel — one plan-side pass per distinct plan,
+  each plan scored under its profile block — is numerically
+  equivalent to the pairwise computation (one row per pair) at every
+  tier (same math, regrouped GEMMs);
 * bucket-parallel execution changes nothing but wall-clock: outputs
   are bitwise equal to the single-thread run at the same tier;
 * masked softmax entries produce no denormals at either dtype.
@@ -24,7 +26,7 @@ from repro.core import RAAL, RAALBatch, RAALConfig
 from repro.core.execution import BucketExecutor, collate_inference
 from repro.errors import PredictionError, ShapeError
 from repro.nn.arena import ScratchArena
-from repro.nn.inference import _softmax, raal_forward_inference, raal_grid_inference
+from repro.nn.inference import _softmax, raal_forward_inference
 from repro.nn.precision import (
     PRECISIONS,
     inference_weights,
@@ -33,6 +35,7 @@ from repro.nn.precision import (
     softmax_floor,
 )
 from repro.nn.quantize import QMAX, quantization_error, quantize_per_channel
+from tests.oracles import pairwise_predict_log
 
 #: Documented end-to-end tolerance budgets, log space (model output).
 LOG_TOL = {"f64": 0.0, "f32": 1e-5, "int8": 0.05}
@@ -165,30 +168,36 @@ class TestPrecisionEquivalence:
     @pytest.mark.parametrize("precision", PRECISIONS)
     def test_factored_grid_matches_pairwise(self, name, precision):
         model = eval_model(name, seed=4)
-        batch = make_batch(model.config, batch=5, n=8, seed=5)
+        plans = encoded_workload(model.config, count=5, seed=5)
         rng = np.random.default_rng(6)
         profiles = rng.random((7, model.config.resource_dim))
-        weights = inference_weights(model, precision)
-        grid = raal_grid_inference(
-            weights, batch.node_features, batch.child_mask,
-            batch.node_mask, batch.extras, profiles)
-        assert grid.shape == (7, 5)
-        # Pairwise reference at the same tier: the factored kernel is
+        pairs = grid_pairs(plans, profiles)
+        grid, _ = BucketExecutor(model, batch_size=4,
+                                 precision=precision).predict_log(pairs)
+        grid = grid.reshape(7, 5)
+        # Pairwise reference at the same tier: the per-plan kernel is
         # the same math with regrouped GEMMs, so agreement is at
         # rounding level of the execution dtype, not the tier budget.
         tol = 1e-12 if precision == "f64" else 1e-5
-        for p in range(7):
-            pairwise = raal_forward_inference(model, RAALBatch(
-                node_features=batch.node_features,
-                child_mask=batch.child_mask, node_mask=batch.node_mask,
-                resources=np.tile(profiles[p], (5, 1)),
-                extras=batch.extras), weights)
-            assert np.abs(grid[p] - pairwise).max() <= tol
+        pairwise = pairwise_predict_log(model, pairs, 4,
+                                        inference_weights(model, precision))
+        assert np.abs(grid - pairwise.reshape(7, 5)).max() <= tol
 
 
 # ---------------------------------------------------------------------------
 # Bucketed / threaded execution engine
 # ---------------------------------------------------------------------------
+def grid_pairs(plans, profiles):
+    """Profile-major (plan, profile) pairs sharing each plan's arrays,
+    as :meth:`PlanEncoder.encode_many` hands them out."""
+    from repro.encoding import EncodedPlan
+
+    return [EncodedPlan(node_features=e.node_features,
+                        child_mask=e.child_mask, resources=profile,
+                        extras=e.extras)
+            for profile in profiles for e in plans]
+
+
 def encoded_workload(config, count=23, seed=9):
     """Encoded-plan stand-ins with varying node counts."""
     from repro.encoding import EncodedPlan
@@ -224,14 +233,15 @@ class TestBucketExecutor:
 
     def test_threaded_grid_matches_single_thread_bitwise(self):
         model = eval_model("RAAL", seed=1)
-        encoded = encoded_workload(model.config)
         profiles = np.random.default_rng(3).random(
             (6, model.config.resource_dim))
+        pairs = grid_pairs(encoded_workload(model.config), profiles)
         single = BucketExecutor(model, batch_size=4, precision="f32")
         with BucketExecutor(model, batch_size=4, precision="f32",
                             threads=4) as threaded:
-            a, _ = single.predict_log_grid(encoded, profiles)
-            b, _ = threaded.predict_log_grid(encoded, profiles)
+            a, buckets = single.predict_log(pairs)
+            b, _ = threaded.predict_log(pairs)
+        assert buckets == 6  # 23 distinct plans, 4 per bucket
         assert np.array_equal(a, b)
 
     def test_collate_inference_matches_training_collate(self):
@@ -371,15 +381,15 @@ class TestPredictorIntegration:
 
         predictor, plans, _, PredictorConfig = served
         profiles = default_profile_grid()[:5]
-        pairwise = predictor.configured(
-            PredictorConfig(precision=precision)).predict_grid(
-                plans[:4], profiles)
-        factored = predictor.configured(
-            PredictorConfig(precision=precision, factor_grids=True)
-        ).predict_grid(plans[:4], profiles)
-        assert factored.shape == pairwise.shape
-        rel = (np.abs(factored - pairwise)
-               / np.maximum(np.abs(pairwise), 1e-9))
+        tiered = predictor.configured(PredictorConfig(precision=precision))
+        grid = tiered.predict_grid(plans[:4], profiles)
+        # Pairwise reference: every pair collated as its own row.
+        encoded = [predictor.encoder.encode(plan, profile)
+                   for profile in profiles for plan in plans[:4]]
+        pairwise, _ = predictor.trainer.seconds_from_log(pairwise_predict_log(
+            predictor.trainer.model, encoded, 4, tiered.executor.weights()))
+        pairwise = pairwise.reshape(grid.shape)
+        rel = np.abs(grid - pairwise) / np.maximum(np.abs(pairwise), 1e-9)
         assert rel.max() <= (1e-9 if precision == "f64" else 1e-4)
 
     @pytest.mark.parametrize("precision", ["f32", "int8"])

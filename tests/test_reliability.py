@@ -385,6 +385,67 @@ class TestFrozenPlansUnderTheGuard:
                 [(p, r) for r in profiles for p in fresh]).costs)
 
 
+class TestConcurrentSaturation:
+    """The saturation verdict belongs to the call that produced it.
+
+    Ladder tiers share one trainer, and the HTTP handler threads run
+    guarded calls concurrently, so a count kept on the trainer could be
+    overwritten by another call between the forward and the check.
+    """
+
+    def test_each_call_judges_its_own_saturation(self, fresh_predictor,
+                                                 pipeline):
+        import threading
+        from dataclasses import replace
+
+        from repro.core.trainer import Trainer
+
+        pairs = [(r.plan, r.resources) for r in pipeline.records[:40]]
+        log_preds = fresh_predictor.trainer.predict_log(
+            fresh_predictor.encoder.encode_many(pairs))
+        order = np.argsort(log_preds)
+        healthy = [pairs[i] for i in order[:3]]
+        saturating = [pairs[i] for i in order[-3:]]
+        low, high = log_preds[order[2]], log_preds[order[-3]]
+        assert low < high
+        # Clamp between the two sets: every prediction of the
+        # saturating batch is clamped, none of the healthy batch's.
+        fresh_predictor.trainer = Trainer(
+            fresh_predictor.trainer.model,
+            replace(fresh_predictor.trainer.config,
+                    log_clamp_max=float((low + high) / 2)))
+        barrier = threading.Barrier(2, timeout=10)
+        forward = fresh_predictor.predict_encoded
+
+        def rendezvous(encoded, deadline=None):
+            out = forward(encoded, deadline=deadline)
+            # Both forwards finish before either call checks its count.
+            barrier.wait()
+            return out
+
+        fresh_predictor.predict_encoded = rendezvous
+        guard = GuardedCostPredictor(
+            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog),
+            breaker_config=BreakerConfig(failure_threshold=1000),
+            retry_policy=RetryPolicy(attempts=1), sleep=FakeSleep())
+        for _ in range(5):
+            results: dict[str, object] = {}
+
+            def serve(name, batch):
+                results[name] = guard.predict_many_explained(batch)
+
+            threads = [threading.Thread(target=serve, args=args) for args in
+                       (("saturating", saturating), ("healthy", healthy))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert results["saturating"].source == "gpsj"
+            assert "saturated" in results["saturating"].reason
+            assert results["healthy"].source == "raal"
+            assert results["healthy"].reason is None
+
+
 class TestFaultInjectorDeterminism:
     def test_same_seed_same_corruption(self, pipeline, trained, tmp_path):
         from repro.core import load_predictor, save_predictor

@@ -149,16 +149,23 @@ class TestPredictionClamp:
         hi = float(np.max(log_preds)) - 1e-9
         clamped_trainer = Trainer(
             trainer.model, replace(trainer.config, log_clamp_max=hi))
-        seconds = clamped_trainer.predict_seconds(encoded)
+        seconds, saturated = clamped_trainer.seconds_from_log(
+            clamped_trainer.predict_log(encoded))
         expected = int(np.count_nonzero(log_preds > hi))
         assert expected >= 1
-        assert clamped_trainer.last_saturated == expected
+        # The count comes back with the call's costs; the trainer keeps
+        # no per-call state that a concurrent caller could overwrite.
+        assert saturated == expected
+        assert not hasattr(clamped_trainer, "last_saturated")
         assert seconds.max() <= np.expm1(max(hi, 0.0)) + 1e-12
+        np.testing.assert_array_equal(
+            seconds, clamped_trainer.predict_seconds(encoded))
 
     def test_no_saturation_with_default_clamp(self, samples):
         trainer = make_trainer()
-        trainer.predict_seconds([s.encoded for s in samples])
-        assert trainer.last_saturated == 0
+        _, saturated = trainer.seconds_from_log(
+            trainer.predict_log([s.encoded for s in samples]))
+        assert saturated == 0
 
     def test_clamp_bound_is_configurable(self, samples):
         trainer = make_trainer(log_clamp_max=2.0)
