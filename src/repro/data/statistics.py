@@ -15,9 +15,7 @@ import numpy as np
 from repro.data.schema import DataType, TableSchema
 from repro.errors import CatalogError
 
-__all__ = ["ColumnStatistics", "TableStatistics", "compute_table_statistics", "HISTOGRAM_BUCKETS"]
-
-HISTOGRAM_BUCKETS = 32
+__all__ = ["ColumnStatistics", "TableStatistics", "compute_table_statistics"]
 
 
 @dataclass
@@ -155,7 +153,7 @@ _BYTES_PER_TYPE = {DataType.INT: 8, DataType.FLOAT: 8, DataType.STRING: 24}
 def compute_table_statistics(
     schema: TableSchema,
     data: dict[str, np.ndarray],
-    buckets: int = HISTOGRAM_BUCKETS,
+    buckets: int = 32,
     top_k: int = 16,
 ) -> TableStatistics:
     """Scan generated column arrays and build :class:`TableStatistics`."""

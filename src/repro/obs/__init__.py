@@ -3,7 +3,8 @@
 A dependency-free telemetry layer shared by the whole pipeline:
 
 * :class:`MetricsRegistry` — thread-safe counters, gauges, and
-  log-bucketed latency histograms with Prometheus-text and JSON export;
+  log-bucket sketch histograms (quantiles within 1 % of exact) with
+  Prometheus-text and JSON export;
 * :class:`Tracer` / :class:`Span` — nested, annotated wall-time spans
   over the serving hot path (encode → forward → predict → guard),
   exportable as Chrome/Perfetto trace JSON;
@@ -29,8 +30,7 @@ disabled cost is one global read per call site.
 from repro.obs.audit import AuditRecord, AuditTrail, load_audit_records
 from repro.obs.events import EventLog, EventLogHandler
 from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    DRIFT_BUCKETS,
+    RELATIVE_ACCURACY,
     Counter,
     Gauge,
     Histogram,
@@ -41,12 +41,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.quality import (
     DRIFT,
-    QERROR_BUCKETS,
     STABLE,
     AccuracyTracker,
     DriftConfig,
     DriftDetector,
-    P2Quantile,
     QualityConfig,
     q_error,
 )
@@ -76,9 +74,7 @@ from repro.obs.trace_export import (
 from repro.obs.tracing import Span, Tracer
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "DRIFT_BUCKETS",
-    "QERROR_BUCKETS",
+    "RELATIVE_ACCURACY",
     "Counter",
     "Gauge",
     "Histogram",
@@ -96,7 +92,6 @@ __all__ = [
     "chrome_trace_events",
     "chrome_trace_json",
     "q_error",
-    "P2Quantile",
     "QualityConfig",
     "AccuracyTracker",
     "DriftConfig",

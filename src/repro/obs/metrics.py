@@ -6,10 +6,10 @@ creating import cycles or pulling optional packages.
 
 Metric names are dotted (``guard.raal.served``); the Prometheus export
 rewrites the dots to underscores, since dots are illegal in Prometheus
-metric names. Histograms use fixed log-scale latency buckets
-(:data:`DEFAULT_LATENCY_BUCKETS`, half-decade steps from 10 µs to
-~31.6 s) so latency distributions from different runs are always
-bucket-compatible and can be merged or diffed.
+metric names. Every distribution (latencies, q-errors, drift ratios,
+batch sizes) is a :class:`Histogram`, a log-bucket sketch whose
+quantiles are within :data:`RELATIVE_ACCURACY` (1 %) of exact; this
+module is the only place that knows how a distribution is summarised.
 
 Every mutation takes the owning metric's lock, so one registry can be
 shared across the serving threads of a deployment.
@@ -21,13 +21,11 @@ import json
 import math
 import re
 import threading
-from bisect import bisect_left
 
 from repro.errors import TelemetryError
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "DRIFT_BUCKETS",
+    "RELATIVE_ACCURACY",
     "Counter",
     "Gauge",
     "Histogram",
@@ -37,16 +35,9 @@ __all__ = [
     "render_snapshot",
 ]
 
-#: Half-decade log-scale upper bounds: 1e-5, 3.16e-5, …, 31.6 seconds.
-#: A terminal +Inf bucket is implicit in every histogram.
-DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(
-    round(10.0 ** (k / 2.0), 12) for k in range(-10, 4))
-
-#: Half-decade buckets for dimensionless ratios (relative drift of the
-#: degraded precision tiers): 1e-5 … 10. The 5% accuracy budget falls
-#: mid-range, so both in-budget and breaching samples resolve clearly.
-DRIFT_BUCKETS: tuple[float, ...] = tuple(
-    round(10.0 ** (k / 2.0), 12) for k in range(-10, 3))
+#: Relative accuracy α of every histogram quantile: the estimate is
+#: within α·x of the exact nearest-rank sample x.
+RELATIVE_ACCURACY = 0.01
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
@@ -119,29 +110,21 @@ class Gauge:
 
 
 class Histogram:
-    """Distribution over fixed upper-bound buckets (latencies, sizes).
+    """Distribution as a log-bucket sketch (DDSketch, Masson et al. 2019).
 
-    ``buckets`` are ascending finite upper bounds; an implicit +Inf
-    bucket catches overflow, so ``observe`` never loses a sample.
+    A positive finite sample ``v`` counts under key ``ceil(log_γ v)``,
+    ``γ = (1+α)/(1−α)`` with ``α =`` :data:`RELATIVE_ACCURACY`;
+    non-positive samples share one zero bucket and ``+inf`` samples hold
+    no key. Keys depend only on ``α``, so histograms merge key by key.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "",
-                 buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = _check_name(name)
         self.help = help
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise TelemetryError(f"histogram {name} needs at least one bucket")
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise TelemetryError(
-                f"histogram {name} buckets must be strictly ascending: {bounds}")
-        if not all(math.isfinite(b) for b in bounds):
-            raise TelemetryError(
-                f"histogram {name} buckets must be finite (+Inf is implicit)")
-        self.buckets = bounds
-        self._counts = [0] * (len(bounds) + 1)  # last slot = +Inf
+        self._counts: dict[int, int] = {}
+        self._zero = 0
         self._sum = 0.0
         self._count = 0
         self._min = math.inf
@@ -153,10 +136,13 @@ class Histogram:
         value = float(value)
         if math.isnan(value):
             raise TelemetryError(f"histogram {self.name} rejects NaN samples")
-        # First bound >= value; len(buckets) is the +Inf slot.
-        idx = bisect_left(self.buckets, value)
+        key = (math.ceil(math.log(value) / _LOG_GAMMA)
+               if 0.0 < value < math.inf else None)
         with self._lock:
-            self._counts[idx] += 1
+            if key is not None:
+                self._counts[key] = self._counts.get(key, 0) + 1
+            elif value <= 0.0:
+                self._zero += 1
             self._sum += value
             self._count += 1
             self._min = min(self._min, value)
@@ -178,33 +164,31 @@ class Histogram:
         return self._sum / self._count if self._count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (Prometheus-style interpolation).
+        """The ``q``-quantile, within ``α·x`` of the exact answer ``x``.
 
-        Locates the bucket holding the ``q``-th sample and interpolates
-        linearly inside it, clamped to the observed ``[min, max]`` so
-        coarse buckets cannot report values outside the data (and the
-        +Inf overflow bucket degrades to the observed max). Estimation
-        error is bounded by the bucket width; the latency harness
-        additionally reports exact percentiles from raw samples.
+        ``x`` is the nearest-rank sample ``x_(⌊q·(n−1)⌋)`` (numpy's
+        ``method="lower"``); the bound holds for positive normal floats,
+        up to float rounding below ``1e-12·x``. The estimate is the
+        bucket's ``2γ^k/(γ+1)`` (0 for the zero bucket, ``+inf`` past
+        every key), clamped to the observed ``[min, max]``.
 
         Raises :class:`ValueError` for ``q`` outside ``[0, 1]``; an
         empty histogram reports ``nan`` (well-defined, propagates
         visibly through downstream arithmetic) rather than raising.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
         with self._lock:
-            return _quantile_locked(q, self.buckets, self._counts,
-                                    self._count, self._min, self._max)
+            return _quantile(q, self._zero, sorted(self._counts.items()),
+                             self._count, self._min, self._max)
 
     def snapshot(self) -> dict:
-        """JSON-ready state: bounds, per-bucket counts, and summary stats."""
+        """JSON-ready state: zero count, per-key counts, summary stats."""
         with self._lock:
             return {
                 "kind": self.kind,
                 "help": self.help,
-                "buckets": list(self.buckets),
-                "counts": list(self._counts),
+                "relative_accuracy": RELATIVE_ACCURACY,
+                "zero": self._zero,
+                "counts": {str(k): n for k, n in sorted(self._counts.items())},
                 "count": self._count,
                 "sum": self._sum,
                 "min": self._min if self._count else None,
@@ -212,26 +196,37 @@ class Histogram:
             }
 
 
-def _quantile_locked(q: float, buckets: tuple[float, ...], counts: list[int],
-                     total: int, minimum: float, maximum: float) -> float:
+_GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+_LOG_GAMMA = math.log(_GAMMA)
+
+
+def _quantile(q: float, zero: int, counts: list[tuple[int, int]],
+              total: int, minimum: float, maximum: float) -> float:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
     if not total:
         return math.nan
-    rank = q * total
-    cumulative = 0
-    for i, n in enumerate(counts):
-        if not n:
-            continue
-        if cumulative + n >= rank:
-            if i == len(buckets):
-                # Overflow bucket: no finite upper bound to
-                # interpolate against — report the observed max.
-                return maximum
-            lo = 0.0 if i == 0 else buckets[i - 1]
-            fraction = (rank - cumulative) / n
-            value = lo + (buckets[i] - lo) * fraction
-            return min(max(value, minimum), maximum)
-        cumulative += n
-    return maximum
+    rank = math.floor(q * (total - 1))
+    value = 0.0
+    seen = zero
+    if rank >= seen:
+        value = maximum  # ranked past every key: a +inf sample
+        for key, n in counts:
+            seen += n
+            if rank < seen:
+                # 2γ^k/(γ+1); γ^(k−1) < the sample, so the power can't overflow
+                value = _GAMMA ** (key - 1) * (2.0 * _GAMMA / (_GAMMA + 1.0))
+                break
+    return min(max(value, minimum), maximum)
+
+
+def _sketch_counts(state: dict) -> list[tuple[int, int]]:
+    """A persisted histogram's ``(key, count)`` pairs, ascending."""
+    if state.get("relative_accuracy") != RELATIVE_ACCURACY:
+        raise TelemetryError(
+            "histogram snapshot was not written by this sketch "
+            f"(relative_accuracy {RELATIVE_ACCURACY}); re-run to regenerate it")
+    return sorted((int(k), n) for k, n in state["counts"].items())
 
 
 def quantile_from_snapshot(state: dict, q: float) -> float:
@@ -239,20 +234,11 @@ def quantile_from_snapshot(state: dict, q: float) -> float:
 
     Lets ``repro top`` compute p50/p95/p99 from a telemetry report
     written by an earlier process, without live metric objects. Same
-    semantics as the live method: :class:`ValueError` for ``q`` outside
-    ``[0, 1]``, ``nan`` when the snapshot holds no samples.
+    semantics and result as the live method.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    count = int(state.get("count") or 0)
-    if not count:
-        return math.nan
-    minimum = state.get("min")
-    maximum = state.get("max")
-    return _quantile_locked(
-        q, tuple(state["buckets"]), list(state["counts"]), count,
-        minimum if minimum is not None else -math.inf,
-        maximum if maximum is not None else math.inf)
+    counts = _sketch_counts(state)  # checks the snapshot's form first
+    return _quantile(q, state["zero"], counts, state["count"], state["min"],
+                     state["max"])
 
 
 _METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -271,11 +257,11 @@ class MetricsRegistry:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs):
+    def _get_or_create(self, cls, name: str, help: str):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, help=help, **kwargs)
+                metric = cls(name, help=help)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise TelemetryError(
@@ -291,10 +277,9 @@ class MetricsRegistry:
         """Get or create the gauge ``name``."""
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS) -> Histogram:
+    def histogram(self, name: str, help: str = "") -> Histogram:
         """Get or create the histogram ``name``."""
-        return self._get_or_create(Histogram, name, help, buckets=buckets)
+        return self._get_or_create(Histogram, name, help)
 
     def get(self, name: str):
         """The metric registered under ``name``, or ``None``."""
@@ -348,7 +333,9 @@ def prometheus_from_snapshot(snapshot: dict[str, dict]) -> str:
     Works on plain dicts so ``repro metrics`` can export run artifacts
     written by an earlier process, without reconstructing live metrics.
     Counters are rendered under the conventional ``_total`` suffix
-    (added unless the name already carries it).
+    (added unless the name already carries it). A histogram's cumulative
+    ``_bucket`` lines are one for the zero bucket (``le="0"``), one per
+    occupied key ``k`` (``le="γ^k"``) and ``le="+Inf"``.
     """
     lines: list[str] = []
     for name in sorted(snapshot):
@@ -361,12 +348,13 @@ def prometheus_from_snapshot(snapshot: dict[str, dict]) -> str:
             lines.append(f"# HELP {prom} {_prom_help(state['help'])}")
         lines.append(f"# TYPE {prom} {kind}")
         if kind == "histogram":
-            cumulative = 0
-            bounds = [*state["buckets"], math.inf]
-            for bound, count in zip(bounds, state["counts"]):
+            cumulative = state["zero"]
+            lines.append(f'{prom}_bucket{{le="0"}} {cumulative}')
+            for key, count in _sketch_counts(state):
                 cumulative += count
-                lines.append(
-                    f'{prom}_bucket{{le="{_prom_num(bound)}"}} {cumulative}')
+                bound = _prom_num(_GAMMA ** (key - 1) * _GAMMA)  # γ^k
+                lines.append(f'{prom}_bucket{{le="{bound}"}} {cumulative}')
+            lines.append(f'{prom}_bucket{{le="+Inf"}} {state["count"]}')
             lines.append(f"{prom}_sum {_prom_num(state['sum'])}")
             lines.append(f"{prom}_count {state['count']}")
         else:

@@ -4,9 +4,9 @@ The latency side of the obs layer says how *fast* the predictor is;
 this module says whether it is still *right*. Serving code feeds
 ``(prediction, observed_runtime)`` pairs back through
 :meth:`AccuracyTracker.record`, which maintains online q-error
-statistics — running mean plus median/p95 from constant-memory P²
-quantile sketches — globally, per precision tier, and per workload
-class, all exported through the active
+statistics — running mean plus median/p95 (within 1 %) from one
+:class:`~repro.obs.metrics.Histogram` sketch per scope — globally, per
+precision tier, and per workload class, all exported through the active
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
 A :class:`DriftDetector` chained behind the tracker compares a frozen
@@ -42,23 +42,17 @@ from typing import Callable
 
 from repro.errors import TelemetryError
 from repro.obs import runtime as obs
+from repro.obs.metrics import Histogram
 
 __all__ = [
-    "QERROR_BUCKETS",
     "STABLE",
     "DRIFT",
     "q_error",
-    "P2Quantile",
     "QualityConfig",
     "AccuracyTracker",
     "DriftConfig",
     "DriftDetector",
 ]
-
-#: Histogram buckets for q-errors (dimensionless, >= 1). The interesting
-#: range is 1–10; the tail buckets catch catastrophically wrong answers.
-QERROR_BUCKETS: tuple[float, ...] = (
-    1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
 
 #: Drift-detector states.
 STABLE = "stable"
@@ -89,123 +83,27 @@ def q_error(prediction: float, observed: float) -> float:
     return max(prediction / observed, observed / prediction)
 
 
-class P2Quantile:
-    """Streaming ``q``-quantile estimate in O(1) memory (P² algorithm).
-
-    Jain & Chlamtac's five-marker estimator: the marker heights track
-    the quantile without storing samples, so a tracker can keep
-    per-tier and per-workload sketches for an unbounded feedback
-    stream. Until five samples arrive the estimate is the empirical
-    quantile of the buffered points.
-    """
-
-    __slots__ = ("q", "_count", "_heights", "_pos", "_desired", "_dn")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise TelemetryError(f"P2 quantile must be in (0, 1), got {q}")
-        self.q = float(q)
-        self._count = 0
-        self._heights: list[float] = []
-        self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                         3.0 + 2.0 * q, 5.0]
-        self._dn = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    @property
-    def count(self) -> int:
-        """Samples observed so far."""
-        return self._count
-
-    def observe(self, x: float) -> None:
-        """Fold one sample into the sketch (NaN samples are rejected)."""
-        x = float(x)
-        if math.isnan(x):
-            raise TelemetryError("P2Quantile rejects NaN samples")
-        self._count += 1
-        h = self._heights
-        if self._count <= 5:
-            h.append(x)
-            h.sort()
-            return
-        # Locate the cell and update the extreme markers.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = next(i for i in range(4) if h[i] <= x < h[i + 1])
-        for i in range(k + 1, 5):
-            self._pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._dn[i]
-        # Adjust the interior markers toward their desired positions,
-        # parabolic (P²) when the result stays ordered, linear otherwise.
-        for i in (1, 2, 3):
-            diff = self._desired[i] - self._pos[i]
-            if ((diff >= 1.0 and self._pos[i + 1] - self._pos[i] > 1.0)
-                    or (diff <= -1.0 and self._pos[i - 1] - self._pos[i] < -1.0)):
-                d = 1.0 if diff >= 0.0 else -1.0
-                candidate = self._parabolic(i, d)
-                if not h[i - 1] < candidate < h[i + 1]:
-                    candidate = self._linear(i, d)
-                h[i] = candidate
-                self._pos[i] += d
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current estimate (``nan`` before any sample)."""
-        if self._count == 0:
-            return math.nan
-        h = self._heights
-        if self._count <= 5:
-            rank = self.q * (len(h) - 1)
-            lo = int(rank)
-            hi = min(lo + 1, len(h) - 1)
-            return h[lo] + (rank - lo) * (h[hi] - h[lo])
-        return h[2]
-
-
 class _ScopeStats:
     """Online q-error statistics for one scope (global / tier / workload)."""
 
-    __slots__ = ("count", "_sum", "p50", "p95", "last")
+    __slots__ = ("sketch", "last")
 
     def __init__(self) -> None:
-        self.count = 0
-        self._sum = 0.0
-        self.p50 = P2Quantile(0.50)
-        self.p95 = P2Quantile(0.95)
+        self.sketch = Histogram("qerror")
         self.last = math.nan
 
     def observe(self, qe: float) -> None:
-        self.count += 1
-        self._sum += qe
-        self.p50.observe(qe)
-        self.p95.observe(qe)
+        self.sketch.observe(qe)
         self.last = qe
 
     @property
     def mean(self) -> float:
-        return self._sum / self.count if self.count else math.nan
+        return self.sketch.mean if self.sketch.count else math.nan
 
     def snapshot(self) -> dict:
-        return {"count": self.count, "mean": self.mean,
-                "p50": self.p50.value, "p95": self.p95.value,
-                "last": self.last}
+        return {"count": self.sketch.count, "mean": self.mean,
+                "p50": self.sketch.quantile(0.50),
+                "p95": self.sketch.quantile(0.95), "last": self.last}
 
 
 @dataclass(frozen=True)
@@ -279,15 +177,15 @@ class AccuracyTracker:
                     (f"{prefix}.workload.{self._key(workload)}", stats))
         obs.inc(f"{prefix}.feedback_total",
                 help="(prediction, observed runtime) feedback pairs ingested")
-        obs.observe(f"{prefix}.qerror", qe, buckets=QERROR_BUCKETS,
+        obs.observe(f"{prefix}.qerror", qe,
                     help="Q-error of predictions vs observed runtimes")
         for name, stats in scopes:
             obs.set_gauge(f"{name}.qerror_mean", stats.mean,
                           help="Running mean q-error")
-            obs.set_gauge(f"{name}.qerror_p50", stats.p50.value,
-                          help="Streaming median q-error (P2 sketch)")
-            obs.set_gauge(f"{name}.qerror_p95", stats.p95.value,
-                          help="Streaming p95 q-error (P2 sketch)")
+            obs.set_gauge(f"{name}.qerror_p50", stats.sketch.quantile(0.50),
+                          help="Median q-error (sketch, 1% relative error)")
+            obs.set_gauge(f"{name}.qerror_p95", stats.sketch.quantile(0.95),
+                          help="p95 q-error (sketch, 1% relative error)")
         if self.drift is not None:
             self.drift.update(qe)
         return qe
@@ -295,7 +193,7 @@ class AccuracyTracker:
     @property
     def count(self) -> int:
         """Accepted feedback samples over the tracker's lifetime."""
-        return self._global.count
+        return self._global.sketch.count
 
     def rolling(self) -> dict:
         """Mean/p50/p95 of the last ``config.window`` samples."""

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from repro.obs.events import EventLog
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
 __all__ = [
@@ -166,12 +166,11 @@ def inc(name: str, amount: float = 1.0, help: str = "") -> None:
         tel.registry.counter(name, help=help).inc(amount)
 
 
-def observe(name: str, value: float, help: str = "",
-            buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS) -> None:
+def observe(name: str, value: float, help: str = "") -> None:
     """Record a histogram sample on the active registry, if any."""
     tel = _ACTIVE
     if tel is not None:
-        tel.registry.histogram(name, help=help, buckets=buckets).observe(value)
+        tel.registry.histogram(name, help=help).observe(value)
 
 
 def set_gauge(name: str, value: float, help: str = "") -> None:

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ReproError
-from repro.obs.metrics import DRIFT_BUCKETS
 
 __all__ = ["AccuracyCanary"]
 
@@ -92,7 +91,7 @@ class AccuracyCanary:
                 self.trips += 1
         obs.inc("canary.samples_total",
                 help="Degraded predictions shadow-scored against f64")
-        obs.observe("canary.drift_ratio", drift, buckets=DRIFT_BUCKETS,
+        obs.observe("canary.drift_ratio", drift,
                     help="Relative drift of degraded tiers vs the f64 path")
         if tripped:
             obs.inc("canary.trips_total",

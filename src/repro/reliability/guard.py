@@ -141,9 +141,14 @@ class ExplainedPredictions:
     costs: np.ndarray
     source: str
     reason: str | None = None
-    #: Audit-trail handle for closing the feedback loop (present when
-    #: an :class:`~repro.obs.audit.AuditTrail` is configured).
-    request_id: str | None = None
+    #: Audit-trail handles for closing the feedback loop, one per member
+    #: request (present when an :class:`~repro.obs.audit.AuditTrail` is set).
+    request_ids: tuple[str, ...] = ()
+
+    @property
+    def request_id(self) -> str | None:
+        """The first member request's audit handle, if any."""
+        return self.request_ids[0] if self.request_ids else None
 
 
 @dataclass
@@ -353,7 +358,7 @@ class GuardedCostPredictor:
             costs=explained.costs.reshape(len(profiles), len(plans)),
             source=explained.source,
             reason=explained.reason,
-            request_id=explained.request_id,
+            request_ids=explained.request_ids,
         )
 
     def degradation_counts(self) -> dict[str, int]:
@@ -412,8 +417,13 @@ class GuardedCostPredictor:
     def predict_many_explained(
         self, pairs: list[tuple[PhysicalPlan, ResourceProfile]],
         deadline: Deadline | None = None,
+        members: list[int] | None = None,
     ) -> ExplainedPredictions:
         """Run the fallback chain for a batch of (plan, resources) pairs.
+
+        ``members`` are the pair counts of the requests fused into
+        ``pairs`` (default: one). Each gets its own audit request id,
+        indexes from 0 and the trail's per-request cap.
 
         Tries each stage in order. A stage is skipped without running
         when its breaker is open; input-validation rejections (bad
@@ -516,12 +526,12 @@ class GuardedCostPredictor:
                     obs.emit_event("guard", "fallback", source=stage,
                                    reason="; ".join(reasons) or None)
                 reason = "; ".join(reasons) or None
-                request_id = self._record_served(
-                    pairs, costs, stage=stage, tier=tier, reason=reason,
-                    latency=self._clock() - started)
+                request_ids = self._record_served(
+                    pairs, members or [len(pairs)], costs, stage=stage,
+                    tier=tier, reason=reason, latency=self._clock() - started)
                 return ExplainedPredictions(
                     costs=costs, source=stage, reason=reason,
-                    request_id=request_id,
+                    request_ids=request_ids,
                 )
             obs.inc("guard.exhausted_total",
                     help="Requests for which every stage failed")
@@ -531,41 +541,47 @@ class GuardedCostPredictor:
                 "all fallback stages failed: " + "; ".join(reasons))
 
     # -- the feedback loop -------------------------------------------------
-    def _record_served(self, pairs, costs: np.ndarray, stage: str,
-                       tier: str | None, reason: str | None,
-                       latency: float) -> str | None:
-        """Audit the served answers and feed the latency SLO (best effort)."""
+    def _record_served(self, pairs, members: list[int], costs: np.ndarray,
+                       stage: str, tier: str | None, reason: str | None,
+                       latency: float) -> tuple[str, ...]:
+        """Audit the served answers, one request id per member, and feed
+        the latency SLO (best effort)."""
         obs.observe("guard.latency_seconds", latency,
                     help="End-to-end guarded request latency")
         if self.slo is not None and "latency" in self.slo.names():
             self.slo.record("latency", latency)
         if self.audit is None:
-            return None
-        request_id = self.audit.next_request_id()
+            return ()
         if stage == "raal":
             served_tier = tier or self.predictor.config.precision
         else:
             served_tier = None
-        for i, (plan, resources) in enumerate(pairs):
-            try:
-                fingerprint = plan_fingerprint(plan)
-                nodes = int(plan.num_nodes)
-            except Exception:
-                fingerprint, nodes = None, None
-            record = self.audit.record(
-                request_id, index=i,
-                plan_fingerprint=fingerprint, plan_nodes=nodes,
-                resources={
-                    "executors": resources.executors,
-                    "executor_cores": resources.executor_cores,
-                    "executor_memory_gb": resources.executor_memory_gb,
-                },
-                tier=served_tier, source=stage, latency_seconds=latency,
-                prediction_seconds=float(costs[i]),
-                workload=self.workload, reason=reason)
-            if record is None:
-                break  # per-request cap reached; the trail counted it
-        return request_id
+        request_ids = []
+        start = 0
+        for size in members:
+            request_id = self.audit.next_request_id()
+            request_ids.append(request_id)
+            for i, (plan, resources) in enumerate(pairs[start:start + size]):
+                try:
+                    fingerprint = plan_fingerprint(plan)
+                    nodes = int(plan.num_nodes)
+                except Exception:
+                    fingerprint, nodes = None, None
+                record = self.audit.record(
+                    request_id, index=i,
+                    plan_fingerprint=fingerprint, plan_nodes=nodes,
+                    resources={
+                        "executors": resources.executors,
+                        "executor_cores": resources.executor_cores,
+                        "executor_memory_gb": resources.executor_memory_gb,
+                    },
+                    tier=served_tier, source=stage, latency_seconds=latency,
+                    prediction_seconds=float(costs[start + i]),
+                    workload=self.workload, reason=reason)
+                if record is None:
+                    break  # per-request cap reached; the trail counted it
+            start += size
+        return tuple(request_ids)
 
     def record_observation(self, request_id: str, observed_seconds: float,
                            index: int = 0) -> float | None:

@@ -47,7 +47,7 @@ class BatchItem:
     """One caller's slot in a fused batch (a tiny one-shot future)."""
 
     __slots__ = ("pairs", "deadline", "event", "result", "offset",
-                 "batch_size", "error")
+                 "member", "batch_size", "error")
 
     def __init__(self, pairs, deadline: Deadline | None) -> None:
         self.pairs = pairs
@@ -55,12 +55,15 @@ class BatchItem:
         self.event = threading.Event()
         self.result = None          # ExplainedPredictions of the fused batch
         self.offset = 0             # this caller's slice start in the batch
+        self.member = 0             # this caller's position among members
         self.batch_size = 0         # fused pairs (for telemetry/responses)
         self.error: BaseException | None = None
 
-    def resolve(self, result, offset: int, batch_size: int) -> None:
+    def resolve(self, result, offset: int, member: int,
+                batch_size: int) -> None:
         self.result = result
         self.offset = offset
+        self.member = member
         self.batch_size = batch_size
         self.event.set()
 
@@ -75,8 +78,9 @@ class MicroBatcher:
     Parameters
     ----------
     execute:
-        ``execute(pairs, deadline)`` scoring a fused pair list in one
-        call — typically a closure over the model shard's current
+        ``execute(pairs, deadline, sizes)`` scoring a fused pair list
+        (``sizes``: its member requests' pair counts) in one call —
+        typically a closure over the model shard's current
         :class:`~repro.reliability.guard.GuardedCostPredictor` so the
         whole batch is served by exactly one model version.
     window_ms:
@@ -212,7 +216,8 @@ class MicroBatcher:
                     or item.deadline.expires_at < deadline.expires_at):
                 deadline = item.deadline
         try:
-            result = self.execute(fused, deadline)
+            result = self.execute(fused, deadline,
+                                  [len(item.pairs) for item in batch])
         except BaseException as exc:  # scatter the failure, keep dispatching
             for item in batch:
                 item.fail(exc)
@@ -225,11 +230,9 @@ class MicroBatcher:
         obs.inc("serve.batch.requests_total", len(batch),
                 help="Requests served through fused micro-batches")
         obs.observe("serve.batch.pairs", float(len(fused)),
-                    help="Pairs per fused micro-batch",
-                    buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                             256.0))
-        for item, offset in zip(batch, offsets):
-            item.resolve(result, offset, len(fused))
+                    help="Pairs per fused micro-batch")
+        for member, (item, offset) in enumerate(zip(batch, offsets)):
+            item.resolve(result, offset, member, len(fused))
 
     def snapshot(self) -> dict:
         """Point-in-time accounting for health endpoints and tests."""

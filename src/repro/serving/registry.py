@@ -139,8 +139,9 @@ class ModelShard:
                 f"model {self.model_id!r} has no promoted version yet")
         return self.batcher.submit(pairs, deadline=deadline)
 
-    def _execute(self, pairs, deadline: Deadline | None):
-        """One fused batch: resolve the model once, serve, shadow-score.
+    def _execute(self, pairs, deadline: Deadline | None, sizes: list[int]):
+        """One fused batch (``sizes``: member pair counts): resolve the
+        model once, serve, shadow-score.
 
         ``self.current`` is read exactly once; the whole batch — and
         its provenance — belongs to that version even if a promote
@@ -150,8 +151,8 @@ class ModelShard:
         if model is None:
             raise PredictionError(
                 f"model {self.model_id!r} has no promoted version yet")
-        explained = model.guard.predict_many_explained(pairs,
-                                                       deadline=deadline)
+        explained = model.guard.predict_many_explained(
+            pairs, deadline=deadline, members=sizes)
         self._shadow(pairs, explained)
         # Version travels with the result via an attribute rather than
         # the dataclass (ExplainedPredictions stays serving-agnostic).

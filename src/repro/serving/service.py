@@ -21,8 +21,9 @@ Request flow for ``predict``:
    fused forward through the guarded predictor;
 3. the response carries costs, the chosen plan, chain provenance
    (``source``/``reason``), the serving ``model_version``, and the
-   audit ``request_id`` + per-plan feedback indexes that close the
-   quality loop via the ``feedback`` endpoint.
+   request's own audit ``request_id`` + per-plan feedback indexes
+   (counted from 0 within the request, even when it was fused with
+   others) that close the quality loop via the ``feedback`` endpoint.
 """
 
 from __future__ import annotations
@@ -273,14 +274,15 @@ class PredictionService:
         return {
             "model": shard.model_id,
             "model_version": getattr(explained, "_model_version", None),
-            "request_id": explained.request_id,
+            "request_id": (explained.request_ids[item.member]
+                           if explained.request_ids else None),
             "source": explained.source,
             "reason": explained.reason,
             "chosen": plans[best].label or plans[best].signature(),
             "plans": [
                 {"plan": plan.label or plan.signature(),
                  "seconds": float(cost),
-                 "feedback_index": item.offset + i}
+                 "feedback_index": i}
                 for i, (plan, cost) in enumerate(zip(plans, costs))
             ],
             "latency_ms": latency * 1e3,
@@ -310,13 +312,14 @@ class PredictionService:
         return {
             "model": shard.model_id,
             "model_version": getattr(explained, "_model_version", None),
-            "request_id": explained.request_id,
+            "request_id": (explained.request_ids[item.member]
+                           if explained.request_ids else None),
             "source": explained.source,
             "reason": explained.reason,
             "plans": [plan.label or plan.signature() for plan in plans],
             "profiles": len(profiles),
             "costs": [[float(c) for c in row] for row in grid],
-            "feedback_index": item.offset,
+            "feedback_index": 0,
             "latency_ms": latency * 1e3,
             "batched": item.batch_size > len(pairs),
             "batch_pairs": item.batch_size,

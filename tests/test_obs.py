@@ -3,15 +3,19 @@
 import json
 import logging
 import math
+import sys
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import events as events_module
 from repro.errors import TelemetryError
 from repro.obs import (
-    DEFAULT_LATENCY_BUCKETS,
+    RELATIVE_ACCURACY,
     Counter,
     EventLog,
     Gauge,
@@ -22,7 +26,9 @@ from repro.obs import (
     Tracer,
     load_report,
     prometheus_from_snapshot,
+    quantile_from_snapshot,
 )
+from repro.obs.metrics import _GAMMA
 
 
 class FakeClock:
@@ -78,133 +84,224 @@ class TestGauge:
         assert g.value == 5.0
 
 
+def _nearest_rank(samples, q):
+    """The exact answer a histogram quantile stands for: x_(floor(q(n-1)))."""
+    ordered = sorted(samples)
+    return ordered[math.floor(q * (len(ordered) - 1))]
+
+
+#: The sketch's bound is exact arithmetic's; the float logarithm and
+#: power add rounding far below this slack.
+_ROUNDING = 1e-12
+
+
 class TestHistogram:
     def test_bucket_boundaries_inclusive_upper(self):
-        h = Histogram("lat", buckets=(0.001, 0.01, 0.1))
-        h.observe(0.001)   # == bound -> first bucket (le semantics)
-        h.observe(0.0011)  # just above -> second bucket
-        h.observe(0.5)     # above all bounds -> +Inf bucket
+        # Key k holds (γ^(k-1), γ^k]: 1.0 = γ^0 and γ itself sit on an
+        # upper bound; one ulp above moves to the next key.
+        h = Histogram("lat")
+        h.observe(1.0)
+        h.observe(math.nextafter(1.0, math.inf))
+        h.observe(_GAMMA)
+        h.observe(math.nextafter(_GAMMA, math.inf))
+        h.observe(0.0)     # non-positive -> the zero bucket
+        h.observe(-3.0)
         snap = h.snapshot()
-        assert snap["counts"] == [1, 1, 0, 1]
-        assert snap["count"] == 3
-        assert snap["min"] == 0.001
-        assert snap["max"] == 0.5
-        assert snap["sum"] == pytest.approx(0.5021)
+        assert snap["counts"] == {"0": 1, "1": 2, "2": 1}
+        assert snap["zero"] == 2
+        assert snap["count"] == 6
+        assert snap["min"] == -3.0
+        assert snap["max"] == math.nextafter(_GAMMA, math.inf)
+        assert snap["relative_accuracy"] == RELATIVE_ACCURACY
 
     def test_bucket_index_matches_linear_scan(self):
-        """observe() bisects; the slot must equal the first bound >= value
-        found by a linear scan, +Inf past the last bound."""
-        bounds = (-2.0, -0.5, 0.0, 0.25, 1.0, 8.0)
+        """The key of a sample is the first k with value <= γ^k, found
+        by a linear scan over the bounds; non-positive samples take the
+        zero bucket and +inf no key."""
 
-        def linear_slot(value):
-            for i, bound in enumerate(bounds):
-                if value <= bound:
-                    return i
-            return len(bounds)
+        def linear_key(value):
+            k = -1200
+            while _GAMMA ** k < value:
+                k += 1
+            return k
 
-        values = [*bounds,                       # exactly on every bound
-                  -1e9, -2.0000001,              # below the first bound
-                  8.0000001, 1e12, math.inf,     # above the last: +Inf
-                  -1.0, -0.5000001, -1e-12,      # negatives between bounds
-                  1e-12, 0.3, 7.999]
+        rng = np.random.default_rng(3)
+        values = [*(10.0 ** rng.uniform(-9, 9, size=200)),
+                  1e-5, 0.0123, 0.5, 2.0, 31.6, 1e4]
         for value in values:
-            h = Histogram("slots", buckets=bounds)
+            h = Histogram("slots")
             h.observe(value)
-            expected = [0] * (len(bounds) + 1)
-            expected[linear_slot(value)] = 1
-            assert h.snapshot()["counts"] == expected, value
+            assert h.snapshot()["counts"] == {str(linear_key(value)): 1}
+        for value in (0.0, -0.0, -1e-12, -1e9, -math.inf, math.inf):
+            h = Histogram("slots")
+            h.observe(value)
+            snap = h.snapshot()
+            assert snap["counts"] == {}
+            assert snap["zero"] == (0 if value == math.inf else 1)
+            assert snap["count"] == 1
 
     def test_default_buckets_are_log_scale_ascending(self):
-        bounds = DEFAULT_LATENCY_BUCKETS
-        assert list(bounds) == sorted(bounds)
-        ratios = [bounds[i + 1] / bounds[i] for i in range(len(bounds) - 1)]
-        for ratio in ratios:
-            assert ratio == pytest.approx(math.sqrt(10.0), rel=1e-6)
-        assert bounds[0] == pytest.approx(1e-5)
+        assert RELATIVE_ACCURACY == 0.01
+        assert _GAMMA == (1 + RELATIVE_ACCURACY) / (1 - RELATIVE_ACCURACY)
+        reg = MetricsRegistry()
+        h = reg.histogram("lat")
+        samples = [10.0 ** (k / 2.0) for k in range(-10, 4)]
+        for value in samples:
+            h.observe(value)
+        bounds = [float(line.split('le="')[1].split('"')[0])
+                  for line in reg.to_prometheus().splitlines()
+                  if "_bucket" in line][1:-1]   # drop le="0" and +Inf
+        assert bounds == sorted(bounds) and len(bounds) == len(samples)
+        for value, bound in zip(samples, bounds):
+            # Each sample sits in the one bucket (bound/γ, bound].
+            assert value <= bound * (1 + 1e-6)
+            assert bound < value * _GAMMA * (1 + 1e-6)
 
     def test_rejects_nan_and_bad_buckets(self):
         with pytest.raises(TelemetryError):
             Histogram("h").observe(float("nan"))
-        with pytest.raises(TelemetryError):
-            Histogram("h", buckets=(0.1, 0.1))
-        with pytest.raises(TelemetryError):
-            Histogram("h", buckets=(0.2, 0.1))
-        with pytest.raises(TelemetryError):
-            Histogram("h", buckets=())
-        with pytest.raises(TelemetryError):
-            Histogram("h", buckets=(1.0, float("inf")))
+        # Buckets are no longer configurable anywhere.
+        with pytest.raises(TypeError):
+            Histogram("h", buckets=(0.1, 1.0))
+        with pytest.raises(TypeError):
+            MetricsRegistry().histogram("h", buckets=(0.1, 1.0))
+        with obs.attached(Telemetry.create()):
+            with pytest.raises(TypeError):
+                obs.observe("h", 1.0, buckets=(0.1, 1.0))
 
     def test_mean(self):
-        h = Histogram("m", buckets=(10.0,))
+        h = Histogram("m")
         assert h.mean == 0.0
         h.observe(2.0)
         h.observe(4.0)
         assert h.mean == 3.0
 
-    def test_quantile_interpolates_within_bucket(self):
-        h = Histogram("q", buckets=(1.0, 2.0, 4.0))
+    def test_quantile_is_the_bucket_representative(self):
+        h = Histogram("q")
         for v in (0.5, 1.5, 1.6, 1.7, 3.0):
             h.observe(v)
-        # p50: rank 2.5 of 5 -> second sample inside (1, 2]; linear
-        # interpolation inside that bucket.
-        assert 1.0 <= h.quantile(0.5) <= 2.0
-        # p0 / p100 clamp to the observed extremes, not bucket edges.
-        assert h.quantile(0.0) == 0.5
-        assert h.quantile(1.0) == 3.0
+        # p50: nearest rank floor(0.5 * 4) = 2 -> 1.6, whose bucket
+        # (γ^(k-1), γ^k] answers 2γ^k/(γ+1).
+        k = math.ceil(math.log(1.6) / math.log(_GAMMA))
+        assert h.quantile(0.5) == pytest.approx(
+            2 * _GAMMA ** k / (_GAMMA + 1), rel=1e-12)
+        assert h.quantile(0.5) == pytest.approx(1.6, rel=RELATIVE_ACCURACY)
+        # p0 / p100 stand for the observed extremes and never leave them.
+        assert 0.5 <= h.quantile(0.0) <= 0.5 * (1 + RELATIVE_ACCURACY)
+        assert 3.0 * (1 - RELATIVE_ACCURACY) <= h.quantile(1.0) <= 3.0
 
     def test_quantile_overflow_bucket_uses_observed_max(self):
-        h = Histogram("q", buckets=(1.0,))
+        h = Histogram("q")
         h.observe(0.5)
-        h.observe(50.0)   # +Inf bucket
-        # The overflow bucket has no finite upper bound; the estimate
-        # degrades to the observed max instead of fabricating a value.
-        assert h.quantile(0.99) == 50.0
+        h.observe(50.0)
+        # Nearest rank floor(0.99 * 1) = 0: the lower sample, not the max.
+        assert h.quantile(0.99) == pytest.approx(0.5, rel=RELATIVE_ACCURACY)
+        h.observe(math.inf)   # the +Inf overflow: no key of its own
+        assert h.quantile(1.0) == math.inf
+        assert h.quantile(0.5) == pytest.approx(50.0, rel=RELATIVE_ACCURACY)
 
     def test_quantile_clamped_to_observed_range(self):
-        h = Histogram("q", buckets=(10.0,))
+        h = Histogram("q")
         h.observe(2.0)
-        h.observe(3.0)
-        # Both samples share the coarse (0, 10] bucket; interpolation
-        # alone would report up to 10, clamping bounds it by the data.
-        for q in (0.1, 0.5, 0.9):
-            assert 2.0 <= h.quantile(q) <= 3.0
+        h.observe(2.01)
+        # Both samples share one bucket, whose representative lies
+        # below 2.0; clamping bounds it by the data.
+        for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+            assert 2.0 <= h.quantile(q) <= 2.01
+        single = Histogram("one")
+        single.observe(0.0123)
+        assert single.quantile(0.5) == 0.0123
 
     def test_quantile_errors(self):
-        h = Histogram("q", buckets=(1.0,))
+        h = Histogram("q")
         # Empty histogram: a well-defined NaN, not an exception — the
         # caller shouldn't have to pre-check count() to render a report.
         assert math.isnan(h.quantile(0.5))
         h.observe(0.5)
-        for bad_q in (-0.1, 1.5, math.inf):
+        for bad_q in (-0.1, 1.5, math.inf, math.nan):
             with pytest.raises(ValueError):
                 h.quantile(bad_q)
 
     def test_quantile_from_snapshot_matches_live(self):
         from repro.obs import quantile_from_snapshot
 
-        h = Histogram("q", buckets=(0.01, 0.1, 1.0))
-        for v in (0.005, 0.02, 0.05, 0.5, 0.7):
+        h = Histogram("q")
+        for v in (0.0, 0.005, 0.02, 0.05, 0.5, 0.7, 1e4, math.inf):
             h.observe(v)
-        snap = h.snapshot()
-        for q in (0.0, 0.5, 0.95, 1.0):
+        snap = json.loads(json.dumps(h.snapshot()))  # as persisted
+        for q in (0.0, 0.1, 0.5, 0.95, 0.99, 1.0):
             assert quantile_from_snapshot(snap, q) == h.quantile(q)
-        assert math.isnan(
-            quantile_from_snapshot(Histogram("e", buckets=(1.0,)).snapshot(),
-                                   0.5))
+        assert math.isnan(quantile_from_snapshot(Histogram("e").snapshot(),
+                                                 0.5))
         with pytest.raises(ValueError):
             quantile_from_snapshot(snap, 2.0)
+        old_form = {"kind": "histogram", "buckets": [1.0], "counts": [1, 0],
+                    "count": 1, "sum": 0.5, "min": 0.5, "max": 0.5}
+        with pytest.raises(TelemetryError):
+            quantile_from_snapshot(old_form, 0.5)
 
     def test_quantile_matches_exact_on_fine_buckets(self):
-        import numpy as np
-
         rng = np.random.default_rng(7)
         samples = rng.uniform(0.0, 1.0, size=2000)
-        h = Histogram("q", buckets=tuple(np.linspace(0.01, 1.0, 100)))
+        h = Histogram("q")
         for v in samples:
             h.observe(v)
-        for q in (0.5, 0.95, 0.99):
-            exact = float(np.quantile(samples, q))
-            assert h.quantile(q) == pytest.approx(exact, abs=0.02)
+        for q in (0.01, 0.5, 0.95, 0.99):
+            exact = float(np.quantile(samples, q, method="lower"))
+            assert exact == _nearest_rank(samples, q)
+            assert abs(h.quantile(q) - exact) <= RELATIVE_ACCURACY * exact
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, exclude_min=True,
+                              allow_infinity=False, allow_subnormal=False),
+                    min_size=1, max_size=60),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_relative_error_bound_property(self, samples, q):
+        """For any positive finite (normal) samples and any q, the
+        estimate is within α of the nearest-rank sample."""
+        h = Histogram("prop")
+        for v in samples:
+            h.observe(v)
+        exact = _nearest_rank(samples, q)
+        estimate = h.quantile(q)
+        assert abs(estimate - exact) <= (RELATIVE_ACCURACY + _ROUNDING) * exact
+        assert quantile_from_snapshot(h.snapshot(), q) == estimate
+
+    def test_zero_and_inf_samples_are_exact(self):
+        h = Histogram("edges")
+        for v in (0.0, 0.0, 1.0, math.inf):
+            h.observe(v)
+        assert h.quantile(0.0) == 0.0
+        assert h.quantile(0.4) == 0.0                  # rank 1: a zero
+        assert h.quantile(0.7) == pytest.approx(1.0, rel=RELATIVE_ACCURACY)
+        assert h.quantile(1.0) == math.inf             # rank 3: +inf
+        assert h.sum == math.inf and h.count == 4
+
+    def test_concurrent_observe_loses_no_sample(self):
+        h = Histogram("conc")
+        values = [10.0 ** (k / 7.0) for k in range(-20, 20)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [h.observe(v) for v in values * 50])
+                for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        snap = h.snapshot()
+        assert snap["count"] == 8 * 50 * len(values)
+        assert sum(snap["counts"].values()) == snap["count"]
+        serial = Histogram("serial")
+        for v in values * 400:
+            serial.observe(v)
+        assert snap["counts"] == serial.snapshot()["counts"]
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert h.quantile(q) == serial.quantile(q)
 
 
 class TestRegistry:
@@ -233,28 +330,31 @@ class TestRegistry:
     def test_json_export_round_trips(self):
         reg = MetricsRegistry()
         reg.counter("hits", help="cache hits").inc(3)
-        reg.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
+        reg.histogram("lat").observe(0.05)
         doc = json.loads(reg.to_json())
         assert doc["metrics"]["hits"] == {
             "kind": "counter", "value": 3.0, "help": "cache hits"}
-        assert doc["metrics"]["lat"]["counts"] == [1, 0, 0]
+        assert doc["metrics"]["lat"] == {
+            "kind": "histogram", "help": "", "relative_accuracy": 0.01,
+            "zero": 0, "counts": {"-149": 1}, "count": 1, "sum": 0.05,
+            "min": 0.05, "max": 0.05}
 
     def test_prometheus_golden_output(self):
         reg = MetricsRegistry()
         reg.counter("guard.degraded_total", help="Fallback answers").inc(2)
         reg.gauge("train.best_epoch").set(4)
-        reg.histogram("predict.latency_seconds",
-                      buckets=(0.001, 0.1)).observe(0.05)
+        reg.histogram("predict.latency_seconds").observe(0.05)
+        reg.histogram("predict.latency_seconds").observe(0.0)
         expected = (
             '# HELP guard_degraded_total Fallback answers\n'
             '# TYPE guard_degraded_total counter\n'
             'guard_degraded_total 2\n'
             '# TYPE predict_latency_seconds histogram\n'
-            'predict_latency_seconds_bucket{le="0.001"} 0\n'
-            'predict_latency_seconds_bucket{le="0.1"} 1\n'
-            'predict_latency_seconds_bucket{le="+Inf"} 1\n'
+            'predict_latency_seconds_bucket{le="0"} 1\n'
+            'predict_latency_seconds_bucket{le="0.0507878"} 2\n'
+            'predict_latency_seconds_bucket{le="+Inf"} 2\n'
             'predict_latency_seconds_sum 0.05\n'
-            'predict_latency_seconds_count 1\n'
+            'predict_latency_seconds_count 2\n'
             '# TYPE train_best_epoch gauge\n'
             'train_best_epoch 4\n'
         )
@@ -286,6 +386,8 @@ class TestRegistry:
     def test_prometheus_from_persisted_snapshot(self):
         reg = MetricsRegistry()
         reg.counter("n").inc(5)
+        for v in (0.0, 0.003, 0.02, 0.021, 7.0, math.inf):
+            reg.histogram("lat").observe(v)
         snap = json.loads(reg.to_json())["metrics"]
         assert prometheus_from_snapshot(snap) == reg.to_prometheus()
 

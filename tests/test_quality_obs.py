@@ -1,7 +1,7 @@
 """Unit and integration tests for prediction-quality observability.
 
-Covers ``repro.obs.quality`` (q-error math, the P² sketch, the
-accuracy tracker, the drift detector's hysteretic state machine),
+Covers ``repro.obs.quality`` (q-error math, the per-scope q-error
+quantiles, the accuracy tracker, the drift detector's hysteretic state machine),
 ``repro.obs.audit`` (bounded ring, ground-truth attachment, JSONL
 round-trips), ``repro.obs.slo`` (multi-window multi-burn-rate
 alerting), the Chrome trace exporter, and the guarded predictor's
@@ -21,6 +21,7 @@ from repro import obs
 from repro.errors import TelemetryError
 from repro.obs import (
     DRIFT,
+    RELATIVE_ACCURACY,
     SLO,
     STABLE,
     AccuracyTracker,
@@ -28,7 +29,7 @@ from repro.obs import (
     BurnRateConfig,
     DriftConfig,
     DriftDetector,
-    P2Quantile,
+    Histogram,
     QualityConfig,
     SLOTracker,
     Telemetry,
@@ -65,33 +66,47 @@ class TestQError:
         assert math.isnan(q_error(1.0, math.inf))
 
 
-# -- P² sketch --------------------------------------------------------------
-class TestP2Quantile:
-    def test_small_sample_is_exact_empirical(self):
-        sketch = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            sketch.observe(v)
-        assert sketch.value == pytest.approx(2.0)
+# -- per-scope quantiles ----------------------------------------------------
+class TestScopeQuantiles:
+    """Each tracker scope's p50/p95 come from one metrics sketch, within
+    1 % of the nearest-rank q-error x_(floor(q(n-1)))."""
+
+    def test_small_sample_within_bound(self):
+        tracker = AccuracyTracker()
+        for qe in (3.0, 1.0, 2.0):
+            tracker.record(1.0, qe)
+        overall = tracker.snapshot()["overall"]
+        # n = 3: p50 and p95 both stand for the middle sample, 2.0.
+        assert overall["p50"] == pytest.approx(2.0, rel=RELATIVE_ACCURACY)
+        assert overall["p95"] == pytest.approx(2.0, rel=RELATIVE_ACCURACY)
 
     def test_tracks_known_distribution(self):
         rng = np.random.default_rng(0)
-        samples = rng.uniform(0.0, 100.0, size=5000)
-        p50, p95 = P2Quantile(0.5), P2Quantile(0.95)
-        for v in samples:
-            p50.observe(float(v))
-            p95.observe(float(v))
-        assert p50.value == pytest.approx(np.quantile(samples, 0.5), abs=3.0)
-        assert p95.value == pytest.approx(np.quantile(samples, 0.95), abs=3.0)
+        samples = rng.uniform(1.0, 100.0, size=5000)
+        telemetry = Telemetry.create()
+        tracker = AccuracyTracker()
+        with obs.attached(telemetry):
+            for v in samples:
+                tracker.record(1.0, float(v), tier="f64")
+        reg = telemetry.registry
+        for q, name in ((0.5, "p50"), (0.95, "p95")):
+            exact = float(np.quantile(samples, q, method="lower"))
+            for scope in ("overall", "by_tier"):
+                snap = tracker.snapshot()[scope]
+                value = snap[name] if scope == "overall" else snap["f64"][name]
+                assert abs(value - exact) <= RELATIVE_ACCURACY * exact
+            assert reg.get(f"quality.qerror_{name}").value == \
+                tracker.snapshot()["overall"][name]
 
-    def test_rejects_bad_construction_and_nan(self):
+    def test_empty_is_nan_and_nan_rejected(self):
+        tracker = AccuracyTracker()
+        overall = tracker.snapshot()["overall"]
+        assert math.isnan(overall["p50"]) and math.isnan(overall["p95"])
+        assert math.isnan(overall["mean"])
+        assert math.isnan(tracker.record(math.nan, 1.0))
+        assert tracker.rejected == 1 and tracker.count == 0
         with pytest.raises(TelemetryError):
-            P2Quantile(0.0)
-        with pytest.raises(TelemetryError):
-            P2Quantile(1.0)
-        sketch = P2Quantile(0.5)
-        with pytest.raises(TelemetryError):
-            sketch.observe(math.nan)
-        assert math.isnan(P2Quantile(0.5).value)  # empty
+            Histogram("qerror").observe(math.nan)
 
 
 # -- AccuracyTracker --------------------------------------------------------

@@ -77,7 +77,8 @@ class FakeResult:
 
 class TestMicroBatcher:
     def _echo_execute(self, calls):
-        def execute(pairs, deadline):
+        def execute(pairs, deadline, sizes):
+            assert sum(sizes) == len(pairs)
             calls.append((list(pairs), deadline))
             return FakeResult(np.arange(len(pairs), dtype=float))
         return execute
@@ -172,7 +173,7 @@ class TestMicroBatcher:
         batcher.close()
 
     def test_execute_failure_scatters_to_all_members(self):
-        def explode(pairs, deadline):
+        def explode(pairs, deadline, sizes):
             raise PredictionError("boom")
 
         batcher = MicroBatcher(explode, window_ms=100.0, max_pairs=2)
@@ -207,13 +208,13 @@ class TestMicroBatcher:
         assert len(calls) == 2
 
     def test_empty_pairs_and_bad_config_raise(self):
-        batcher = MicroBatcher(lambda p, d: None, window_ms=0.0)
+        batcher = MicroBatcher(lambda p, d, s: None, window_ms=0.0)
         with pytest.raises(PredictionError):
             batcher.submit([])
         with pytest.raises(ReproError):
-            MicroBatcher(lambda p, d: None, window_ms=-1.0)
+            MicroBatcher(lambda p, d, s: None, window_ms=-1.0)
         with pytest.raises(ReproError):
-            MicroBatcher(lambda p, d: None, max_pairs=0)
+            MicroBatcher(lambda p, d, s: None, max_pairs=0)
 
 
 # -- versioning ------------------------------------------------------------
@@ -323,6 +324,49 @@ class TestService:
                                 "index": plan["feedback_index"]})
         assert out["recorded"]
         assert out["q_error"] == pytest.approx(2.0)
+
+    def test_fused_requests_keep_their_own_feedback_handles(
+            self, pipeline, checkpoint, sql):
+        """A grid and a predict fused into one batch, the predict at
+        fused offsets >= 16 (the audit trail's per-request cap): each
+        gets its own request id with indexes from 0, and every returned
+        handle records against the cost that request was served."""
+        svc = PredictionService(
+            ServingConfig(batch_window_ms=2000.0, max_batch_pairs=10_000),
+            catalog=pipeline.catalog)
+        svc.load_model(checkpoint)
+        try:
+            n_plans = len(svc.predict({"sql": sql})["plans"])
+            profiles = [{"executors": 1 + k % 4}
+                        for k in range(16 // n_plans + 1)]
+            bodies = {}
+            grid = threading.Thread(target=lambda: bodies.setdefault(
+                "grid", svc.predict_grid({"sql": sql, "profiles": profiles})))
+            grid.start()
+            time.sleep(0.2)  # queue the grid first, inside the window
+            bodies["predict"] = svc.predict({"sql": sql})
+            grid.join(timeout=30.0)
+            assert not grid.is_alive()
+            fused = len(profiles) * n_plans + n_plans
+            assert bodies["grid"]["batch_pairs"] == fused
+            assert bodies["predict"]["batch_pairs"] == fused
+            assert (bodies["grid"]["request_id"]
+                    != bodies["predict"]["request_id"])
+            assert bodies["grid"]["feedback_index"] == 0
+            handles = [(bodies["grid"]["request_id"], 0,
+                        bodies["grid"]["costs"][0][0])]
+            handles += [(bodies["predict"]["request_id"],
+                         plan["feedback_index"], plan["seconds"])
+                        for plan in bodies["predict"]["plans"]]
+            assert [h[1] for h in handles[1:]] == list(range(n_plans))
+            for request_id, index, served in handles:
+                out = svc.feedback({"request_id": request_id,
+                                    "index": index,
+                                    "observed_seconds": served * 2.0})
+                assert out["recorded"], (request_id, index)
+                assert out["q_error"] == pytest.approx(2.0)
+        finally:
+            svc.close()
 
     def test_predict_grid_shape(self, service, sql):
         body = service.predict_grid({
