@@ -18,7 +18,8 @@ Drives the fully-armed guarded predictor (deadline + admission control
    climbs back to healthy via its hysteretic recovery path.
 5. **canary** — the cached int8 bundle is corrupted in place (the
    staleness fingerprint still matches) with the canary shadow-sampling
-   at 100%: the drift trips the ladder off the corrupt tier.
+   at 100%: a q-error past ``CANARY_BUDGET`` trips the ladder off the
+   corrupt tier (``canary.trips`` counts ``canary.trips_total``).
 6. **shed fast-fail** — a ``reject``-mode guard behind a fully
    saturated admission controller: every request must fail in
    single-digit milliseconds, not queue.
@@ -64,14 +65,13 @@ from repro.errors import Overloaded
 from repro.eval import render_table
 from repro.nn.precision import inference_weights, invalidate_inference_cache
 from repro.reliability import (
-    AccuracyCanary,
     AdmissionConfig,
     AdmissionController,
     DegradationLadder,
     FaultInjector,
     GuardedCostPredictor,
     LadderConfig,
-    RetryPolicy,
+    ShadowScorer,
 )
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_overload.json"
@@ -206,9 +206,8 @@ def test_overload_resilience():
             max_wait_seconds=0.010))
         guard = GuardedCostPredictor(
             base, gpsj=gpsj, admission=admission, ladder=ladder,
-            canary=AccuracyCanary(sample_rate=0.01),
-            default_deadline_ms=DEADLINE_MS,
-            retry_policy=RetryPolicy(attempts=1))
+            canary=ShadowScorer("canary", sample_rate=0.01),
+            default_deadline_ms=DEADLINE_MS)
         rng = np.random.default_rng(0)
         guard.predict_many(make_request(rng))  # warm caches + pools
         baseline_samples = []
@@ -242,8 +241,7 @@ def test_overload_resilience():
             admission=AdmissionController(AdmissionConfig(
                 max_in_flight=MAX_IN_FLIGHT, max_queue_depth=MAX_IN_FLIGHT,
                 max_wait_seconds=0.010)),
-            default_deadline_ms=DEADLINE_MS,
-            retry_policy=RetryPolicy(attempts=1))
+            default_deadline_ms=DEADLINE_MS)
         restore = injector.force_bucket_hang(model, WATCHDOG_HANG_MS / 1e3)
         try:
             results["watchdog"] = _storm(watchdog_guard,
@@ -274,10 +272,11 @@ def test_overload_resilience():
             if canary_ladder.state == "degraded_int8":
                 break
         assert canary_ladder.state == "degraded_int8", canary_ladder.state
-        canary = AccuracyCanary(sample_rate=1.0, budget=0.05)
+        canary = ShadowScorer("canary")
         canary_guard = GuardedCostPredictor(
-            base, gpsj=gpsj, ladder=canary_ladder, canary=canary,
-            retry_policy=RetryPolicy(attempts=1))
+            base, gpsj=gpsj, ladder=canary_ladder, canary=canary)
+        trips = telemetry.registry.get("canary.trips_total")
+        trips_before = trips.value if trips is not None else 0
         inference_weights(model, "int8")  # materialize the cached bundle
         try:
             corrupted = injector.corrupt_precision_cache(model, "int8",
@@ -285,9 +284,11 @@ def test_overload_resilience():
             canary_guard.predict_many(make_request(rng))
         finally:
             invalidate_inference_cache(model)
+        trips = telemetry.registry.get("canary.trips_total")
         results["canary"] = {
             "arrays_corrupted": corrupted,
             **canary.snapshot(),
+            "trips": (trips.value if trips is not None else 0) - trips_before,
             "ladder_after": canary_ladder.state,
         }
 
@@ -295,8 +296,7 @@ def test_overload_resilience():
         shed_admission = AdmissionController(AdmissionConfig(
             max_in_flight=1, max_queue_depth=0))
         reject_guard = GuardedCostPredictor(
-            base, gpsj=gpsj, admission=shed_admission, shed_mode="reject",
-            retry_policy=RetryPolicy(attempts=1))
+            base, gpsj=gpsj, admission=shed_admission, shed_mode="reject")
         reject_guard.predict_many(make_request(rng))  # warm encode cache
         release = injector.force_queue_saturation(shed_admission)
         shed_samples = []

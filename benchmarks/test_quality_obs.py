@@ -65,7 +65,6 @@ from repro.reliability import (
     FaultInjector,
     GuardedCostPredictor,
     LadderConfig,
-    RetryPolicy,
 )
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_quality.json"
@@ -138,8 +137,7 @@ def test_quality_observability():
                                             hold_seconds=0.05))
     guard = GuardedCostPredictor(
         base, gpsj=gpsj, ladder=ladder, quality=quality,
-        audit=AuditTrail(capacity=4096), slo=slo, workload="imdb",
-        retry_policy=RetryPolicy(attempts=1))
+        audit=AuditTrail(capacity=4096), slo=slo, workload="imdb")
 
     # Serves the sustain phase: no ladder, so the learned stage keeps
     # answering (and feedback keeps flowing) while the main guard's
@@ -149,7 +147,7 @@ def test_quality_observability():
     # the main guard, whose drift coupling keeps re-tripping the ladder.
     unladdered = GuardedCostPredictor(
         base, gpsj=gpsj, quality=quality, audit=guard.audit, slo=slo,
-        workload="imdb", retry_policy=RetryPolicy(attempts=1))
+        workload="imdb")
 
     def feed_one(server: GuardedCostPredictor = guard,
                  ) -> tuple[str, float | None]:

@@ -57,7 +57,6 @@ import sys
 
 
 from repro import obs
-from repro.baselines.gpsj import GPSJCostModel
 from repro.cluster.resources import PAPER_CLUSTER
 from repro.core.persistence import load_predictor, save_predictor, verify_checkpoint
 from repro.core.predictor import CostPredictor, PredictorConfig
@@ -67,7 +66,6 @@ from repro.errors import ReproError
 from repro.eval.experiments import ExperimentPipeline, ExperimentScale
 from repro.eval.reporting import render_table
 from repro.plan.builder import analyze
-from repro.reliability.guard import GuardedCostPredictor
 from repro.sql.parser import parse as parse_sql
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 
@@ -284,14 +282,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.data.imdb import build_imdb_catalog
     from repro.data.tpch import build_tpch_catalog
+    from repro.serving.registry import default_guard_builder
 
     builder = build_imdb_catalog if args.dataset == "imdb" else build_tpch_catalog
     catalog = builder(scale=args.catalog_scale)
     predictor = load_predictor(args.model)
-    exec_config = PredictorConfig(precision=args.precision,
-                                  threads=args.threads)
-    if exec_config != PredictorConfig():
-        predictor = predictor.configured(exec_config)
     resources = PAPER_CLUSTER
     resources = type(resources)(
         nodes=resources.nodes, cores_per_node=resources.cores_per_node,
@@ -300,11 +295,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         network_throughput_mbps=resources.network_throughput_mbps,
         disk_throughput_mbps=resources.disk_throughput_mbps)
 
-    # Guarded prediction: a bad checkpoint or unseen operator degrades
-    # to the analytic GPSJ estimate instead of crashing plan selection;
-    # --deadline-ms bounds the learned stage the same way.
-    guarded = GuardedCostPredictor(predictor, gpsj=GPSJCostModel(catalog),
-                                   default_deadline_ms=args.deadline_ms)
+    # Guarded prediction, wired as `repro serve` wires it: a bad
+    # checkpoint or unseen operator degrades to the analytic GPSJ
+    # estimate instead of crashing plan selection; --deadline-ms bounds
+    # the learned stage the same way.
+    guarded = default_guard_builder(
+        catalog, workload=args.dataset,
+        exec_config=PredictorConfig(precision=args.precision,
+                                    threads=args.threads),
+        default_deadline_ms=args.deadline_ms)(args.dataset)(predictor)
     query = analyze(parse_sql(args.sql), catalog)
     selector = PlanSelector(guarded, catalog)
     result = selector.select(query, resources)
@@ -333,6 +332,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     # the instrumentation records spans and metrics end to end.
     from repro.data.imdb import build_imdb_catalog
     from repro.plan.enumerator import enumerate_plans
+    from repro.serving.registry import default_guard_builder
 
     predictor = load_predictor(args.directory)
     catalog = build_imdb_catalog(scale=0.05)
@@ -355,17 +355,13 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         return 1
     print(f"telemetry self-check OK (span tree '{root.name}' with "
           f"encode/forward stages, {len(telemetry.registry)} metrics)")
-    # Overload-resilience posture: run the same prediction through a
-    # fully-armed guard (deadline + admission + ladder + canary) and
-    # report the resulting health state. A healthy checkpoint must
-    # serve from the learned stage at the top ladder rung.
-    from repro.reliability import (AccuracyCanary, AdmissionController,
-                                   DegradationLadder, GuardedCostPredictor)
-
-    guarded = GuardedCostPredictor(
-        predictor, admission=AdmissionController(),
-        ladder=DegradationLadder(), canary=AccuracyCanary(),
-        default_deadline_ms=1000.0)
+    # Overload-resilience posture: run the same prediction through the
+    # guard `repro serve` builds (GPSJ, admission, ladder, canary,
+    # quality, audit, SLO) with a 1 s deadline and report the resulting
+    # health state. A healthy checkpoint must serve from the learned
+    # stage at the top ladder rung.
+    guarded = default_guard_builder(catalog, default_deadline_ms=1000.0)(
+        "doctor")(predictor)
     explained = guarded.predict_explained(plans[0], PAPER_CLUSTER)
     health = guarded.health_state()
     admission = health.get("admission", {})

@@ -112,8 +112,6 @@ class QualityConfig:
 
     #: Rolling-window size for the windowed (recent) statistics.
     window: int = 128
-    #: Prefix of every exported metric name.
-    metric_prefix: str = "quality"
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -154,30 +152,29 @@ class AccuracyTracker:
         reported as ``nan``.
         """
         qe = q_error(prediction_seconds, observed_seconds)
-        prefix = self.config.metric_prefix
         if not math.isfinite(qe):
             with self._lock:
                 self.rejected += 1
-            obs.inc(f"{prefix}.rejected_total",
+            obs.inc("quality.rejected_total",
                     help="Feedback pairs with non-finite q-error")
             return math.nan
         with self._lock:
             self._global.observe(qe)
             self._window.append(qe)
-            scopes = [(prefix, self._global)]
+            scopes = [("quality", self._global)]
             if tier is not None:
                 stats = self._by_tier.setdefault(self._key(tier), _ScopeStats())
                 stats.observe(qe)
-                scopes.append((f"{prefix}.tier.{self._key(tier)}", stats))
+                scopes.append((f"quality.tier.{self._key(tier)}", stats))
             if workload is not None:
                 stats = self._by_workload.setdefault(
                     self._key(workload), _ScopeStats())
                 stats.observe(qe)
                 scopes.append(
-                    (f"{prefix}.workload.{self._key(workload)}", stats))
-        obs.inc(f"{prefix}.feedback_total",
+                    (f"quality.workload.{self._key(workload)}", stats))
+        obs.inc("quality.feedback_total",
                 help="(prediction, observed runtime) feedback pairs ingested")
-        obs.observe(f"{prefix}.qerror", qe,
+        obs.observe("quality.qerror", qe,
                     help="Q-error of predictions vs observed runtimes")
         for name, stats in scopes:
             obs.set_gauge(f"{name}.qerror_mean", stats.mean,

@@ -4,22 +4,21 @@ Composed by :class:`GuardedCostPredictor`:
 
 * :mod:`repro.reliability.guard` — the RAAL → GPSJ → heuristic fallback
   chain with input validation and per-answer provenance;
-* :mod:`repro.reliability.circuit` — per-stage circuit breakers;
-* :mod:`repro.reliability.retry` — bounded retry with backoff;
+* :mod:`repro.reliability.circuit` — the RAAL and GPSJ circuit breakers;
 * :mod:`repro.reliability.deadline` — per-request latency budgets that
   abandon learned-model work past the deadline;
 * :mod:`repro.reliability.admission` — bounded-concurrency admission
   control that sheds requests fast under saturation;
 * :mod:`repro.reliability.ladder` — the adaptive precision-degradation
   ladder (f64 → f32 → int8 → analytic-only) driven by rolling p99;
-* :mod:`repro.reliability.canary` — the accuracy canary shadow-scoring
-  degraded answers against the f64 path;
+* :mod:`repro.reliability.shadow` — the shadow scorer behind both the
+  accuracy canary (degraded tier vs f64) and the candidate shadow
+  (candidate model vs incumbent);
 * :mod:`repro.reliability.faults` — deterministic fault injection used
   by the test suite to prove every degradation path engages.
 """
 
 from repro.reliability.admission import AdmissionConfig, AdmissionController
-from repro.reliability.canary import AccuracyCanary
 from repro.reliability.circuit import (
     CLOSED,
     HALF_OPEN,
@@ -30,6 +29,7 @@ from repro.reliability.circuit import (
 from repro.reliability.deadline import Deadline
 from repro.reliability.faults import FaultInjector
 from repro.reliability.guard import (
+    CANARY_BUDGET,
     DEFAULT_CHAIN,
     SHED_MODES,
     ExplainedPredictions,
@@ -43,7 +43,7 @@ from repro.reliability.ladder import (
     LadderConfig,
     LadderTransition,
 )
-from repro.reliability.retry import RetryPolicy, compute_backoff, retry_call
+from repro.reliability.shadow import ShadowScorer
 
 __all__ = [
     "BreakerConfig",
@@ -53,7 +53,6 @@ __all__ = [
     "HALF_OPEN",
     "AdmissionConfig",
     "AdmissionController",
-    "AccuracyCanary",
     "Deadline",
     "DegradationLadder",
     "LadderConfig",
@@ -66,7 +65,6 @@ __all__ = [
     "static_heuristic_cost",
     "DEFAULT_CHAIN",
     "SHED_MODES",
-    "RetryPolicy",
-    "compute_backoff",
-    "retry_call",
+    "CANARY_BUDGET",
+    "ShadowScorer",
 ]

@@ -9,11 +9,12 @@ a :class:`~repro.core.predictor.CostPredictor` with exactly that chain:
 
     RAAL (learned) → GPSJ (analytic) → static heuristic
 
-Every stage is protected by a circuit breaker (skip a stage outright
-after K consecutive failures, re-probe after a cooldown) and the RAAL
-stage additionally retries transient faults with bounded backoff.
-Every answer carries provenance: which stage produced it and, when the
-chain degraded, why.
+The learned and analytic stages each have a circuit breaker (skip the
+stage outright after K consecutive failures, re-probe after a
+cooldown). The learned stage is a deterministic in-process encode and
+forward, so re-running a failed call would only fail again: a failure
+falls through at once. Every answer carries provenance: which stage
+produced it and, when the chain degraded, why.
 
 On top of the fault chain sits the overload-resilience layer (all
 optional, all default-off):
@@ -22,8 +23,7 @@ optional, all default-off):
   :class:`~repro.reliability.deadline.Deadline` (or synthesizes one
   from ``default_deadline_ms``); the learned stage abandons work past
   the budget and the chain serves the analytic answer instead. A blown
-  deadline is *load*, not model failure — it never trips the breaker
-  and is never retried.
+  deadline is *load*, not model failure — it never trips the breaker.
 * **Admission control** — an :class:`~repro.reliability.admission.
   AdmissionController` bounds learned-model concurrency; shed requests
   either fall through to the analytic chain (``shed_mode="fallback"``,
@@ -34,10 +34,11 @@ optional, all default-off):
   serving precision tier (f64 → f32 → int8 → analytic-only) and is
   pinned to its bottom rung while the RAAL breaker is open. The ladder
   assumes the configured base tier is ``f64``.
-* **Accuracy canary** — while degraded, an
-  :class:`~repro.reliability.canary.AccuracyCanary` shadow-scores a
-  seeded ~1% sample on the f64 path and trips the ladder back up when
-  relative drift breaches the budget.
+* **Accuracy canary** — while degraded, a
+  :class:`~repro.reliability.shadow.ShadowScorer` re-scores a seeded
+  sample on the f64 path once the answer is computed (outside the
+  admission slot and the ladder's latency sample) and trips the ladder
+  back up when a pair's q-error exceeds :data:`CANARY_BUDGET`.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ from repro.obs.quality import DRIFT, AccuracyTracker
 from repro.obs.slo import SLOTracker
 from repro.plan.physical import PhysicalPlan
 from repro.reliability.admission import AdmissionController
-from repro.reliability.canary import AccuracyCanary
 from repro.reliability.circuit import BreakerConfig, CircuitBreaker
 from repro.reliability.deadline import Deadline
 from repro.reliability.ladder import DegradationLadder
-from repro.reliability.retry import RetryPolicy, retry_call
+from repro.reliability.shadow import ShadowScorer
 
 __all__ = [
     "GuardedPrediction",
@@ -73,13 +73,19 @@ __all__ = [
     "static_heuristic_cost",
     "DEFAULT_CHAIN",
     "SHED_MODES",
+    "CANARY_BUDGET",
 ]
 
 #: How admission-control sheds surface: degrade to the analytic chain,
 #: or reject the request with :class:`~repro.errors.Overloaded`.
 SHED_MODES = ("fallback", "reject")
 
+#: The fallback order: learned model, analytic model, static heuristic.
 DEFAULT_CHAIN = ("raal", "gpsj", "heuristic")
+
+#: Worst canary q-error a degraded tier may show against f64 before the
+#: ladder steps back up: the 5 % tier budget.
+CANARY_BUDGET = 1.05
 
 #: Fallback-of-last-resort cost when even the heuristic inputs are junk.
 _FLOOR_SECONDS = 1.0
@@ -151,21 +157,6 @@ class ExplainedPredictions:
         return self.request_ids[0] if self.request_ids else None
 
 
-@dataclass
-class _StageStats:
-    """Per-stage call accounting (observability for tests and doctor)."""
-
-    served: int = 0
-    failures: int = 0
-    skipped_open: int = 0
-    rejected_input: int = 0
-    # Overload-resilience accounting (only the learned stage uses these).
-    deadline_exceeded: int = 0
-    shed: int = 0
-    degraded_precision: int = 0
-    ladder_fallback: int = 0
-
-
 class GuardedCostPredictor:
     """Fallback-chain wrapper around a trained :class:`CostPredictor`.
 
@@ -173,24 +164,17 @@ class GuardedCostPredictor:
     ``predict_many``, ``predict_grid``), so :class:`PlanSelector` and
     :class:`ResourceAdvisor` accept it unchanged — and when they detect
     the ``*_explained`` variants they surface provenance in their
-    results.
+    results. The ``guard.*`` registry counters are its accounting.
 
     Parameters
     ----------
     predictor:
         The trained learned-model predictor (the "raal" stage).
     gpsj:
-        Analytic fallback model; when ``None`` the "gpsj" stage reports
-        itself unavailable and the chain skips to the heuristic.
-    chain:
-        Stage order; a subset/reordering of ``("raal", "gpsj",
-        "heuristic")``.
+        Analytic fallback model; when ``None`` the chain skips straight
+        to the heuristic.
     breaker_config:
-        Trip threshold / cooldown shared by each stage's breaker.
-    retry_policy:
-        Bounded-backoff retry applied to the RAAL stage only (the
-        analytic stages are deterministic — retrying them is pointless).
-        Blown deadlines and shed requests are never retried.
+        Trip threshold / cooldown shared by the RAAL and GPSJ breakers.
     admission:
         Optional :class:`AdmissionController` bounding learned-model
         concurrency; sheds surface per ``shed_mode``.
@@ -199,9 +183,9 @@ class GuardedCostPredictor:
         precision tier from rolling learned-stage latency; coupled to
         the RAAL breaker (open ⇒ ladder pinned to FALLBACK).
     canary:
-        Optional :class:`AccuracyCanary` shadow-scoring degraded-tier
-        answers against the f64 path; a drift breach trips the ladder
-        back up.
+        Optional :class:`ShadowScorer` re-scoring sampled degraded-tier
+        answers on the f64 path; a pair past :data:`CANARY_BUDGET` trips
+        the ladder back up.
     quality:
         Optional :class:`~repro.obs.quality.AccuracyTracker` fed
         (prediction, observed runtime) pairs via
@@ -227,20 +211,18 @@ class GuardedCostPredictor:
     shed_mode:
         ``"fallback"`` (default) serves shed requests from the analytic
         chain; ``"reject"`` raises :class:`~repro.errors.Overloaded`.
-    clock / sleep:
-        Injectable time sources for deterministic tests.
+    clock:
+        Injectable time source for deterministic tests.
     """
 
     def __init__(
         self,
         predictor: CostPredictor,
         gpsj: GPSJCostModel | None = None,
-        chain: tuple[str, ...] = DEFAULT_CHAIN,
         breaker_config: BreakerConfig | None = None,
-        retry_policy: RetryPolicy | None = None,
         admission: AdmissionController | None = None,
         ladder: DegradationLadder | None = None,
-        canary: AccuracyCanary | None = None,
+        canary: ShadowScorer | None = None,
         quality: AccuracyTracker | None = None,
         audit: AuditTrail | None = None,
         slo: SLOTracker | None = None,
@@ -248,13 +230,7 @@ class GuardedCostPredictor:
         default_deadline_ms: float | None = None,
         shed_mode: str = "fallback",
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        unknown = set(chain) - set(DEFAULT_CHAIN)
-        if unknown:
-            raise PredictionError(f"unknown fallback stages: {sorted(unknown)}")
-        if not chain:
-            raise PredictionError("fallback chain cannot be empty")
         if shed_mode not in SHED_MODES:
             raise PredictionError(
                 f"unknown shed_mode {shed_mode!r}; expected one of {SHED_MODES}")
@@ -263,8 +239,6 @@ class GuardedCostPredictor:
                 f"default_deadline_ms must be > 0, got {default_deadline_ms}")
         self.predictor = predictor
         self.gpsj = gpsj
-        self.chain = tuple(chain)
-        self.retry_policy = retry_policy or RetryPolicy(attempts=2, base_delay=0.0)
         self.admission = admission
         self.ladder = ladder
         self.canary = canary
@@ -275,14 +249,12 @@ class GuardedCostPredictor:
         self.default_deadline_ms = default_deadline_ms
         self.shed_mode = shed_mode
         self._clock = clock
-        self._sleep = sleep
         self._tier_predictors: dict[str, CostPredictor] = {}
         self.breakers = {
             stage: CircuitBreaker(config=breaker_config, clock=clock,
                                   on_transition=self._breaker_listener(stage))
-            for stage in self.chain
+            for stage in ("raal", "gpsj")
         }
-        self.stats = {stage: _StageStats() for stage in self.chain}
 
     def _breaker_listener(self, stage: str) -> Callable[[str, str], None]:
         """Telemetry hook for one stage's breaker state changes.
@@ -361,31 +333,6 @@ class GuardedCostPredictor:
             request_ids=explained.request_ids,
         )
 
-    def degradation_counts(self) -> dict[str, int]:
-        """Cumulative fallback accounting across the predictor's lifetime.
-
-        Mirrors the ``guard.*`` registry counters for callers that hold
-        the predictor but not the telemetry bundle (``repro doctor``,
-        tests). ``degraded`` counts answers served by any stage other
-        than the chain's first.
-        """
-        served = {stage: s.served for stage, s in self.stats.items()}
-        total = sum(served.values())
-        counts = {"requests_served": total,
-                  "degraded": total - served.get(self.chain[0], 0)}
-        for stage, stat in self.stats.items():
-            counts[f"{stage}.served"] = stat.served
-            counts[f"{stage}.failures"] = stat.failures
-            counts[f"{stage}.skipped_open"] = stat.skipped_open
-            counts[f"{stage}.rejected_input"] = stat.rejected_input
-        raal = self.stats.get("raal")
-        if raal is not None:
-            counts["deadline_exceeded"] = raal.deadline_exceeded
-            counts["shed"] = raal.shed
-            counts["degraded_precision"] = raal.degraded_precision
-            counts["ladder_fallback"] = raal.ladder_fallback
-        return counts
-
     def health_state(self) -> dict[str, object]:
         """Live overload-resilience posture (``repro doctor`` and tests).
 
@@ -425,18 +372,15 @@ class GuardedCostPredictor:
         ``pairs`` (default: one). Each gets its own audit request id,
         indexes from 0 and the trail's per-request cap.
 
-        Tries each stage in order. A stage is skipped without running
-        when its breaker is open; input-validation rejections (bad
-        *request*, e.g. an oversized plan) skip the RAAL stage without
-        counting against its breaker, since they say nothing about the
-        model's health. Blown deadlines and admission sheds likewise
-        degrade without tripping the breaker — they are load signals,
-        not model failures. Raises :class:`PredictionError` only when
-        every stage fails (or :class:`~repro.errors.Overloaded` when a
-        shed occurs under ``shed_mode="reject"``).
+        The learned stage answers unless it declines (see
+        :meth:`_learned`); then GPSJ answers unless it fails or is
+        absent; then the heuristic, which cannot fail. Raises only
+        :class:`~repro.errors.Overloaded`, when a shed occurs under
+        ``shed_mode="reject"``.
         """
         if not pairs:
-            return ExplainedPredictions(costs=np.zeros(0), source=self.chain[0])
+            return ExplainedPredictions(costs=np.zeros(0),
+                                        source=DEFAULT_CHAIN[0])
         if deadline is None and self.default_deadline_ms is not None:
             deadline = Deadline.from_ms(self.default_deadline_ms,
                                         clock=self._clock)
@@ -444,102 +388,127 @@ class GuardedCostPredictor:
         with obs.span("guarded_predict", pairs=len(pairs)) as sp:
             obs.inc("guard.requests_total", help="Guarded prediction requests")
             reasons: list[str] = []
-            for stage in self.chain:
-                breaker = self.breakers[stage]
-                stats = self.stats[stage]
-                tier: str | None = None
-                if stage == "raal":
-                    problem = self._validate_inputs(pairs)
-                    if problem is not None:
-                        stats.rejected_input += 1
-                        obs.inc("guard.raal.rejected_input_total",
-                                help="Requests the learned model refused")
-                        obs.emit_event("guard", "rejected_input",
-                                       stage="raal", reason=problem)
-                        reasons.append(f"raal: {problem}")
-                        continue
-                    if self.ladder is not None:
-                        tier = self.ladder.precision()
-                        if tier is None:
-                            stats.ladder_fallback += 1
-                            obs.inc("guard.raal.ladder_fallback_total",
-                                    help="Requests routed past the learned "
-                                         "model while the ladder sat in "
-                                         "FALLBACK")
-                            reasons.append("raal: ladder in fallback")
-                            continue
-                        if tier in ("f64", self.predictor.config.precision):
-                            tier = None  # healthy rung serves the base tier
-                if not breaker.allow():
-                    stats.skipped_open += 1
-                    obs.inc(f"guard.{stage}.skipped_open_total",
-                            help="Stage skipped while breaker open")
-                    reasons.append(f"{stage}: circuit open")
-                    continue
-                try:
-                    if stage == "raal":
-                        costs = self._guarded_raal(pairs, deadline=deadline,
-                                                   tier=tier)
-                    else:
-                        costs = self._run_stage(stage, pairs)
-                except Overloaded as exc:
-                    stats.shed += 1
-                    obs.emit_event("guard", "shed", stage="raal",
-                                   error=str(exc))
-                    reasons.append(f"raal: shed — {exc}")
-                    if self.shed_mode == "reject":
-                        raise
-                    continue
-                except DeadlineExceeded as exc:
-                    stats.deadline_exceeded += 1
-                    obs.inc("guard.raal.deadline_exceeded_total",
-                            help="Learned-stage attempts abandoned past "
-                                 "their deadline")
-                    obs.emit_event("guard", "deadline_exceeded",
-                                   stage="raal", error=str(exc))
-                    reasons.append(f"raal: deadline_exceeded — {exc}")
-                    continue
-                except Exception as exc:  # reliability boundary: degrade, never crash
-                    breaker.record_failure()
-                    stats.failures += 1
-                    obs.inc(f"guard.{stage}.failures_total",
-                            help="Stage failures")
-                    obs.emit_event("guard", "stage_failure",
-                                   stage=stage, error=str(exc))
-                    reasons.append(f"{stage}: {exc}")
-                    continue
-                breaker.record_success()
-                stats.served += 1
-                obs.inc(f"guard.{stage}.served_total",
-                        help="Requests answered by this stage")
-                if stage == "raal" and tier is not None:
-                    stats.degraded_precision += 1
-                    obs.inc("guard.raal.degraded_precision_total",
-                            help="Learned answers served at a ladder-"
-                                 "degraded precision tier")
-                    reasons.append(f"raal: degraded_precision:{tier}")
-                degraded = stage != self.chain[0]
-                sp.annotate(source=stage, degraded=degraded)
-                if degraded:
-                    obs.inc("guard.degraded_total",
-                            help="Requests served by a fallback stage")
-                    obs.emit_event("guard", "fallback", source=stage,
-                                   reason="; ".join(reasons) or None)
-                reason = "; ".join(reasons) or None
-                request_ids = self._record_served(
-                    pairs, members or [len(pairs)], costs, stage=stage,
-                    tier=tier, reason=reason, latency=self._clock() - started)
-                return ExplainedPredictions(
-                    costs=costs, source=stage, reason=reason,
-                    request_ids=request_ids,
-                )
-            obs.inc("guard.exhausted_total",
-                    help="Requests for which every stage failed")
-            obs.emit_event("guard", "chain_exhausted",
-                           reason="; ".join(reasons))
-            raise PredictionError(
-                "all fallback stages failed: " + "; ".join(reasons))
+            tier: str | None = None
+            learned = self._learned(pairs, deadline, reasons)
+            if learned is not None:
+                costs, tier = learned
+                source = "raal"
+            else:
+                costs = self._analytic(pairs, reasons)
+                source = "gpsj"
+                if costs is None:
+                    costs = np.array([static_heuristic_cost(plan, resources)
+                                      for plan, resources in pairs])
+                    source = "heuristic"
+            obs.inc(f"guard.{source}.served_total",
+                    help="Requests answered by this stage")
+            reason = "; ".join(reasons) or None
+            degraded = source != DEFAULT_CHAIN[0]
+            sp.annotate(source=source, degraded=degraded)
+            if degraded:
+                obs.inc("guard.degraded_total",
+                        help="Requests served by a fallback stage")
+                obs.emit_event("guard", "fallback", source=source,
+                               reason=reason)
+            request_ids = self._record_served(
+                pairs, members or [len(pairs)], costs, stage=source,
+                tier=tier, reason=reason, latency=self._clock() - started)
+            return ExplainedPredictions(costs=costs, source=source,
+                                        reason=reason, request_ids=request_ids)
 
+    def _learned(self, pairs, deadline: Deadline | None, reasons: list[str]
+                 ) -> tuple[np.ndarray, str | None] | None:
+        """The learned stage: ``(costs, degraded tier or None)``, or
+        ``None`` with the reason appended when the chain falls through.
+
+        Input-validation rejections (a bad *request*, e.g. an oversized
+        plan), ladder fallback, blown deadlines and admission sheds do
+        not count against the breaker — they say nothing about the
+        model's health.
+        """
+        problem = self._validate_inputs(pairs)
+        if problem is not None:
+            obs.inc("guard.raal.rejected_input_total",
+                    help="Requests the learned model refused")
+            obs.emit_event("guard", "rejected_input", stage="raal",
+                           reason=problem)
+            reasons.append(f"raal: {problem}")
+            return None
+        tier: str | None = None
+        if self.ladder is not None:
+            tier = self.ladder.precision()
+            if tier is None:
+                obs.inc("guard.raal.ladder_fallback_total",
+                        help="Requests routed past the learned model while "
+                             "the ladder sat in FALLBACK")
+                reasons.append("raal: ladder in fallback")
+                return None
+            if tier in ("f64", self.predictor.config.precision):
+                tier = None  # healthy rung serves the base tier
+        breaker = self.breakers["raal"]
+        if not breaker.allow():
+            obs.inc("guard.raal.skipped_open_total",
+                    help="Stage skipped while breaker open")
+            reasons.append("raal: circuit open")
+            return None
+        try:
+            costs, encoded = self._guarded_raal(pairs, deadline, tier)
+        except Overloaded as exc:
+            obs.emit_event("guard", "shed", stage="raal", error=str(exc))
+            reasons.append(f"raal: shed — {exc}")
+            if self.shed_mode == "reject":
+                raise
+            return None
+        except DeadlineExceeded as exc:
+            obs.inc("guard.raal.deadline_exceeded_total",
+                    help="Learned-stage attempts abandoned past their "
+                         "deadline")
+            obs.emit_event("guard", "deadline_exceeded", stage="raal",
+                           error=str(exc))
+            reasons.append(f"raal: deadline_exceeded — {exc}")
+            return None
+        except Exception as exc:  # reliability boundary: degrade, never crash
+            self._stage_failed("raal", exc, reasons)
+            return None
+        breaker.record_success()
+        if tier is not None:
+            obs.inc("guard.raal.degraded_precision_total",
+                    help="Learned answers served at a ladder-degraded "
+                         "precision tier")
+            reasons.append(f"raal: degraded_precision:{tier}")
+            if self.canary is not None and self.canary.should_sample():
+                self._shadow_canary(encoded, costs, tier)
+        return costs, tier
+
+    def _analytic(self, pairs, reasons: list[str]) -> np.ndarray | None:
+        """GPSJ costs, or ``None`` with the reason appended."""
+        if self.gpsj is None:
+            reasons.append("gpsj: no GPSJ model configured")
+            return None
+        breaker = self.breakers["gpsj"]
+        if not breaker.allow():
+            obs.inc("guard.gpsj.skipped_open_total",
+                    help="Stage skipped while breaker open")
+            reasons.append("gpsj: circuit open")
+            return None
+        try:
+            costs = np.array([self.gpsj.estimate(plan, resources)
+                              for plan, resources in pairs])
+            if not np.all(np.isfinite(costs)) or np.any(costs < 0):
+                raise PredictionError(
+                    "GPSJ produced non-finite or negative costs")
+        except Exception as exc:  # reliability boundary: degrade, never crash
+            self._stage_failed("gpsj", exc, reasons)
+            return None
+        breaker.record_success()
+        return costs
+
+    def _stage_failed(self, stage: str, exc: Exception,
+                      reasons: list[str]) -> None:
+        self.breakers[stage].record_failure()
+        obs.inc(f"guard.{stage}.failures_total", help="Stage failures")
+        obs.emit_event("guard", "stage_failure", stage=stage, error=str(exc))
+        reasons.append(f"{stage}: {exc}")
     # -- the feedback loop -------------------------------------------------
     def _record_served(self, pairs, members: list[int], costs: np.ndarray,
                        stage: str, tier: str | None, reason: str | None,
@@ -628,45 +597,30 @@ class GuardedCostPredictor:
         if detector is not None and detector.state == DRIFT:
             self.ladder.trip_drift(detector.last_reason or "accuracy drift")
 
-    # -- stages ------------------------------------------------------------
-    def _run_stage(self, stage: str, pairs) -> np.ndarray:
-        if stage == "gpsj":
-            return self._gpsj_costs(pairs)
-        return self._heuristic_costs(pairs)
-
+    # -- the learned stage -------------------------------------------------
     def _guarded_raal(self, pairs, deadline: Deadline | None,
-                      tier: str | None) -> np.ndarray:
-        """Admission-gated, ladder-tiered, retried learned prediction.
+                      tier: str | None):
+        """Admission-gated, ladder-tiered learned prediction: the costs
+        and the encoded pairs they came from.
 
         Learned-stage latency feeds the ladder on success *and* on a
         blown deadline — overruns are exactly the signal that should
         push it down. Generic failures do not feed it (the breaker owns
         those).
         """
-        def _on_retry(retry_index: int, exc: BaseException) -> None:
-            obs.inc("guard.raal.retry_attempts_total",
-                    help="Transient-fault retries of the learned model")
-            obs.emit_event("guard", "retry", stage="raal",
-                           attempt=retry_index + 1, error=str(exc))
-
         admit = (self.admission.admit(deadline)
                  if self.admission is not None else nullcontext())
         with admit:
             start = self._clock()
             try:
-                costs = retry_call(
-                    lambda: self._raal_costs(pairs, deadline=deadline,
-                                             tier=tier),
-                    policy=self.retry_policy, sleep=self._sleep,
-                    give_up_on=(DeadlineExceeded, Overloaded),
-                    on_retry=_on_retry)
+                result = self._raal_costs(pairs, deadline=deadline, tier=tier)
             except DeadlineExceeded:
                 if self.ladder is not None:
                     self.ladder.record(self._clock() - start)
                 raise
             if self.ladder is not None:
                 self.ladder.record(self._clock() - start)
-            return costs
+            return result
 
     def _tier_predictor(self, tier: str | None) -> CostPredictor:
         """The serving predictor for a ladder tier (base config when None)."""
@@ -680,7 +634,7 @@ class GuardedCostPredictor:
         return cached
 
     def _raal_costs(self, pairs, deadline: Deadline | None = None,
-                    tier: str | None = None) -> np.ndarray:
+                    tier: str | None = None):
         encoded = self.predictor.encoder.encode_many(pairs)
         # Encoded pairs share their plan-side and resource arrays (one
         # per distinct plan and profile): check each array once.
@@ -712,42 +666,29 @@ class GuardedCostPredictor:
             raise PredictionError(
                 f"model output saturated the log-cost clamp for "
                 f"{saturated} of {len(costs)} samples")
-        if (tier is not None and self.canary is not None
-                and self.canary.should_sample()):
-            self._shadow_canary(encoded, costs, tier)
-        return costs
+        return costs, encoded
 
     def _shadow_canary(self, encoded, costs: np.ndarray, tier: str) -> None:
-        """Shadow-score a degraded answer on the f64 path (best effort).
+        """Re-score a degraded answer on the f64 path (best effort).
 
-        Runs without a deadline — the shadow is sampled bookkeeping, not
-        part of the serving path — and swallows its own failures.
+        Runs after the answer is computed, without a deadline, outside
+        the admission slot and the ladder's latency sample: the canary
+        is sampled bookkeeping, not part of the learned stage.
         """
-        try:
-            reference, _ = self._tier_predictor("f64").predict_encoded(
-                encoded)
-        except Exception as exc:
-            obs.inc("canary.errors_total",
-                    help="Canary shadow predictions that failed")
-            obs.emit_event("canary", "shadow_error", error=str(exc))
+        qerrors = self.canary.score(
+            costs,
+            lambda: self._tier_predictor("f64").predict_encoded(encoded)[0])
+        if qerrors is None:
             return
-        tripped = self.canary.observe(np.asarray(costs),
-                                      np.asarray(reference), tier)
-        if tripped and self.ladder is not None:
-            self.ladder.trip_accuracy(f"canary drift on tier {tier}")
-
-    def _gpsj_costs(self, pairs) -> np.ndarray:
-        if self.gpsj is None:
-            raise PredictionError("no GPSJ model configured")
-        costs = np.array([self.gpsj.estimate(plan, resources)
-                          for plan, resources in pairs])
-        if not np.all(np.isfinite(costs)) or np.any(costs < 0):
-            raise PredictionError("GPSJ produced non-finite or negative costs")
-        return costs
-
-    def _heuristic_costs(self, pairs) -> np.ndarray:
-        return np.array([static_heuristic_cost(plan, resources)
-                         for plan, resources in pairs])
+        worst = float(qerrors.max())
+        if worst <= CANARY_BUDGET:
+            return
+        obs.inc("canary.trips_total", help="Canary accuracy-budget breaches")
+        obs.emit_event("canary", "canary_trip", tier=tier, qerror=worst,
+                       budget=CANARY_BUDGET)
+        if self.ladder is not None:
+            self.ladder.trip_accuracy(
+                f"canary q-error {worst:.3f} on tier {tier}")
 
     # -- input validation --------------------------------------------------
     def _validate_inputs(self, pairs) -> str | None:

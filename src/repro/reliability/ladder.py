@@ -20,8 +20,8 @@ small hysteretic state machine over the engine's tiers:
 * **Breaker coupling**: when the RAAL stage's circuit breaker opens the
   ladder drops straight to FALLBACK; the breaker's own half-open probe
   machinery then governs re-entry.
-* **Accuracy quarantine**: the shadow canary
-  (:class:`~repro.reliability.canary.AccuracyCanary`) trips the ladder
+* **Accuracy quarantine**: the guard's accuracy canary (a
+  :class:`~repro.reliability.shadow.ShadowScorer`) trips the ladder
   back *up* one rung when a degraded tier drifts past its accuracy
   budget, and quarantines the drifting rung for
   ``quarantine_seconds`` so latency pressure cannot immediately push

@@ -11,12 +11,15 @@ A shard's current model is replaced with **zero downtime**:
    :func:`~repro.core.persistence.verify_checkpoint` proves the
    SHA-256 manifest intact — next to the incumbent;
 2. the candidate **shadow-scores live traffic**: every fused batch the
-   incumbent serves is re-scored on the candidate (off the response
-   path, inside the shard's dispatcher thread) and the divergence is
-   folded into an :class:`~repro.obs.quality.AccuracyTracker` as the
-   q-error of candidate-vs-incumbent predictions;
+   incumbent serves is re-scored on the candidate by a
+   :class:`~repro.reliability.shadow.ShadowScorer`, which records the
+   per-pair candidate-vs-incumbent q-error under ``serve.shadow.*``
+   (never into the incumbent's ``quality.*`` metrics). The re-score
+   runs in the shard's dispatcher thread before the batcher releases
+   the batch's members, so it adds the candidate's forward to every
+   shadowed response;
 3. ``promote`` — manual or automatic once ``shadow_requests`` batches
-   accrue — atomically swaps the shard's model reference when the
+   are scored — atomically swaps the shard's model reference when the
    candidate's mean divergence is inside ``max_qerror`` (or is forced);
    ``rollback`` swaps the previous incumbent back.
 
@@ -56,10 +59,10 @@ from repro.obs.audit import AuditTrail
 from repro.obs.quality import AccuracyTracker, DriftDetector
 from repro.obs.slo import SLO, SLOTracker
 from repro.reliability.admission import AdmissionController
-from repro.reliability.canary import AccuracyCanary
 from repro.reliability.deadline import Deadline
 from repro.reliability.guard import GuardedCostPredictor
 from repro.reliability.ladder import DegradationLadder
+from repro.reliability.shadow import ShadowScorer
 from repro.serving.batcher import BatchItem, MicroBatcher
 
 __all__ = ["ServingModel", "CandidateState", "ModelShard", "ModelRegistry"]
@@ -83,21 +86,19 @@ class CandidateState:
     shadow_requests: int
     max_qerror: float
     auto_promote: bool
-    tracker: AccuracyTracker = field(default_factory=AccuracyTracker)
-    shadow_batches: int = 0
-    shadow_errors: int = 0
+    shadow: ShadowScorer = field(
+        default_factory=lambda: ShadowScorer("serve.shadow"))
 
     def snapshot(self) -> dict:
-        overall = self.tracker.snapshot()["overall"]
+        shadow = self.shadow.snapshot()
         return {
             "version": self.model.version,
             "checkpoint": self.model.checkpoint,
-            "shadow_batches": self.shadow_batches,
+            "shadow_samples": shadow["samples"],
             "shadow_target": self.shadow_requests,
-            "shadow_errors": self.shadow_errors,
-            "divergence_mean": overall.get("mean"),
-            "divergence_p95": overall.get("p95"),
-            "samples": overall.get("count", 0),
+            "shadow_errors": shadow["errors"],
+            "divergence_mean": shadow["mean"],
+            "divergence_p95": shadow["p95"],
             "max_qerror": self.max_qerror,
             "auto_promote": self.auto_promote,
         }
@@ -229,26 +230,23 @@ class ModelShard:
         return {"state": "shadowing", "version": model.version}
 
     def _shadow(self, pairs, explained) -> None:
-        """Score one live batch on the candidate (off the response path)."""
+        """Score one live batch on the candidate.
+
+        Runs in the dispatcher thread before the batcher releases the
+        batch's members, so a shadowed response waits for the
+        candidate's forward. A failing candidate is counted, never
+        raised.
+        """
         state = self.candidate
         if state is None:
             return
-        try:
-            shadow = state.model.guard.predictor.predict_many(pairs)
-            for cand, live in zip(shadow, explained.costs):
-                state.tracker.record(float(cand), float(live))
-            state.shadow_batches += 1
-            obs.inc("serve.shadow_batches_total",
-                    help="Live batches re-scored on a candidate model")
-        except Exception as exc:  # candidate faults must not hurt serving
-            state.shadow_errors += 1
-            obs.inc("serve.shadow_errors_total",
-                    help="Candidate shadow scoring failures")
-            obs.emit_event("serve", "shadow_error", model=self.model_id,
-                           version=state.model.version, error=str(exc))
+        scored = state.shadow.score(
+            explained.costs,
+            lambda: state.model.guard.predictor.predict_many(pairs))
+        if scored is None:
             return
         if (state.auto_promote
-                and state.shadow_batches >= state.shadow_requests):
+                and state.shadow.samples >= state.shadow_requests):
             try:
                 self.promote()
             except DeployConflict as exc:
@@ -264,13 +262,13 @@ class ModelShard:
 
     def _gate(self, state: CandidateState) -> str | None:
         """Reason the candidate may not be promoted (None = clear)."""
-        overall = state.tracker.snapshot()["overall"]
-        if state.shadow_errors and not overall.get("count"):
-            return (f"candidate failed all {state.shadow_errors} shadow "
-                    f"batches")
-        if not overall.get("count"):
+        shadow = state.shadow.snapshot()
+        if not shadow["samples"]:
+            if shadow["errors"]:
+                return (f"candidate failed all {shadow['errors']} shadow "
+                        f"batches")
             return "candidate has no shadow samples yet"
-        mean = overall.get("mean", float("inf"))
+        mean = shadow["mean"]
         if mean > state.max_qerror:
             return (f"candidate diverges from the incumbent: mean shadow "
                     f"q-error {mean:.3f} > budget {state.max_qerror:.3f}")
@@ -302,7 +300,7 @@ class ModelShard:
                        version=state.model.version,
                        previous=old.version if old else None,
                        forced=force,
-                       shadow_batches=state.shadow_batches)
+                       shadow_samples=state.shadow.samples)
         return state.model.version
 
     def rollback(self) -> str:
@@ -411,6 +409,8 @@ def default_guard_builder(catalog, workload: str | None = None,
     shard it creates one shared audit trail and SLO tracker, and per
     model version a fully armed guard (GPSJ fallback, admission
     control, degradation ladder, accuracy canary, quality tracking).
+    ``repro serve``, ``repro predict`` and ``repro doctor`` all build
+    their guard here.
     """
     def factory(model_id: str) -> Callable:
         audit = AuditTrail()
@@ -427,7 +427,7 @@ def default_guard_builder(catalog, workload: str | None = None,
                 gpsj=GPSJCostModel(catalog) if catalog is not None else None,
                 admission=AdmissionController(admission_config),
                 ladder=DegradationLadder(),
-                canary=AccuracyCanary(),
+                canary=ShadowScorer("canary", sample_rate=0.01),
                 quality=AccuracyTracker(drift=DriftDetector()),
                 audit=audit,
                 slo=slo,

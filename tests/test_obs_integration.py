@@ -22,7 +22,6 @@ from repro.reliability import (
     BreakerConfig,
     FaultInjector,
     GuardedCostPredictor,
-    RetryPolicy,
 )
 
 
@@ -148,14 +147,12 @@ class TestPredictionSpanTree:
 
 
 class TestGuardTelemetry:
-    def make_guard(self, predictor, pipeline, attempts=1, threshold=2):
+    def make_guard(self, predictor, pipeline, threshold=2):
         return GuardedCostPredictor(
             predictor,
             gpsj=GPSJCostModel(pipeline.catalog),
             breaker_config=BreakerConfig(failure_threshold=threshold,
                                          cooldown_seconds=30.0),
-            retry_policy=RetryPolicy(attempts=attempts),
-            sleep=lambda _s: None,
         )
 
     def test_healthy_guarded_predict_annotates_source(
@@ -206,36 +203,6 @@ class TestGuardTelemetry:
         assert reg.counter("guard.raal.breaker_transitions_total").value == 1
         assert reg.counter("guard.degraded_total").value == 3
         assert reg.counter("guard.gpsj.served_total").value == 3
-
-    def test_degradation_counts_mirror_registry(
-            self, fresh_predictor, pipeline, telemetry):
-        guard = self.make_guard(fresh_predictor, pipeline)
-        record = pipeline.records[0]
-        pair = [(record.plan, record.resources)]
-        guard.predict_many_explained(pair)           # healthy -> raal
-        FaultInjector().force_encode_errors(guard.encoder)
-        guard.predict_many_explained(pair)           # degraded -> gpsj
-        counts = guard.degradation_counts()
-        assert counts["requests_served"] == 2
-        assert counts["degraded"] == 1
-        assert counts["raal.served"] == 1
-        assert counts["gpsj.served"] == 1
-        assert counts["raal.failures"] == 1
-        reg = telemetry.registry
-        assert reg.counter("guard.degraded_total").value == counts["degraded"]
-        assert reg.counter("guard.raal.failures_total").value == \
-            counts["raal.failures"]
-
-    def test_retry_attempts_emit_events(
-            self, fresh_predictor, pipeline, telemetry):
-        guard = self.make_guard(fresh_predictor, pipeline, attempts=3)
-        FaultInjector().force_encode_errors(guard.encoder)
-        record = pipeline.records[0]
-        guard.predict_many_explained([(record.plan, record.resources)])
-        retries = telemetry.events.events(component="guard", event="retry")
-        assert [r["attempt"] for r in retries] == [1, 2]
-        assert telemetry.registry.counter(
-            "guard.raal.retry_attempts_total").value == 2
 
     def test_rejected_input_event(self, fresh_predictor, pipeline, telemetry):
         fresh_predictor.encoder.structure.max_nodes = 1

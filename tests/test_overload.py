@@ -1,6 +1,7 @@
 """Tests for the overload-resilience layer: deadlines, admission
-control, the precision-degradation ladder, the accuracy canary, and
-their integration into the guarded prediction chain.
+control, the precision-degradation ladder, the accuracy canary (a
+:class:`ShadowScorer`), and their integration into the guarded
+prediction chain.
 
 Time-driven behaviour runs on injected fake clocks wherever possible;
 the few tests that exercise real thread abandonment use generous
@@ -22,9 +23,9 @@ from repro.errors import DeadlineExceeded, Overloaded, ReproError, TrainingError
 from repro.eval.experiments import SMOKE, ExperimentPipeline
 from repro.nn.precision import inference_weights, invalidate_inference_cache
 from repro.reliability import (
+    CANARY_BUDGET,
     CLOSED,
     OPEN,
-    AccuracyCanary,
     AdmissionConfig,
     AdmissionController,
     BreakerConfig,
@@ -33,8 +34,7 @@ from repro.reliability import (
     FaultInjector,
     GuardedCostPredictor,
     LadderConfig,
-    RetryPolicy,
-    retry_call,
+    ShadowScorer,
 )
 
 
@@ -261,42 +261,82 @@ class TestLadder:
 
 # -- accuracy canary -------------------------------------------------------
 class TestCanary:
-    def test_drift_is_max_relative_deviation(self):
-        drift = AccuracyCanary.drift(np.array([1.0, 2.2]), np.array([1.0, 2.0]))
-        assert drift == pytest.approx(0.1)
+    def test_qerror_per_pair(self):
+        qerrors = ShadowScorer("canary").score(np.array([1.0, 2.2]),
+                                               lambda: np.array([1.0, 2.0]))
+        np.testing.assert_allclose(qerrors, [1.0, 1.1])
 
     def test_observe_trips_past_budget(self):
-        canary = AccuracyCanary(sample_rate=1.0, budget=0.05)
-        assert not canary.observe(np.array([1.04]), np.array([1.0]), "int8")
-        assert canary.observe(np.array([1.10]), np.array([1.0]), "int8")
+        canary = ShadowScorer("canary")
+        assert canary.score(np.array([1.04]),
+                            lambda: np.array([1.0])).max() <= CANARY_BUDGET
+        assert canary.score(np.array([1.0]),
+                            lambda: np.array([1.10])).max() > CANARY_BUDGET
         snap = canary.snapshot()
-        assert snap["samples"] == 2 and snap["trips"] == 1
-        assert snap["last_drift"] == pytest.approx(0.1)
+        assert snap["samples"] == 2 and snap["errors"] == 0
+        assert snap["last"] == pytest.approx(1.1)
+        assert snap["mean"] == pytest.approx(1.07)
 
     def test_sampling_rates_and_determinism(self):
-        assert not AccuracyCanary(sample_rate=0.0).should_sample()
-        assert AccuracyCanary(sample_rate=1.0).should_sample()
-        a = [AccuracyCanary(sample_rate=0.5, seed=7).should_sample()
-             for _ in range(1)]
-        b = [AccuracyCanary(sample_rate=0.5, seed=7).should_sample()
-             for _ in range(1)]
-        assert a == b
+        assert not ShadowScorer("canary", sample_rate=0.0).should_sample()
+        assert ShadowScorer("canary", sample_rate=1.0).should_sample()
+        a = ShadowScorer("canary", sample_rate=0.5, seed=7)
+        b = ShadowScorer("canary", sample_rate=0.5, seed=7)
+        draws = [a.should_sample() for _ in range(64)]
+        assert draws == [b.should_sample() for _ in range(64)]
+        assert 0 < sum(draws) < 64
+
+    def test_bad_sample_rate_rejected(self):
+        for rate in (-0.1, 1.5):
+            with pytest.raises(ReproError, match="sample_rate"):
+                ShadowScorer("canary", sample_rate=rate)
+
+    def test_failing_reference_is_counted_and_swallowed(self):
+        canary = ShadowScorer("canary")
+
+        def broken():
+            raise RuntimeError("reference down")
+
+        telemetry = obs.Telemetry.create()
+        with obs.attached(telemetry):
+            assert canary.score(np.array([1.0]), broken) is None
+            assert canary.score(np.array([1.0, 2.0]),
+                                lambda: np.array([np.nan, 2.0])) is None
+        assert canary.snapshot() == {"samples": 0, "errors": 2, "last": None,
+                                     "mean": None, "p95": None}
+        assert telemetry.registry.counter("canary.errors_total").value == 2
+        assert "canary.samples_total" not in telemetry.registry
+        (event, _) = telemetry.events.events(component="canary",
+                                             event="shadow_error")
+        assert "reference down" in event["error"]
 
 
-# -- retry interaction -----------------------------------------------------
-class TestRetryGiveUp:
-    def test_give_up_exceptions_are_never_retried(self):
-        calls = []
+    def test_concurrent_scores_lose_no_sample(self):
+        import sys
+        import threading
 
-        def blown():
-            calls.append(1)
-            raise DeadlineExceeded("budget gone")
+        canary = ShadowScorer("canary")
+        served = np.array([1.0, 1.5, 3.0])
 
-        with pytest.raises(DeadlineExceeded):
-            retry_call(blown, policy=RetryPolicy(attempts=5, base_delay=0.0),
-                       give_up_on=(DeadlineExceeded, Overloaded),
-                       sleep=lambda s: None)
-        assert len(calls) == 1
+        def worker():
+            for _ in range(50):
+                canary.score(served, lambda: np.ones(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snap = canary.snapshot()
+        assert snap["samples"] == 400 and snap["errors"] == 0
+        assert canary._qerror.count == 1200
+        assert snap["mean"] == pytest.approx(5.5 / 3)
 
 
 # -- model-backed fixtures -------------------------------------------------
@@ -387,15 +427,22 @@ class TestExecutorPropagation:
 
 
 # -- guarded chain integration ---------------------------------------------
+@pytest.fixture()
+def telemetry():
+    """Fresh attached telemetry bundle: the guard's ``guard.*`` counters."""
+    bundle = obs.Telemetry.create()
+    with obs.attached(bundle):
+        yield bundle
+
+
 def make_guard(predictor, pipeline, **kwargs) -> GuardedCostPredictor:
-    kwargs.setdefault("retry_policy", RetryPolicy(attempts=1))
-    kwargs.setdefault("sleep", lambda s: None)
     return GuardedCostPredictor(
         predictor, gpsj=GPSJCostModel(pipeline.catalog), **kwargs)
 
 
 class TestGuardOverload:
-    def test_blown_deadline_degrades_with_provenance(self, predictor, pipeline):
+    def test_blown_deadline_degrades_with_provenance(self, predictor, pipeline,
+                                                     telemetry):
         clock = FakeClock()
         guard = make_guard(predictor, pipeline, clock=clock)
         record = pipeline.records[0]
@@ -405,8 +452,8 @@ class TestGuardOverload:
                                          deadline=stale)
         assert result.source == "gpsj" and result.degraded
         assert "deadline_exceeded" in result.reason
-        counts = guard.degradation_counts()
-        assert counts["deadline_exceeded"] == 1
+        assert telemetry.registry.counter(
+            "guard.raal.deadline_exceeded_total").value == 1
         # Load is not model failure: the breaker must stay closed.
         assert guard.breakers["raal"].state == CLOSED
 
@@ -431,7 +478,7 @@ class TestGuardOverload:
         assert result.source == "gpsj"
         assert "deadline_exceeded" in result.reason
 
-    def test_shed_falls_back_by_default(self, predictor, pipeline):
+    def test_shed_falls_back_by_default(self, predictor, pipeline, telemetry):
         admission = AdmissionController(
             AdmissionConfig(max_in_flight=1, max_queue_depth=0))
         guard = make_guard(predictor, pipeline, admission=admission)
@@ -443,7 +490,7 @@ class TestGuardOverload:
             restore()
         assert result.source == "gpsj"
         assert "shed" in result.reason
-        assert guard.degradation_counts()["shed"] == 1
+        assert telemetry.registry.counter("predict.shed_total").value == 1
         assert guard.breakers["raal"].state == CLOSED
 
     def test_shed_mode_reject_raises(self, predictor, pipeline):
@@ -464,7 +511,7 @@ class TestGuardOverload:
             make_guard(predictor, pipeline, shed_mode="explode")
 
     def test_degraded_tier_serves_raal_with_provenance(
-            self, predictor, pipeline):
+            self, predictor, pipeline, telemetry):
         clock = FakeClock()
         ladder = fast_ladder(clock)
         push_down(ladder)  # force the f32 rung
@@ -473,11 +520,13 @@ class TestGuardOverload:
         result = guard.predict_explained(record.plan, record.resources)
         assert result.source == "raal"  # still the learned model...
         assert "degraded_precision:f32" in result.reason  # ...but degraded
-        counts = guard.degradation_counts()
-        assert counts["degraded_precision"] == 1
-        assert counts["raal.served"] == 1
+        registry = telemetry.registry
+        assert registry.counter(
+            "guard.raal.degraded_precision_total").value == 1
+        assert registry.counter("guard.raal.served_total").value == 1
 
-    def test_ladder_fallback_skips_learned_model(self, predictor, pipeline):
+    def test_ladder_fallback_skips_learned_model(self, predictor, pipeline,
+                                                 telemetry):
         clock = FakeClock()
         ladder = fast_ladder(clock, hold_seconds=1000.0)
         ladder.on_breaker_transition("closed", "open")  # pin to fallback
@@ -486,14 +535,16 @@ class TestGuardOverload:
         result = guard.predict_explained(record.plan, record.resources)
         assert result.source == "gpsj"
         assert "ladder in fallback" in result.reason
-        assert guard.degradation_counts()["ladder_fallback"] == 1
+        assert telemetry.registry.counter(
+            "guard.raal.ladder_fallback_total").value == 1
 
-    def test_canary_trips_ladder_on_corrupt_tier(self, predictor, pipeline):
+    def test_canary_trips_ladder_on_corrupt_tier(self, predictor, pipeline,
+                                                 telemetry):
         model = predictor.trainer.model
         clock = FakeClock()
         ladder = fast_ladder(clock)
         push_down(ladder, rungs=2)  # force the int8 rung
-        canary = AccuracyCanary(sample_rate=1.0, budget=0.05)
+        canary = ShadowScorer("canary")
         guard = make_guard(predictor, pipeline, ladder=ladder, canary=canary,
                            clock=clock)
         inference_weights(model, "int8")  # build the cached bundle
@@ -506,17 +557,59 @@ class TestGuardOverload:
             result = guard.predict_explained(record.plan, record.resources)
             # Served from the corrupt tier, but the shadow sample caught it:
             assert "degraded_precision:int8" in result.reason
-            assert canary.snapshot()["trips"] >= 1
+            assert canary.snapshot()["last"] > CANARY_BUDGET
+            assert telemetry.registry.counter(
+                "canary.trips_total").value == 1
             assert ladder.state == "degraded_f32"  # stepped up + quarantined
         finally:
             invalidate_inference_cache(model)
+
+    def test_canary_runs_outside_the_learned_stage(self, predictor,
+                                                   pipeline):
+        """The f64 re-score is not learned-stage latency, and it holds
+        no admission slot: a reference that takes 1 s on the fake clock
+        adds nothing to the ladder's window."""
+        clock = FakeClock()
+        ladder = fast_ladder(clock)
+        push_down(ladder, rungs=2)  # serve from the int8 rung
+        recorded = []
+        record_latency = ladder.record
+
+        def spy(seconds):
+            recorded.append(seconds)
+            record_latency(seconds)
+
+        ladder.record = spy
+        admission = AdmissionController(clock=clock)
+        canary = ShadowScorer("canary")
+        guard = make_guard(predictor, pipeline, ladder=ladder,
+                           admission=admission, canary=canary, clock=clock)
+        in_flight = []
+        reference = predictor.predict_encoded
+
+        def slow_reference(encoded, deadline=None):
+            in_flight.append(admission.in_flight)
+            clock.advance(1.0)
+            return reference(encoded, deadline=deadline)
+
+        predictor.predict_encoded = slow_reference
+        try:
+            record = pipeline.records[0]
+            result = guard.predict_explained(record.plan, record.resources)
+        finally:
+            del predictor.predict_encoded
+        assert "degraded_precision:int8" in result.reason
+        assert canary.snapshot()["samples"] == 1
+        assert in_flight == [0]
+        assert recorded == [0.0]
+        assert ladder.state == "degraded_int8"
 
     def test_health_state_reports_posture(self, predictor, pipeline):
         clock = FakeClock()
         guard = make_guard(
             predictor, pipeline, clock=clock,
             admission=AdmissionController(clock=clock),
-            ladder=fast_ladder(clock), canary=AccuracyCanary(),
+            ladder=fast_ladder(clock), canary=ShadowScorer("canary"),
             default_deadline_ms=100.0)
         health = guard.health_state()
         assert health["ladder"] == "healthy"
@@ -579,7 +672,7 @@ class TestGridFaultReachability:
 
     @pytest.mark.parametrize("fault", ["forward_error", "bucket_hang"])
     def test_guarded_grid_degrades_like_a_flat_request(
-            self, grid_predictor, pipeline, fault):
+            self, grid_predictor, pipeline, fault, telemetry):
         plans, profiles, flat = self.shapes(pipeline)
         clock = FakeClock()
         model = grid_predictor.trainer.model
@@ -597,9 +690,9 @@ class TestGridFaultReachability:
                         plans, profiles, deadline=d)):
                 guard = make_guard(grid_predictor, pipeline, clock=clock)
                 served.append(call(guard, Deadline.after(0.05, clock=clock)))
-                assert guard.degradation_counts() != {}
         finally:
             restore()
+        assert telemetry.registry.counter("guard.gpsj.served_total").value == 2
         flat_result, grid_result = served
         assert grid_result.costs.shape == (len(profiles), len(plans))
         assert flat_result.source == grid_result.source == "gpsj"
@@ -648,7 +741,8 @@ class TestThreadAwareFaults:
             corrupt = int8.predict_many(pairs[:2])
             # The fingerprint still matches, so the corrupted bundle is
             # served — and drifts far beyond the canary budget.
-            assert AccuracyCanary.drift(corrupt, clean) > 0.05
+            qerrors = ShadowScorer("canary").score(corrupt, lambda: clean)
+            assert qerrors.max() > CANARY_BUDGET
         finally:
             int8.close()
             invalidate_inference_cache(model)
@@ -673,7 +767,7 @@ class TestOverloadMetricsExport:
             admission = AdmissionController(
                 AdmissionConfig(max_in_flight=1, max_queue_depth=0),
                 clock=clock)
-            canary = AccuracyCanary(sample_rate=1.0, budget=0.05)
+            canary = ShadowScorer("canary")
             guard = make_guard(predictor, pipeline, ladder=ladder,
                                admission=admission, canary=canary,
                                clock=clock)
@@ -707,23 +801,23 @@ class TestOverloadMetricsExport:
             # One ladder transition:
             push_down(ladder)
             # One canary observation:
-            canary.observe(np.array([1.1]), np.array([1.0]), "int8")
+            canary.score(np.array([1.1]), lambda: np.array([1.0]))
 
         registry = telemetry.registry
         for name in ("predict.shed_total", "predict.deadline_exceeded_total",
                      "guard.raal.deadline_exceeded_total", "health.state",
-                     "canary.drift_ratio", "ladder.transitions_total",
+                     "canary.qerror", "ladder.transitions_total",
                      "admission.in_flight"):
             assert name in registry, f"missing metric {name}"
         assert registry.get("predict.shed_total").value == 1
         assert registry.get("health.state").value == 1  # degraded_f32
-        assert registry.get("canary.drift_ratio").count == 1
+        assert registry.get("canary.qerror").count == 1
 
         json_text = registry.to_json()
         prom_text = registry.to_prometheus()
         for name in ("predict.shed_total", "predict.deadline_exceeded_total",
-                     "health.state", "canary.drift_ratio"):
+                     "health.state", "canary.qerror"):
             assert name in json_text
             assert name.replace(".", "_") in prom_text
         # Histogram buckets render cumulatively in the Prometheus text.
-        assert "canary_drift_ratio_bucket" in prom_text
+        assert "canary_qerror_bucket" in prom_text

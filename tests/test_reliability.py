@@ -1,17 +1,17 @@
-"""Tests for the reliability layer: retry, circuit breaker, and the
-guarded prediction fallback chain under deterministic fault injection.
+"""Tests for the reliability layer: circuit breaker and the guarded
+prediction fallback chain under deterministic fault injection.
 
-No test here sleeps: clocks and sleep functions are injected fakes, and
-every fault is seeded.
+No test here sleeps: clocks are injected fakes, and every fault is
+seeded.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import CostPredictor
 from repro.core.selector import PlanSelector
 from repro.core.advisor import ResourceAdvisor
-from repro.errors import PredictionError, ReproError
 from repro.baselines.gpsj import GPSJCostModel
 from repro.eval.experiments import SMOKE, ExperimentPipeline
 from repro.reliability import (
@@ -22,9 +22,6 @@ from repro.reliability import (
     CircuitBreaker,
     FaultInjector,
     GuardedCostPredictor,
-    RetryPolicy,
-    compute_backoff,
-    retry_call,
     static_heuristic_cost,
 )
 
@@ -40,69 +37,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-class FakeSleep:
-    """Records requested sleeps instead of sleeping."""
-
-    def __init__(self) -> None:
-        self.calls: list[float] = []
-
-    def __call__(self, seconds: float) -> None:
-        self.calls.append(seconds)
-
-
-# -- retry -----------------------------------------------------------------
-class TestRetry:
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(attempts=4, base_delay=0.1, multiplier=2.0, max_delay=0.3)
-        assert compute_backoff(policy, 0) == pytest.approx(0.1)
-        assert compute_backoff(policy, 1) == pytest.approx(0.2)
-        assert compute_backoff(policy, 2) == pytest.approx(0.3)  # capped
-
-    def test_success_after_transient_failures(self):
-        sleep = FakeSleep()
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ValueError("transient")
-            return 42
-
-        result = retry_call(flaky, RetryPolicy(attempts=3, base_delay=0.05),
-                            sleep=sleep)
-        assert result == 42
-        assert calls["n"] == 3
-        assert sleep.calls == pytest.approx([0.05, 0.1])
-
-    def test_exhausted_attempts_raise_last_error(self):
-        sleep = FakeSleep()
-
-        def always_fails():
-            raise ValueError("permanent")
-
-        with pytest.raises(ValueError, match="permanent"):
-            retry_call(always_fails, RetryPolicy(attempts=3, base_delay=0.01),
-                       sleep=sleep)
-        assert len(sleep.calls) == 2  # no sleep after the final attempt
-
-    def test_non_matching_exception_propagates_immediately(self):
-        sleep = FakeSleep()
-
-        def boom():
-            raise KeyError("nope")
-
-        with pytest.raises(KeyError):
-            retry_call(boom, RetryPolicy(attempts=5), retry_on=(ValueError,),
-                       sleep=sleep)
-        assert sleep.calls == []
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ReproError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ReproError):
-            RetryPolicy(multiplier=0.5)
 
 
 # -- circuit breaker -------------------------------------------------------
@@ -161,6 +95,14 @@ class TestCircuitBreaker:
 
 
 # -- guarded prediction ----------------------------------------------------
+@pytest.fixture()
+def telemetry():
+    """Fresh attached telemetry bundle: the guard's ``guard.*`` counters."""
+    bundle = obs.Telemetry.create()
+    with obs.attached(bundle):
+        yield bundle
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     return ExperimentPipeline(dataset="imdb", scale=SMOKE)
@@ -193,9 +135,7 @@ def guarded(fresh_predictor, pipeline):
         fresh_predictor,
         gpsj=GPSJCostModel(pipeline.catalog),
         breaker_config=BreakerConfig(failure_threshold=2, cooldown_seconds=30.0),
-        retry_policy=RetryPolicy(attempts=1),
         clock=clock,
-        sleep=FakeSleep(),
     )
     guard._test_clock = clock
     return guard
@@ -246,18 +186,25 @@ class TestGuardedPredictor:
         assert result.source == "heuristic"
         assert result.seconds > 0
 
-    def test_all_stages_failing_raises_prediction_error(
-            self, fresh_predictor, pipeline):
-        guard = GuardedCostPredictor(fresh_predictor, chain=("raal",),
-                                     retry_policy=RetryPolicy(attempts=1),
-                                     sleep=FakeSleep())
-        FaultInjector().force_encode_errors(guard.encoder)
+    def test_gpsj_failure_reaches_heuristic(self, guarded, pipeline,
+                                            telemetry):
+        FaultInjector().force_encode_errors(guarded.encoder)
+
+        def broken(plan, resources):
+            raise ValueError("catalog gone")
+
+        guarded.gpsj.estimate = broken
         record = pipeline.records[0]
-        with pytest.raises(PredictionError, match="all fallback stages failed"):
-            guard.predict_many_explained([(record.plan, record.resources)])
+        result = guarded.predict_explained(record.plan, record.resources)
+        assert result.source == "heuristic"
+        assert "gpsj: catalog gone" in result.reason
+        assert telemetry.registry.counter(
+            "guard.gpsj.failures_total").value == 1
+        assert telemetry.registry.counter(
+            "guard.heuristic.served_total").value == 1
 
     def test_breaker_trips_then_recovers_via_half_open_probe(
-            self, guarded, pipeline):
+            self, guarded, pipeline, telemetry):
         injector = FaultInjector()
         restore = injector.force_encode_errors(guarded.encoder)
         record = pipeline.records[0]
@@ -272,7 +219,8 @@ class TestGuardedPredictor:
         result = guarded.predict_many_explained(pair)
         assert result.source == "gpsj"
         assert "circuit open" in result.reason
-        assert guarded.stats["raal"].skipped_open == 1
+        assert telemetry.registry.counter(
+            "guard.raal.skipped_open_total").value == 1
 
         # Heal the encoder, advance past the cooldown: the half-open
         # probe succeeds and the breaker closes again.
@@ -283,18 +231,18 @@ class TestGuardedPredictor:
         assert guarded.breakers["raal"].state == CLOSED
 
     def test_oversized_plan_rejected_without_tripping_breaker(
-            self, fresh_predictor, pipeline):
+            self, fresh_predictor, pipeline, telemetry):
         # Shrink the encoder's capacity below the plan's node count.
         fresh_predictor.encoder.structure.max_nodes = 1
         guard = GuardedCostPredictor(
-            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog),
-            sleep=FakeSleep())
+            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog))
         record = pipeline.records[0]
         result = guard.predict_explained(record.plan, record.resources)
         assert result.source == "gpsj"
         assert "max_nodes" in result.reason
         assert guard.breakers["raal"].state == CLOSED
-        assert guard.stats["raal"].rejected_input == 1
+        assert telemetry.registry.counter(
+            "guard.raal.rejected_input_total").value == 1
 
     def test_saturated_output_degrades(self, fresh_predictor, pipeline):
         from dataclasses import replace
@@ -305,8 +253,7 @@ class TestGuardedPredictor:
         tiny = replace(fresh_predictor.trainer.config, log_clamp_max=1e-9)
         fresh_predictor.trainer = Trainer(fresh_predictor.trainer.model, tiny)
         guard = GuardedCostPredictor(
-            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog),
-            retry_policy=RetryPolicy(attempts=1), sleep=FakeSleep())
+            fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog))
         record = pipeline.records[0]
         result = guard.predict_explained(record.plan, record.resources)
         assert result.source == "gpsj"
@@ -340,7 +287,7 @@ def _frozen_and_fresh(pipeline, count=3):
 
 class TestFrozenPlansUnderTheGuard:
     def test_nan_estimate_rejected_like_an_unfrozen_plan(self, guarded,
-                                                         pipeline):
+                                                         pipeline, telemetry):
         frozen, fresh = _frozen_and_fresh(pipeline, count=2)
         for plans in (frozen, fresh):
             plans[1].nodes()[0].est_rows = float("nan")
@@ -355,7 +302,8 @@ class TestFrozenPlansUnderTheGuard:
         result = guarded.predict_many_explained(pairs)
         assert result.source != "raal"
         assert f"raal: {expected}" in result.reason
-        assert guarded.stats["raal"].rejected_input == 1
+        assert telemetry.registry.counter(
+            "guard.raal.rejected_input_total").value == 1
         assert guarded.breakers["raal"].state == CLOSED
 
     def test_audit_fingerprints_match_fresh_ones(self, fresh_predictor,
@@ -365,7 +313,7 @@ class TestFrozenPlansUnderTheGuard:
 
         guard = GuardedCostPredictor(
             fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog),
-            audit=AuditTrail(capacity=64), sleep=FakeSleep())
+            audit=AuditTrail(capacity=64))
         frozen, fresh = _frozen_and_fresh(pipeline)
         for plan in frozen:
             plan.freeze()
@@ -426,8 +374,7 @@ class TestConcurrentSaturation:
         fresh_predictor.predict_encoded = rendezvous
         guard = GuardedCostPredictor(
             fresh_predictor, gpsj=GPSJCostModel(pipeline.catalog),
-            breaker_config=BreakerConfig(failure_threshold=1000),
-            retry_policy=RetryPolicy(attempts=1), sleep=FakeSleep())
+            breaker_config=BreakerConfig(failure_threshold=1000))
         for _ in range(5):
             results: dict[str, object] = {}
 

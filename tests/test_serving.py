@@ -253,6 +253,30 @@ class TestHotSwap:
         rolled = service.rollback({})
         assert rolled["version"] == v1
 
+    def test_shadow_leaves_ground_truth_quality_untouched(
+            self, service, checkpoint, sql):
+        """The candidate shadow publishes under ``serve.shadow.*``; the
+        incumbent's ``quality.*`` metrics move only on posted feedback."""
+        registry = service.telemetry.registry
+
+        def quality():
+            snapshot = registry.snapshot()
+            return {name: snapshot[name] for name in registry.names()
+                    if name.startswith("quality.")}
+
+        before = quality()
+        outcome = service.deploy({"checkpoint": checkpoint,
+                                  "shadow_requests": 2,
+                                  "auto_promote": False})
+        assert outcome["state"] == "shadowing"
+        for _ in range(3):
+            service.predict({"sql": sql})
+        assert quality() == before
+        candidate = service.models()["models"]["default"]["candidate"]
+        assert candidate["shadow_samples"] == 3
+        assert candidate["divergence_mean"] == pytest.approx(1.0)
+        assert registry.counter("serve.shadow.samples_total").value >= 3
+
     def test_instant_promote_without_shadowing(self, service, checkpoint):
         outcome = service.deploy({"checkpoint": checkpoint,
                                   "shadow_requests": 0})
