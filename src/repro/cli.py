@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 
 
@@ -410,13 +411,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if config.batch_window_ms > 0 else "per-request dispatch")
     print(f"repro serve listening on http://{args.host}:{server.port} "
           f"({mode}, shed_mode={config.shed_mode})", flush=True)
+    # A shell starts background jobs with SIGINT ignored, so install the
+    # interrupt handler explicitly; SIGTERM drains the same way.
+    previous = {sig: signal.signal(sig, signal.default_int_handler)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         while True:
             server._thread.join(1.0)
     except KeyboardInterrupt:
-        print("shutting down ...")
+        print("shutting down ...", flush=True)
     finally:
         server.close()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return 0
 
 

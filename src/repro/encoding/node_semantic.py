@@ -4,6 +4,12 @@ Each plan node's execution statements are tokenized and embedded with a
 word2vec model trained on the *corpus of all plan statements* in the
 workload; the node vector is the mean of its statement-token vectors,
 optionally augmented with per-node normalized cardinality features.
+
+Candidate plans of one statement share most of their node texts (the
+same scans, filters and exchanges), so the token mean is keyed by the
+node's statement tuple in a caller-owned memo: within one call each
+distinct node text is tokenised and embedded once. The memo is a plain
+dict the caller drops when its call returns; nothing outlives it.
 """
 
 from __future__ import annotations
@@ -71,18 +77,32 @@ class NodeSemanticEncoder:
             raise EncodingError("encoder has no trained word2vec model")
         return self.word2vec.dim + (2 if self.include_cardinality else 0)
 
-    def encode_node(self, node: PhysicalNode) -> np.ndarray:
-        """Semantic vector of one plan node."""
+    def encode_node(self, node: PhysicalNode,
+                    memo: dict[tuple[str, ...], np.ndarray] | None = None,
+                    ) -> np.ndarray:
+        """Semantic vector of one plan node.
+
+        ``memo`` maps a statement tuple to its token-mean vector; a node
+        whose text is already in it skips tokenising and embedding. The
+        cardinality columns are always computed from this node.
+        """
         if self.word2vec is None:
             raise EncodingError("encoder has no trained word2vec model")
-        tokens = tokenize_statements(node.statements())
-        vec = self.word2vec.encode_tokens(tokens)
+        text = tuple(node.statements())
+        vec = None if memo is None else memo.get(text)
+        if vec is None:
+            vec = self.word2vec.encode_tokens(tokenize_statements(text))
+            if memo is not None:
+                vec.setflags(write=False)  # shared by every node with this text
+                memo[text] = vec
         if not self.include_cardinality:
             return vec
         rows = math.log1p(max(node.est_rows, 0.0)) / _LOG_ROWS_CAP
         size = math.log1p(max(node.est_bytes, 0.0)) / _LOG_BYTES_CAP
         return np.concatenate([vec, [rows, size]])
 
-    def encode_plan_nodes(self, plan: PhysicalPlan) -> np.ndarray:
+    def encode_plan_nodes(self, plan: PhysicalPlan,
+                          memo: dict[tuple[str, ...], np.ndarray] | None = None,
+                          ) -> np.ndarray:
         """Matrix ``(n_nodes, dim)`` of node vectors in execution order."""
-        return np.stack([self.encode_node(node) for node in plan.nodes()])
+        return np.stack([self.encode_node(node, memo) for node in plan.nodes()])

@@ -12,6 +12,12 @@ vector). The plan-side features are memoized in a bounded LRU keyed by
 a plan fingerprint, so grid workloads (``plans × profiles`` in the
 advisor and selector) encode each plan once instead of once per
 resource profile.
+
+A cold :meth:`PlanEncoder.encode_many` pays one tokenise-and-embed per
+distinct node text in the call, not per node: the candidate plans of
+one statement share their scans, filters and exchanges. The memo of
+token means is a plain dict that lives only for that call, so no
+process-wide state grows with the statements served.
 """
 
 from __future__ import annotations
@@ -266,12 +272,13 @@ class PlanEncoder:
             self._misses = 0
             self._evictions = 0
 
-    def _plan_features(self, plan: PhysicalPlan,
-                       repeats: int = 0) -> _PlanFeatures:
+    def _plan_features(self, plan: PhysicalPlan, repeats: int = 0,
+                       memo: dict | None = None) -> _PlanFeatures:
         """Plan-side features, served from the LRU cache when possible.
 
         ``repeats`` counts further uses of the plan in the same call:
         they are served by this one lookup and tallied as cache hits.
+        ``memo`` is the calling ``encode_many``'s node-text memo.
 
         Thread-safe: lookup, insertion, and eviction all run under the
         encoder lock. A miss computes the features inside the lock —
@@ -279,7 +286,7 @@ class PlanEncoder:
         from redundantly encoding the same plan at the same time.
         """
         if self.cache_size == 0:
-            return self._compute_plan_features(plan)
+            return self._compute_plan_features(plan, memo)
         key = plan_fingerprint(plan)
         with self._lock:
             cached = self._cache.get(key)
@@ -292,7 +299,7 @@ class PlanEncoder:
                 return cached
             self._misses += 1
             obs.inc("encoder.cache.misses")
-            features = self._compute_plan_features(plan)
+            features = self._compute_plan_features(plan, memo)
             # Cached arrays are shared between EncodedPlan instances; mark
             # them read-only so an accidental in-place write cannot corrupt
             # later cache hits.
@@ -307,7 +314,8 @@ class PlanEncoder:
                                size=len(self._cache), capacity=self.cache_size)
             return features
 
-    def _compute_plan_features(self, plan: PhysicalPlan) -> _PlanFeatures:
+    def _compute_plan_features(self, plan: PhysicalPlan,
+                               memo: dict | None = None) -> _PlanFeatures:
         """Cold (uncached) computation of the plan-side features.
 
         Without structure features (the NE-LSTM ablation) the model must
@@ -315,7 +323,7 @@ class PlanEncoder:
         attention child mask degrades to "every other node" — plain
         self-attention with no tree knowledge.
         """
-        semantic = self._semantic_matrix(plan)
+        semantic = self._semantic_matrix(plan, memo)
         if self.use_structure:
             structure = self.structure.encode_plan(plan)
             node_features = np.concatenate([semantic, structure], axis=1)
@@ -331,10 +339,11 @@ class PlanEncoder:
         )
 
     # -- encoding ------------------------------------------------------------
-    def _semantic_matrix(self, plan: PhysicalPlan) -> np.ndarray:
+    def _semantic_matrix(self, plan: PhysicalPlan,
+                         memo: dict | None = None) -> np.ndarray:
         if self.use_onehot:
             return np.stack([self._onehot.encode_node(n) for n in plan.nodes()])
-        return self.semantic.encode_plan_nodes(plan)
+        return self.semantic.encode_plan_nodes(plan, memo)
 
     def _plan_extras(self, plan: PhysicalPlan) -> np.ndarray:
         nodes = plan.nodes()
@@ -392,13 +401,16 @@ class PlanEncoder:
         count as cache hits. Likewise each distinct profile object is
         normalized once; the shared resource vector is read-only, like
         the cached plan-side arrays. A frozen plan's fingerprint is read
-        from its facts, not recomputed.
+        from its facts, not recomputed. Cache misses share one node-text
+        memo, dropped on return: each distinct node text in the call is
+        tokenised and embedded once.
         """
         with obs.span("encode", pairs=len(pairs)) as sp:
             hits_before = self._hits
             plans = {id(plan): plan for plan, _ in pairs}
             uses = Counter(id(plan) for plan, _ in pairs)
-            features = {key: self._plan_features(plan, repeats=uses[key] - 1)
+            memo: dict = {}
+            features = {key: self._plan_features(plan, uses[key] - 1, memo)
                         for key, plan in plans.items()}
             vectors: dict[int, np.ndarray] = {}
             out: list[EncodedPlan] = []

@@ -692,18 +692,29 @@ class GuardedCostPredictor:
 
     # -- input validation --------------------------------------------------
     def _validate_inputs(self, pairs) -> str | None:
-        """Reason string when the request cannot go to the learned model."""
+        """Reason string when the request cannot go to the learned model.
+
+        Each distinct plan and profile object is checked once, at the
+        first pair that uses it: a grid of ``plans × profiles`` costs one
+        check per object, not per pair. The reason names that first pair.
+        """
         structure = self.predictor.encoder.structure
         max_nodes = structure.max_nodes if structure is not None else None
+        plans_seen: set[int] = set()
+        profiles_seen: set[int] = set()
         for i, (plan, resources) in enumerate(pairs):
-            if max_nodes is not None and plan.num_nodes > max_nodes:
-                return (f"plan {i} has {plan.num_nodes} nodes, exceeding "
-                        f"the encoder's max_nodes={max_nodes}")
-            features = resources.as_features()
-            if not np.all(np.isfinite(features)):
-                return f"resource profile {i} has non-finite features"
-            if resources.executor_memory_gb <= 0 or resources.task_slots < 1:
-                return f"resource profile {i} has non-positive resources"
-            if not plan.estimates_finite():
+            new_plan = id(plan) not in plans_seen
+            if new_plan:
+                plans_seen.add(id(plan))
+                if max_nodes is not None and plan.num_nodes > max_nodes:
+                    return (f"plan {i} has {plan.num_nodes} nodes, exceeding "
+                            f"the encoder's max_nodes={max_nodes}")
+            if id(resources) not in profiles_seen:
+                profiles_seen.add(id(resources))
+                if not np.all(np.isfinite(resources.as_features())):
+                    return f"resource profile {i} has non-finite features"
+                if resources.executor_memory_gb <= 0 or resources.task_slots < 1:
+                    return f"resource profile {i} has non-positive resources"
+            if new_plan and not plan.estimates_finite():
                 return f"plan {i} carries non-finite cardinality estimates"
         return None

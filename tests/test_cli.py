@@ -223,3 +223,77 @@ class TestMetricsVerb:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestServeShutdown:
+    """``repro serve`` drains on SIGINT even when started as a background
+    job, which a non-interactive shell launches with SIGINT ignored."""
+
+    @staticmethod
+    def _serve(model_dir):
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--model", model_dir,
+             "--catalog-scale", "0.05", "--host", "127.0.0.1", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+
+    @staticmethod
+    def _wait_healthy(proc, timeout=60.0) -> str:
+        """Output up to the listening line, once ``/healthz`` answers."""
+        import re
+        import select
+        import time
+        import urllib.request
+
+        deadline = time.monotonic() + timeout
+        output = ""
+        port = None
+        while port is None:
+            remaining = deadline - time.monotonic()
+            assert remaining > 0 and proc.poll() is None, output
+            ready, _, _ = select.select([proc.stdout], [], [], remaining)
+            if ready:
+                output += proc.stdout.readline().decode()
+                match = re.search(r"listening on http://[^:]+:(\d+)", output)
+                port = match and match.group(1)
+        url = f"http://127.0.0.1:{port}/healthz"
+        while True:
+            try:
+                with urllib.request.urlopen(url, timeout=5.0) as response:
+                    assert response.status == 200
+                    return output
+            except OSError:
+                assert time.monotonic() < deadline, output
+                time.sleep(0.1)
+
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_signal_drains_with_sigint_ignored(self, shared_model_dir,
+                                               signame):
+        import signal
+        import subprocess
+
+        proc = self._serve(shared_model_dir)
+        try:
+            output = self._wait_healthy(proc)
+            proc.send_signal(getattr(signal, signame))
+            try:
+                rest, _ = proc.communicate(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                pytest.fail(f"repro serve ignored {signame} for 10 s")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        output += rest.decode()
+        assert proc.returncode == 0, output
+        assert "shutting down" in output

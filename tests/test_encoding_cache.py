@@ -293,3 +293,101 @@ class TestEncoderDtype:
     def test_rejects_non_float_dtype(self, encoder):
         with pytest.raises(EncodingError):
             encoder.dtype = np.int32
+
+
+#: A 24-profile grid (executors × cores × memory), the advisor's shape.
+GRID_24 = [ResourceProfile(executors=e, executor_cores=c, executor_memory_gb=m)
+           for e in (1, 2, 3, 4) for c in (1, 2) for m in (1.0, 2.0, 4.0)]
+
+
+@pytest.fixture(scope="module")
+def workload_plans(catalog):
+    """Every candidate plan of a generated multi-join workload."""
+    from repro.errors import ReproError
+    from repro.workload.generator import QueryGenerator, WorkloadConfig
+
+    generator = QueryGenerator(catalog, WorkloadConfig(min_joins=1, max_joins=3),
+                               seed=11)
+    out = []
+    for sql in generator.generate(8):
+        try:
+            out.extend(enumerate_plans(analyze(parse(sql), catalog), catalog))
+        except ReproError:
+            continue
+    assert len(out) >= 16
+    return out
+
+
+@pytest.fixture(scope="module")
+def workload_encoder(workload_plans):
+    return PlanEncoder.fit(workload_plans,
+                           word2vec_config=Word2VecConfig(dim=12, epochs=2))
+
+
+def _node_texts(plans):
+    return {tuple(node.statements()) for plan in plans for node in plan.nodes()}
+
+
+class TestDeduplicatedColdEncode:
+    """A cold ``encode_many`` embeds each distinct node text once per call,
+    and its features are bit-identical to a per-node computation."""
+
+    @staticmethod
+    def _per_node(encoder, plan):
+        rows = np.stack([encoder.semantic.encode_node(node)
+                         for node in plan.nodes()])
+        if encoder.use_structure:
+            rows = np.concatenate([rows, encoder.structure.encode_plan(plan)],
+                                  axis=1)
+        return rows.astype(encoder.dtype)
+
+    @pytest.mark.parametrize("dtype,use_structure", [
+        (np.float64, True), (np.float32, True), (np.float64, False)])
+    def test_grid_matches_per_node_encode_bit_for_bit(
+            self, workload_plans, workload_encoder, dtype, use_structure):
+        encoder = PlanEncoder(semantic=workload_encoder.semantic,
+                              structure=workload_encoder.structure,
+                              use_structure=use_structure)
+        encoder.dtype = dtype
+        profiles = GRID_24[:4]
+        grid = [(plan, prof) for prof in profiles for plan in workload_plans]
+        expected = {id(plan): self._per_node(encoder, plan)
+                    for plan in workload_plans}
+        for phase in ("cold", "warm"):
+            encoded = encoder.encode_many(grid)
+            for (plan, prof), enc in zip(grid, encoded):
+                assert enc.node_features.dtype == np.dtype(dtype)
+                assert np.array_equal(enc.node_features, expected[id(plan)]), \
+                    (phase, plan.label)
+                assert np.array_equal(enc.resources,
+                                      prof.as_features().astype(dtype))
+        info = encoder.cache_info()
+        assert (info.misses, info.size) == (len(workload_plans),
+                                            len(workload_plans))
+
+    def test_each_distinct_node_text_tokenised_once(
+            self, workload_plans, workload_encoder, monkeypatch):
+        import repro.encoding.node_semantic as node_semantic
+        from collections import Counter
+
+        calls = Counter()
+        tokenize = node_semantic.tokenize_statements
+
+        def counting(statements):
+            calls[tuple(statements)] += 1
+            return tokenize(statements)
+
+        monkeypatch.setattr(node_semantic, "tokenize_statements", counting)
+        encoder = PlanEncoder(semantic=workload_encoder.semantic,
+                              structure=workload_encoder.structure)
+        grid = [(plan, prof) for prof in GRID_24 for plan in workload_plans]
+        encoder.encode_many(grid)
+        texts = _node_texts(workload_plans)
+        assert sum(plan.num_nodes for plan in workload_plans) > len(texts)
+        assert set(calls) == texts
+        assert set(calls.values()) == {1}
+        # The memo lives for one call only: a second cold call embeds again.
+        calls.clear()
+        encoder.cache_clear()
+        encoder.encode_many(grid)
+        assert set(calls) == texts and set(calls.values()) == {1}

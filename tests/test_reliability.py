@@ -333,6 +333,138 @@ class TestFrozenPlansUnderTheGuard:
                 [(p, r) for r in profiles for p in fresh]).costs)
 
 
+def _grid_profiles(count=24):
+    from repro.cluster.resources import ResourceProfile
+
+    return [ResourceProfile(executors=e, executor_cores=c, executor_memory_gb=m)
+            for e in (1, 2, 3, 4) for c in (1, 2) for m in (1.0, 2.0, 4.0)][:count]
+
+
+def _broken_profile(**fields):
+    """A profile carrying values its constructor would refuse."""
+    from repro.cluster.resources import ResourceProfile
+
+    profile = ResourceProfile()
+    for name, value in fields.items():
+        object.__setattr__(profile, name, value)
+    return profile
+
+
+def _small_and_big(pipeline):
+    """Two candidate plans of one query with different node counts."""
+    from repro.plan import analyze, enumerate_plans
+    from repro.sql import parse
+
+    for sql in pipeline.queries:
+        plans = sorted(enumerate_plans(analyze(parse(sql), pipeline.catalog),
+                                       pipeline.catalog),
+                       key=lambda plan: plan.num_nodes)
+        if plans and plans[0].num_nodes < plans[-1].num_nodes:
+            return plans[0], plans[-1]
+    raise AssertionError("no query with candidate plans of different sizes")
+
+
+def _per_pair_reason(pairs, max_nodes):
+    """Reference: every check on every pair, in order."""
+    for i, (plan, resources) in enumerate(pairs):
+        if plan.num_nodes > max_nodes:
+            return (f"plan {i} has {plan.num_nodes} nodes, exceeding "
+                    f"the encoder's max_nodes={max_nodes}")
+        if not np.all(np.isfinite(resources.as_features())):
+            return f"resource profile {i} has non-finite features"
+        if resources.executor_memory_gb <= 0 or resources.task_slots < 1:
+            return f"resource profile {i} has non-positive resources"
+        if not plan.estimates_finite():
+            return f"plan {i} carries non-finite cardinality estimates"
+    return None
+
+
+class TestValidateOncePerObject:
+    """``_validate_inputs`` checks each distinct plan and profile object
+    once, and still names the first pair that uses a bad one."""
+
+    def test_grid_checks_each_profile_once(self, guarded, pipeline,
+                                           monkeypatch):
+        from repro.cluster.resources import ResourceProfile
+        from repro.plan.physical import PhysicalPlan
+
+        calls = {"as_features": 0, "estimates_finite": 0}
+        as_features = ResourceProfile.as_features
+        estimates_finite = PhysicalPlan.estimates_finite
+
+        def counting_features(self, *args, **kwargs):
+            calls["as_features"] += 1
+            return as_features(self, *args, **kwargs)
+
+        def counting_estimates(self):
+            calls["estimates_finite"] += 1
+            return estimates_finite(self)
+
+        monkeypatch.setattr(ResourceProfile, "as_features", counting_features)
+        monkeypatch.setattr(PhysicalPlan, "estimates_finite",
+                            counting_estimates)
+        plans = list({id(r.plan): r.plan for r in pipeline.records[:8]}.values())
+        assert len(plans) > 1
+        pairs = [(p, r) for r in _grid_profiles() for p in plans]
+        assert guarded._validate_inputs(pairs) is None
+        assert calls == {"as_features": 24, "estimates_finite": len(plans)}
+
+    def test_first_pair_using_a_bad_profile_is_named(self, guarded, pipeline):
+        plans = [r.plan for r in pipeline.records[:3]]
+        profiles = _grid_profiles(6)
+        profiles[4] = _broken_profile(executor_memory_gb=float("nan"))
+        pairs = [(p, r) for r in profiles for p in plans]
+        k = 4 * len(plans)
+        assert guarded._validate_inputs(pairs) == \
+            f"resource profile {k} has non-finite features"
+        profiles[4] = _broken_profile(executor_memory_gb=0.0)
+        pairs = [(p, r) for p in plans for r in profiles]
+        assert guarded._validate_inputs(pairs) == \
+            "resource profile 4 has non-positive resources"
+
+    def test_reused_plan_with_bad_estimates_names_its_first_pair(
+            self, guarded, pipeline):
+        frozen, _ = _frozen_and_fresh(pipeline, count=3)
+        frozen[2].nodes()[0].est_bytes = float("inf")
+        profiles = _grid_profiles(5)
+        pairs = [(p, r) for p in frozen for r in profiles]
+        assert guarded._validate_inputs(pairs) == \
+            f"plan {2 * len(profiles)} carries non-finite cardinality estimates"
+        pairs = [(p, r) for r in profiles for p in frozen]
+        assert guarded._validate_inputs(pairs) == \
+            "plan 2 carries non-finite cardinality estimates"
+
+    def test_oversized_plan_names_its_first_pair(self, guarded, pipeline,
+                                                 monkeypatch):
+        small, big = _small_and_big(pipeline)
+        structure = guarded.predictor.encoder.structure
+        monkeypatch.setattr(structure, "max_nodes", small.num_nodes)
+        profiles = _grid_profiles(4)
+        expected = (f"has {big.num_nodes} nodes, exceeding the encoder's "
+                    f"max_nodes={small.num_nodes}")
+        pairs = [(p, r) for p in (small, big) for r in profiles]
+        assert guarded._validate_inputs(pairs) == f"plan 4 {expected}"
+        pairs = [(p, r) for r in profiles for p in (small, big)]
+        assert guarded._validate_inputs(pairs) == f"plan 1 {expected}"
+
+    def test_same_reason_as_a_per_pair_walk(self, guarded, pipeline):
+        small, big = _small_and_big(pipeline)
+        bad_estimates, _ = _frozen_and_fresh(pipeline, count=1)
+        bad_estimates[0].nodes()[0].est_rows = float("nan")
+        max_nodes = guarded.predictor.encoder.structure.max_nodes
+        good = _grid_profiles(3)
+        nan_profile = _broken_profile(executors=float("nan"))
+        zero_profile = _broken_profile(executor_memory_gb=-1.0)
+        plans = [small, big, bad_estimates[0]]
+        for profiles in (good, good + [zero_profile], [nan_profile] + good,
+                         good[:1] + [zero_profile, nan_profile]):
+            for pairs in ([(p, r) for r in profiles for p in plans],
+                          [(p, r) for p in plans for r in profiles],
+                          [(p, r) for r in profiles for p in plans[:2]]):
+                assert guarded._validate_inputs(pairs) == \
+                    _per_pair_reason(pairs, max_nodes)
+
+
 class TestConcurrentSaturation:
     """The saturation verdict belongs to the call that produced it.
 
