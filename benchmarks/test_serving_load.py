@@ -4,10 +4,11 @@ Closed-loop concurrent clients drive ``PredictionService.predict``
 (the transport-agnostic core of ``repro serve``) in the two dispatch
 modes:
 
-* ``single`` — ``batch_window_ms=0``: every request runs its own
+* ``single`` — ``batching=False``: every request runs its own
   forward on the caller's thread (per-request dispatch);
-* ``batched`` — the micro-batching window fuses concurrent requests
-  into one forward through the bucket executor.
+* ``batched`` — the work-conserving micro-batcher fuses the requests
+  that queue behind a running batch into one forward through the
+  bucket executor.
 
 Each mode reports req/s and latency p50/p95/p99, both exact (measured
 samples) and as estimated from the ``serve.predict.latency_seconds``
@@ -20,7 +21,7 @@ Gates:
 
 * batched throughput ≥ ``REPRO_BENCH_SERVE_MIN_SPEEDUP`` (default
   1.05×) of per-request dispatch — micro-batching must pay for its
-  window;
+  dispatcher hand-off;
 * the mid-load hot swap completes with **zero** failed requests and
   only old-or-new versions observed;
 * batched p99 ≤ ``REPRO_BENCH_SERVE_MAX_P99_MS`` (default 2000 ms).
@@ -158,10 +159,10 @@ def _drive(service: PredictionService, queries: list[str],
     }
 
 
-def _build_service(window_ms: float, catalog, predictor,
+def _build_service(batching: bool, catalog, predictor,
                    checkpoint: str) -> PredictionService:
     config = ServingConfig(
-        batch_window_ms=window_ms, max_batch_pairs=256,
+        batching=batching,
         # Generous admission so both modes serve learned answers —
         # the comparison is dispatch strategy, not shed behaviour.
         max_in_flight=64, max_queue_depth=128)
@@ -183,7 +184,7 @@ def test_serving_sustained_load(tmp_path):
     # Mode 1: per-request dispatch (the baseline arm).
     telemetry = obs.Telemetry.create()
     with obs.attached(telemetry):
-        service = _build_service(0.0, pipeline.catalog, predictor,
+        service = _build_service(False, pipeline.catalog, predictor,
                                  str(checkpoint))
         try:
             results["single"] = _drive(service, queries)
@@ -193,7 +194,7 @@ def test_serving_sustained_load(tmp_path):
     # Mode 2: micro-batched dispatch, with a mid-load hot swap.
     telemetry = obs.Telemetry.create()
     with obs.attached(telemetry):
-        service = _build_service(2.0, pipeline.catalog, predictor,
+        service = _build_service(True, pipeline.catalog, predictor,
                                  str(checkpoint))
         try:
             results["batched"] = _drive(

@@ -167,13 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dataset", default="imdb", choices=["imdb", "tpch"])
     serve.add_argument("--catalog-scale", type=float, default=0.15)
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="micro-batching window; concurrent requests arriving within "
-             "it fuse into one forward (0 disables batching)")
-    serve.add_argument(
-        "--max-batch-pairs", type=int, default=64,
-        help="close a batching window early at this many fused "
-             "(plan, resources) pairs")
+        "--no-batching", dest="batching", action="store_false",
+        help="score every request on its own thread instead of fusing "
+             "requests that queue behind a running batch into one forward")
     serve.add_argument(
         "--precision", default="f64", choices=list(PRECISIONS),
         help="inference precision tier for all served models")
@@ -390,8 +386,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     config = ServingConfig(
         dataset=args.dataset, catalog_scale=args.catalog_scale,
-        batch_window_ms=args.batch_window_ms,
-        max_batch_pairs=args.max_batch_pairs,
+        batching=args.batching,
         precision=args.precision, threads=args.threads,
         default_deadline_ms=args.deadline_ms, shed_mode=args.shed_mode,
         max_in_flight=args.max_in_flight,
@@ -404,24 +399,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         version = service.load_model(directory, model_id=model_id)
         print(f"serving model {model_id!r} version {version} "
               f"from {directory}")
-    server = http_serve(service, host=args.host, port=args.port,
-                        background=True)
-    mode = (f"micro-batching window={config.batch_window_ms}ms "
-            f"max_pairs={config.max_batch_pairs}"
-            if config.batch_window_ms > 0 else "per-request dispatch")
-    print(f"repro serve listening on http://{args.host}:{server.port} "
-          f"({mode}, shed_mode={config.shed_mode})", flush=True)
     # A shell starts background jobs with SIGINT ignored, so install the
-    # interrupt handler explicitly; SIGTERM drains the same way.
+    # interrupt handler explicitly; SIGTERM drains the same way. Both go
+    # in before the first connection is accepted, so no signal can land
+    # while the default (kill) or ignored disposition is still in place.
     previous = {sig: signal.signal(sig, signal.default_int_handler)
                 for sig in (signal.SIGINT, signal.SIGTERM)}
+    server = None
     try:
+        server = http_serve(service, host=args.host, port=args.port,
+                            background=True)
+        mode = ("micro-batching" if config.batching
+                else "per-request dispatch")
+        print(f"repro serve listening on http://{args.host}:{server.port} "
+              f"({mode}, shed_mode={config.shed_mode})", flush=True)
         while True:
             server._thread.join(1.0)
     except KeyboardInterrupt:
         print("shutting down ...", flush=True)
     finally:
-        server.close()
+        (service if server is None else server).close()
         for sig, handler in previous.items():
             signal.signal(sig, handler)
     return 0

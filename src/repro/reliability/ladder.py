@@ -120,6 +120,7 @@ class DegradationLadder:
         self._lock = threading.RLock()
         self._rung = 0
         self._samples: deque[float] = deque(maxlen=self.config.window)
+        self._p99: float | None = None   # of _samples; None = stale
         self._last_transition = clock()
         self._max_rung = len(LADDER_STATES) - 1   # quarantine ceiling
         self._quarantine_expires = -np.inf
@@ -155,6 +156,7 @@ class DegradationLadder:
         """Feed one learned-model latency sample and re-evaluate."""
         with self._lock:
             self._samples.append(float(latency_seconds))
+            self._p99 = None
             self._evaluate()
 
     def trip_accuracy(self, reason: str) -> None:
@@ -228,7 +230,9 @@ class DegradationLadder:
             return
         if len(self._samples) < self.config.min_samples:
             return
-        p99 = float(np.percentile(np.asarray(self._samples), 99))
+        if self._p99 is None:
+            self._p99 = float(np.percentile(np.asarray(self._samples), 99))
+        p99 = self._p99
         if p99 > self.config.degrade_p99 and self._rung < self._max_rung:
             self._transition(
                 self._rung + 1,
@@ -243,6 +247,7 @@ class DegradationLadder:
         old = self.state
         self._rung = new_rung
         self._samples.clear()
+        self._p99 = None
         self._last_transition = self._clock()
         transition = LadderTransition(at=self._last_transition, old=old,
                                       new=self.state, reason=reason)

@@ -4,13 +4,15 @@ A prediction service receives many small requests — one query's
 candidate plans under one resource profile — from many concurrent
 clients. Scoring each request alone wastes the engine: every call pays
 the guard/telemetry overhead and runs small, padding-heavy GEMMs.
-:class:`MicroBatcher` turns that stream into fused forwards:
+:class:`MicroBatcher` turns that stream into fused forwards, and it is
+**work-conserving**: the dispatcher never idles while work is queued.
 
-* the first request of a lull opens a **batching window** (a few
-  milliseconds); every request arriving inside the window joins it;
-* the window closes early when the batch reaches ``max_pairs``
-  (plan, resources) pairs, so a burst never waits out the full window;
-* the fused batch runs through one ``execute`` call — which feeds the
+* a request submitted while the dispatcher is idle is dispatched at
+  once, as a batch of one — it never waits for company;
+* requests submitted while a batch runs queue up, and the next batch
+  takes the whole queue, so fusion grows with load instead of being
+  bought with latency;
+* each fused batch runs through one ``execute`` call — which feeds the
   guarded predictor's length-bucketed
   :class:`~repro.core.execution.BucketExecutor` as a single forward —
   and the result vector is scattered back to the waiting callers.
@@ -25,19 +27,18 @@ the guard's ``shed_mode`` exactly as they do for direct calls: the
 batch degrades (``fallback``) or every member sees
 :class:`~repro.errors.Overloaded` (``reject``).
 
-With ``window_ms=0`` the batcher degenerates to per-request dispatch
-on the caller's thread — the comparison arm of the serving benchmark
-and the right mode for single-client deployments.
+With ``batching=False`` every request is scored on its caller's thread
+— the comparison arm of the serving benchmark and the right mode for
+single-client deployments.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable
 
 from repro import obs
-from repro.errors import PredictionError, ReproError
+from repro.errors import PredictionError
 from repro.reliability.deadline import Deadline
 
 __all__ = ["BatchItem", "MicroBatcher"]
@@ -73,7 +74,7 @@ class BatchItem:
 
 
 class MicroBatcher:
-    """Window-based request coalescer in front of one serving model.
+    """Work-conserving request coalescer in front of one serving model.
 
     Parameters
     ----------
@@ -83,29 +84,19 @@ class MicroBatcher:
         typically a closure over the model shard's current
         :class:`~repro.reliability.guard.GuardedCostPredictor` so the
         whole batch is served by exactly one model version.
-    window_ms:
-        Batching window opened by the first request of a lull. ``0``
-        disables batching: submits execute inline on the caller's
-        thread.
-    max_pairs:
-        Close the window early once the batch holds this many pairs.
+    batching:
+        ``False`` disables coalescing: submits execute inline on the
+        caller's thread.
     name:
         Telemetry label (``serve.batch.*`` metrics are shared; the
         ``shard`` annotation distinguishes shards).
     """
 
-    def __init__(self, execute: Callable, window_ms: float = 2.0,
-                 max_pairs: int = 64, name: str = "default",
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if window_ms < 0:
-            raise ReproError(f"window_ms must be >= 0, got {window_ms}")
-        if max_pairs < 1:
-            raise ReproError(f"max_pairs must be >= 1, got {max_pairs}")
+    def __init__(self, execute: Callable, batching: bool = True,
+                 name: str = "default") -> None:
         self.execute = execute
-        self.window = window_ms / 1e3
-        self.max_pairs = int(max_pairs)
+        self.enabled = bool(batching)
         self.name = name
-        self._clock = clock
         self._cv = threading.Condition(threading.Lock())
         self._queue: list[BatchItem] = []
         self._closed = False
@@ -114,11 +105,6 @@ class MicroBatcher:
         self.batches = 0
         self.batched_pairs = 0
         self.coalesced_requests = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether requests are coalesced (``window_ms > 0``)."""
-        return self.window > 0
 
     # -- lifecycle ---------------------------------------------------------
     def _ensure_thread(self) -> None:
@@ -154,8 +140,8 @@ class MicroBatcher:
             raise PredictionError("cannot submit an empty pair list")
         if deadline is not None and deadline.expired():
             # Fail fast without occupying a batch slot: queueing work
-            # that is already late only steals window time from
-            # requests that can still make their budget.
+            # that is already late only delays the requests that can
+            # still make their budget.
             deadline.check("at batch submit")
         item = BatchItem(pairs, deadline)
         if not self.enabled or self._closed:
@@ -177,22 +163,10 @@ class MicroBatcher:
 
     # -- the dispatcher ----------------------------------------------------
     def _collect(self) -> list[BatchItem]:
-        """Block for the first request, then drain one window's worth."""
+        """Block until a request is queued, then take the whole queue."""
         with self._cv:
             while not self._queue and not self._closed:
                 self._cv.wait()
-            if self._closed:
-                return []
-            window_ends = self._clock() + self.window
-            pairs = sum(len(i.pairs) for i in self._queue)
-            while pairs < self.max_pairs:
-                left = window_ends - self._clock()
-                if left <= 0:
-                    break
-                self._cv.wait(left)
-                if self._closed:
-                    break
-                pairs = sum(len(i.pairs) for i in self._queue)
             batch, self._queue = self._queue, []
             return batch
 
@@ -240,8 +214,6 @@ class MicroBatcher:
             queued = len(self._queue)
         return {
             "enabled": self.enabled,
-            "window_ms": self.window * 1e3,
-            "max_pairs": self.max_pairs,
             "queued": queued,
             "batches": self.batches,
             "batched_pairs": self.batched_pairs,

@@ -28,8 +28,8 @@ Status mapping (see ``docs/API.md``):
 
 Concurrency: :class:`ThreadingHTTPServer` gives one thread per
 connection (HTTP/1.1 keep-alive), which is exactly what the
-micro-batcher wants — concurrent request threads parked inside the
-batching window so their pairs fuse into one forward.
+micro-batcher wants — request threads parked behind a running batch,
+so their pairs fuse into the next forward.
 """
 
 from __future__ import annotations

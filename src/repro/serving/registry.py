@@ -2,7 +2,7 @@
 
 The serving layer holds one :class:`ModelShard` per model id (tenant).
 Each shard owns its own micro-batcher and guarded predictor, so two
-tenants never contend on a lock, a batch window, or a breaker — the
+tenants never contend on a lock, a batch queue, or a breaker — the
 "worker pool sharded by model id".
 
 A shard's current model is replaced with **zero downtime**:
@@ -117,7 +117,7 @@ class ModelShard:
     """
 
     def __init__(self, model_id: str, build_guard: Callable,
-                 window_ms: float = 2.0, max_pairs: int = 64,
+                 batching: bool = True,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.model_id = model_id
         self._build_guard = build_guard
@@ -128,9 +128,8 @@ class ModelShard:
         self.candidate: CandidateState | None = None
         self._previous: ServingModel | None = None
         self._retired: list[ServingModel] = []
-        self.batcher = MicroBatcher(self._execute, window_ms=window_ms,
-                                    max_pairs=max_pairs, name=model_id,
-                                    clock=clock)
+        self.batcher = MicroBatcher(self._execute, batching=batching,
+                                    name=model_id)
 
     # -- serving -----------------------------------------------------------
     def predict(self, pairs, deadline: Deadline | None = None) -> BatchItem:
@@ -360,11 +359,10 @@ class ModelRegistry:
     """
 
     def __init__(self, build_guard_factory: Callable[[str], Callable],
-                 window_ms: float = 2.0, max_pairs: int = 64,
+                 batching: bool = True,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self._factory = build_guard_factory
-        self._window_ms = window_ms
-        self._max_pairs = max_pairs
+        self._batching = batching
         self._clock = clock
         self._lock = threading.Lock()
         self._shards: dict[str, ModelShard] = {}
@@ -378,8 +376,7 @@ class ModelRegistry:
             if not create:
                 raise ModelNotFound(f"unknown model {model_id!r}")
             shard = ModelShard(model_id, self._factory(model_id),
-                               window_ms=self._window_ms,
-                               max_pairs=self._max_pairs, clock=self._clock)
+                               batching=self._batching, clock=self._clock)
             self._shards[model_id] = shard
             return shard
 

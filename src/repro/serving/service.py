@@ -65,10 +65,9 @@ class ServingConfig:
 
     dataset: str = "imdb"
     catalog_scale: float = 0.15
-    #: Micro-batching window; ``0`` disables coalescing entirely.
-    batch_window_ms: float = 2.0
-    #: Close a batching window early at this many fused pairs.
-    max_batch_pairs: int = 64
+    #: Fuse requests that queue behind a running batch into the next
+    #: one; ``False`` scores every request on its own thread.
+    batching: bool = True
     #: Serving execution policy applied to every loaded model.
     precision: str = "f64"
     threads: int = 1
@@ -98,7 +97,7 @@ class PredictionService:
         bundle is reused, else the service creates and attaches its
         own (and detaches it again on :meth:`close`).
     clock:
-        Injectable monotonic clock shared with shards and batchers.
+        Injectable monotonic clock shared with the model shards.
     """
 
     def __init__(self, config: ServingConfig | None = None,
@@ -129,8 +128,7 @@ class PredictionService:
                 admission_config=AdmissionConfig(
                     max_in_flight=self.config.max_in_flight,
                     max_queue_depth=self.config.max_queue_depth)),
-            window_ms=self.config.batch_window_ms,
-            max_pairs=self.config.max_batch_pairs, clock=clock)
+            batching=self.config.batching, clock=clock)
         self._plan_lock = threading.Lock()
         self._plan_cache: OrderedDict[str, list] = OrderedDict()
         self.draining = False
@@ -238,8 +236,8 @@ class PredictionService:
             ) from exc
         if deadline_ms <= 0:
             raise ServingError(f"'deadline_ms' must be > 0, got {deadline_ms}")
-        # Created before queueing so batch-window wait counts against
-        # the request's budget, not on top of it.
+        # Created before queueing so the wait behind a running batch
+        # counts against the request's budget, not on top of it.
         return Deadline.from_ms(deadline_ms, clock=self._clock)
 
     def _shard(self, body: dict):
@@ -424,7 +422,7 @@ class PredictionService:
             "status": status,
             "uptime_seconds": self._clock() - self._started,
             "dataset": self.config.dataset,
-            "batching": self.config.batch_window_ms > 0,
+            "batching": self.config.batching,
             "models": models,
         }
 

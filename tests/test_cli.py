@@ -27,6 +27,17 @@ class TestParser:
             build_parser().parse_args([*argv, "--no-fast-path"])
         assert "unrecognized arguments: --no-fast-path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--batch-window-ms", "--max-batch-pairs"])
+    def test_retired_batching_knobs_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--model", "m", flag, "2"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_batching_is_one_switch(self):
+        assert build_parser().parse_args(["serve"]).batching
+        assert not build_parser().parse_args(
+            ["serve", "--no-batching"]).batching
+
     def test_predict_args(self):
         args = build_parser().parse_args([
             "predict", "--model", "m", "--sql", "select count(*) from title t",
@@ -275,6 +286,47 @@ class TestServeShutdown:
             except OSError:
                 assert time.monotonic() < deadline, output
                 time.sleep(0.1)
+
+    def test_signal_handlers_installed_before_serving(
+            self, shared_model_dir, monkeypatch, capsys):
+        """The drain handlers are in place before the first connection
+        can be accepted, so a signal sent as soon as ``/healthz``
+        answers cannot kill (or be lost by) the server."""
+        import signal
+
+        import repro.serving
+
+        seen = {}
+
+        class Interrupted:
+            def join(self, timeout=None):
+                raise KeyboardInterrupt
+
+        class FakeServer:
+            port = 0
+            _thread = Interrupted()
+
+            def __init__(self, service):
+                self.service = service
+
+            def close(self):
+                seen["closed"] = True
+                self.service.close()
+
+        def fake_serve(service, host, port, background):
+            seen["handlers"] = (signal.getsignal(signal.SIGINT),
+                                signal.getsignal(signal.SIGTERM))
+            return FakeServer(service)
+
+        monkeypatch.setattr(repro.serving, "serve", fake_serve)
+        before = signal.getsignal(signal.SIGTERM)
+        code = main(["serve", "--model", shared_model_dir,
+                     "--catalog-scale", "0.05", "--port", "0"])
+        assert code == 0
+        assert seen["handlers"] == (signal.default_int_handler,) * 2
+        assert seen["closed"]
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert "shutting down" in capsys.readouterr().out
 
     @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
     def test_signal_drains_with_sigint_ignored(self, shared_model_dir,

@@ -259,6 +259,68 @@ class TestLadder:
         assert "p99" in transition.reason
 
 
+class RecomputingLadder(DegradationLadder):
+    """Reference ladder: recomputes its p99 on every evaluation."""
+
+    def _evaluate(self) -> None:
+        self._p99 = None
+        super()._evaluate()
+
+
+class TestLadderP99Cache:
+    def test_p99_computed_once_per_recorded_sample(self, monkeypatch):
+        percentile = np.percentile
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return percentile(*args, **kwargs)
+
+        ladder = fast_ladder(FakeClock())
+        ladder.record(0.008)  # below min_samples: nothing to compute
+        monkeypatch.setattr(np, "percentile", counting)
+        for n in range(1, 11):
+            # 8 ms sits in the hysteresis band: the rung never moves.
+            ladder.record(0.008)
+            assert len(calls) == n
+            for _ in range(3):
+                assert ladder.precision() == "f64"
+            assert len(calls) == n
+        assert ladder.history == []
+
+    def test_history_matches_a_ladder_that_recomputes_every_call(self):
+        rng = np.random.default_rng(20)
+        config = LadderConfig(degrade_p99=0.010, window=4, min_samples=2,
+                              hold_seconds=0.5, quarantine_seconds=30.0)
+        clocks = (FakeClock(), FakeClock())
+        ladders = (DegradationLadder(config, clock=clocks[0]),
+                   RecomputingLadder(config, clock=clocks[1]))
+        scale = 0.008
+        for step in range(3000):
+            if step % 40 == 0:  # a new load phase: fast, banded or slow
+                scale = float(rng.choice([0.002, 0.008, 0.030]))
+            op = rng.random()
+            latency = float(rng.lognormal(np.log(scale), 0.3))
+            advance = float(rng.exponential(0.1))
+            for ladder, clock in zip(ladders, clocks):
+                clock.advance(advance)
+                if op < 0.6:
+                    ladder.record(latency)
+                elif op < 0.97:
+                    ladder.precision()
+                elif op < 0.98:
+                    ladder.trip_accuracy("replayed drift")
+                elif op < 0.99:
+                    ladder.on_breaker_transition("closed", "open")
+                else:
+                    ladder.on_breaker_transition("open", "half_open")
+        cached, reference = ladders
+        assert len(reference.history) > 50
+        assert {t.new for t in reference.history} == {
+            "healthy", "degraded_f32", "degraded_int8", "fallback"}
+        assert cached.history == reference.history
+
+
 # -- accuracy canary -------------------------------------------------------
 class TestCanary:
     def test_qerror_per_pair(self):

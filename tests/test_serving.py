@@ -3,8 +3,9 @@ swap, the JSON service endpoints, the stdlib HTTP front-end, and the
 concurrent-clients-during-hot-swap integration contract (zero errors,
 only old-or-new provenance, never a torn state).
 
-The micro-batcher tests run against a fake ``execute`` with generous
-windows so they are deterministic on loaded CI machines; the service
+The micro-batcher tests run against a fake ``execute`` and force
+fusion by holding the dispatcher inside a batch while others queue, so
+they are deterministic on loaded CI machines; the service
 and hot-swap tests share one small trained model via module-scoped
 fixtures (the same SMOKE pipeline the overload tests use).
 """
@@ -15,6 +16,7 @@ import http.client
 import io
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -23,11 +25,11 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.cluster.resources import PAPER_CLUSTER
 from repro.core import CostPredictor
 from repro.core.persistence import (checkpoint_fingerprint, save_predictor)
 from repro.errors import (CheckpointError, DeadlineExceeded, DeployConflict,
-                          ModelNotFound, PredictionError, ReproError,
-                          ServingError)
+                          ModelNotFound, PredictionError, ServingError)
 from repro.eval.experiments import SMOKE, ExperimentPipeline
 from repro.reliability import Deadline
 from repro.serving import (MicroBatcher, PredictionService, ROUTES,
@@ -57,7 +59,7 @@ def checkpoint(trained, tmp_path_factory):
 @pytest.fixture()
 def service(pipeline, checkpoint):
     svc = PredictionService(
-        ServingConfig(batch_window_ms=2.0, default_deadline_ms=2000.0),
+        ServingConfig(default_deadline_ms=2000.0),
         catalog=pipeline.catalog)
     svc.load_model(checkpoint)
     yield svc
@@ -75,6 +77,72 @@ class FakeResult:
         self.costs = np.asarray(costs)
 
 
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class HeldDispatcher:
+    """Hold a batcher's dispatcher inside a first one-request batch.
+
+    ``start()`` submits that request and returns once ``execute`` is
+    running it; ``queue(...)`` submits more requests from their own
+    threads and returns once the batcher shows them queued behind the
+    held batch; ``release()`` lets the dispatcher go and joins every
+    client. Fusion is then forced by the work-conserving rule, not by
+    timing: the next batch takes the whole queue.
+    """
+
+    def __init__(self, batcher):
+        self.batcher = batcher
+        self.running = threading.Event()
+        self.go = threading.Event()
+        self.results: dict = {}
+        self.errors: dict = {}
+        self._threads: list = []
+        inner = batcher.execute
+
+        def execute(pairs, deadline, sizes):
+            if not self.running.is_set():
+                self.running.set()
+                assert self.go.wait(10.0), "held batch never released"
+            return inner(pairs, deadline, sizes)
+
+        batcher.execute = execute
+
+    def _spawn(self, key, call):
+        def client():
+            try:
+                self.results[key] = call()
+            except Exception as exc:
+                self.errors[key] = exc
+
+        thread = threading.Thread(target=client)
+        self._threads.append(thread)
+        thread.start()
+
+    def start(self, pairs=(("p0", "r"),)):
+        self._spawn("held", lambda: self.batcher.submit(list(pairs)))
+        assert self.running.wait(10.0), "dispatcher never ran the batch"
+
+    def queue(self, key, call):
+        """Run ``call`` (one submit to the batcher) on its own thread."""
+        queued = self.batcher.snapshot()["queued"]
+        self._spawn(key, call)
+        _wait_until(lambda: self.batcher.snapshot()["queued"] > queued)
+
+    def submit(self, key, pairs, deadline=None):
+        self.queue(key, lambda: self.batcher.submit(pairs, deadline=deadline))
+
+    def release(self):
+        self.go.set()
+        for thread in self._threads:
+            thread.join(timeout=10.0)
+        assert not any(t.is_alive() for t in self._threads)
+
+
 class TestMicroBatcher:
     def _echo_execute(self, calls):
         def execute(pairs, deadline, sizes):
@@ -83,67 +151,109 @@ class TestMicroBatcher:
             return FakeResult(np.arange(len(pairs), dtype=float))
         return execute
 
+    def test_lone_submit_on_idle_batcher_runs_at_once(self):
+        """An idle dispatcher takes a lone request straight away, as a
+        batch of one: nothing else is queued, so nothing is waited for."""
+        calls = []
+        batcher = MicroBatcher(self._echo_execute(calls))
+        assert batcher.enabled
+        item = batcher.submit([("p", "r"), ("p2", "r")], timeout=10.0)
+        assert len(calls) == 1 and len(calls[0][0]) == 2
+        assert (item.offset, item.member, item.batch_size) == (0, 0, 2)
+        snap = batcher.snapshot()
+        assert (snap["batches"], snap["coalesced_requests"],
+                snap["queued"]) == (1, 1, 0)
+        batcher.close()
+
+    def test_requests_queued_behind_a_running_batch_fuse_into_one(self):
+        calls = []
+        batcher = MicroBatcher(self._echo_execute(calls))
+        held = HeldDispatcher(batcher)
+        held.start()
+        for i in range(3):
+            held.submit(i, [("p", f"r{i}"), ("p", f"s{i}")])
+        held.release()
+        # Exactly two batches: the held one, then the whole queue.
+        assert [len(pairs) for pairs, _ in calls] == [1, 6]
+        assert held.results["held"].batch_size == 1
+        assert sorted(held.results[i].member for i in range(3)) == [0, 1, 2]
+        snap = batcher.snapshot()
+        assert (snap["batches"], snap["batched_pairs"],
+                snap["coalesced_requests"], snap["queued"]) == (2, 7, 4, 0)
+        batcher.close()
+
     def test_concurrent_submissions_fuse_into_one_batch(self):
         calls = []
-        batcher = MicroBatcher(self._echo_execute(calls), window_ms=150.0,
-                               max_pairs=64)
-        barrier = threading.Barrier(4)
-        items = [None] * 4
-
-        def client(i):
-            barrier.wait()
-            items[i] = batcher.submit([("plan", f"prof{i}")])
-
-        threads = [threading.Thread(target=client, args=(i,))
-                   for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        batcher = MicroBatcher(self._echo_execute(calls))
+        held = HeldDispatcher(batcher)
+        held.start()
+        for i in range(4):
+            held.submit(i, [("plan", f"prof{i}")])
+        held.release()
         batcher.close()
-        # All four requests landed in one window → one fused execute.
-        assert len(calls) == 1
-        assert len(calls[0][0]) == 4
-        offsets = sorted(item.offset for item in items)
-        assert offsets == [0, 1, 2, 3]
-        for item in items:
+        # All four queued requests → one fused execute after the held one.
+        assert len(calls) == 2
+        assert len(calls[1][0]) == 4
+        items = [held.results[i] for i in range(4)]
+        assert [item.offset for item in items] == [0, 1, 2, 3]
+        for i, item in enumerate(items):
             assert item.batch_size == 4
             # Each caller's slice is its own pair's score.
+            assert calls[1][0][item.offset] == ("plan", f"prof{i}")
             assert item.result.costs[item.offset] == float(item.offset)
 
-    def test_window_zero_dispatches_inline(self):
+    def test_stress_every_caller_gets_its_own_slice(self):
+        """More submitters than cores with a short switch interval: no
+        request is lost, duplicated or handed another caller's slice."""
+        def execute(pairs, deadline, sizes):
+            assert sum(sizes) == len(pairs)
+            return FakeResult([float(tag) for _, tag in pairs])
+
+        batcher = MicroBatcher(execute)
+        clients, rounds = 8, 50
+        bad = []
+
+        def client(c):
+            for r in range(rounds):
+                tags = [c * 1000 + r * 2, c * 1000 + r * 2 + 1]
+                item = batcher.submit([("p", t) for t in tags], timeout=10.0)
+                got = item.result.costs[item.offset:item.offset + 2]
+                if list(got) != [float(t) for t in tags]:
+                    bad.append((tags, list(got)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        snap = batcher.snapshot()
+        assert snap["coalesced_requests"] == clients * rounds
+        assert snap["batched_pairs"] == 2 * clients * rounds
+        assert snap["queued"] == 0
+        batcher.close()
+
+    def test_batching_off_dispatches_inline(self):
         calls = []
-        batcher = MicroBatcher(self._echo_execute(calls), window_ms=0.0)
+        batcher = MicroBatcher(self._echo_execute(calls), batching=False)
         assert not batcher.enabled
         item = batcher.submit([("p", "r"), ("p2", "r")])
         assert len(calls) == 1
         assert item.offset == 0 and item.batch_size == 2
         assert batcher.snapshot()["batches"] == 1
-        batcher.close()
-
-    def test_max_pairs_closes_window_early(self):
-        calls = []
-        # A window long enough that only the max_pairs bound can close
-        # it within the test's runtime.
-        batcher = MicroBatcher(self._echo_execute(calls), window_ms=30_000.0,
-                               max_pairs=2)
-        done = []
-
-        def client():
-            done.append(batcher.submit([("p", "r")]))
-
-        threads = [threading.Thread(target=client) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert len(done) == 2
-        assert len(calls) == 1 and len(calls[0][0]) == 2
+        assert batcher._thread is None  # scored on the caller's thread
         batcher.close()
 
     def test_expired_deadline_fails_fast_without_queueing(self):
         calls = []
-        batcher = MicroBatcher(self._echo_execute(calls), window_ms=50.0)
+        batcher = MicroBatcher(self._echo_execute(calls))
         deadline = Deadline.from_ms(0.001)
         time.sleep(0.01)
         with pytest.raises(DeadlineExceeded):
@@ -153,44 +263,31 @@ class TestMicroBatcher:
 
     def test_batch_runs_under_tightest_member_deadline(self):
         calls = []
-        batcher = MicroBatcher(self._echo_execute(calls), window_ms=200.0,
-                               max_pairs=2)
+        batcher = MicroBatcher(self._echo_execute(calls))
         tight = Deadline.from_ms(60_000.0)
         loose = Deadline.from_ms(120_000.0)
-        results = []
-
-        def client(deadline):
-            results.append(batcher.submit([("p", "r")], deadline=deadline))
-
-        threads = [threading.Thread(target=client, args=(d,))
-                   for d in (loose, tight)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert len(calls) == 1
-        assert calls[0][1] is tight
+        held = HeldDispatcher(batcher)
+        held.start()
+        held.submit("loose", [("p", "r")], deadline=loose)
+        held.submit("tight", [("p", "r")], deadline=tight)
+        held.release()
+        assert len(calls) == 2 and len(calls[1][0]) == 2
+        assert calls[1][1] is tight
         batcher.close()
 
     def test_execute_failure_scatters_to_all_members(self):
         def explode(pairs, deadline, sizes):
             raise PredictionError("boom")
 
-        batcher = MicroBatcher(explode, window_ms=100.0, max_pairs=2)
-        errors = []
-
-        def client():
-            try:
-                batcher.submit([("p", "r")])
-            except PredictionError as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=client) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert len(errors) == 2
+        batcher = MicroBatcher(explode)
+        held = HeldDispatcher(batcher)
+        held.start()
+        held.submit(0, [("p", "r")])
+        held.submit(1, [("p", "r")])
+        held.release()
+        assert set(held.errors) == {"held", 0, 1}
+        assert all(isinstance(e, PredictionError)
+                   for e in held.errors.values())
         # The dispatcher survives a failed batch.
         calls = []
         batcher.execute = self._echo_execute(calls)
@@ -200,7 +297,7 @@ class TestMicroBatcher:
 
     def test_submit_after_close_runs_inline(self):
         calls = []
-        batcher = MicroBatcher(self._echo_execute(calls), window_ms=50.0)
+        batcher = MicroBatcher(self._echo_execute(calls))
         batcher.submit([("p", "r")])
         batcher.close()
         item = batcher.submit([("p", "r")])
@@ -208,13 +305,14 @@ class TestMicroBatcher:
         assert len(calls) == 2
 
     def test_empty_pairs_and_bad_config_raise(self):
-        batcher = MicroBatcher(lambda p, d, s: None, window_ms=0.0)
+        batcher = MicroBatcher(lambda p, d, s: None, batching=False)
         with pytest.raises(PredictionError):
             batcher.submit([])
-        with pytest.raises(ReproError):
-            MicroBatcher(lambda p, d, s: None, window_ms=-1.0)
-        with pytest.raises(ReproError):
-            MicroBatcher(lambda p, d, s: None, max_pairs=0)
+        # The batching window and its early-close bound are gone.
+        for retired in ({"window_ms": 2.0}, {"max_pairs": 64},
+                        {"clock": time.monotonic}):
+            with pytest.raises(TypeError):
+                MicroBatcher(lambda p, d, s: None, **retired)
 
 
 # -- versioning ------------------------------------------------------------
@@ -355,22 +453,23 @@ class TestService:
         fused offsets >= 16 (the audit trail's per-request cap): each
         gets its own request id with indexes from 0, and every returned
         handle records against the cost that request was served."""
-        svc = PredictionService(
-            ServingConfig(batch_window_ms=2000.0, max_batch_pairs=10_000),
-            catalog=pipeline.catalog)
+        svc = PredictionService(ServingConfig(), catalog=pipeline.catalog)
         svc.load_model(checkpoint)
         try:
             n_plans = len(svc.predict({"sql": sql})["plans"])
             profiles = [{"executors": 1 + k % 4}
                         for k in range(16 // n_plans + 1)]
-            bodies = {}
-            grid = threading.Thread(target=lambda: bodies.setdefault(
-                "grid", svc.predict_grid({"sql": sql, "profiles": profiles})))
-            grid.start()
-            time.sleep(0.2)  # queue the grid first, inside the window
-            bodies["predict"] = svc.predict({"sql": sql})
-            grid.join(timeout=30.0)
-            assert not grid.is_alive()
+            held = HeldDispatcher(svc.registry.shard("default").batcher)
+            held.start([(plan, PAPER_CLUSTER)
+                        for plan in svc._plans_for(sql)])
+            # Queue the grid first, then the predict, behind the held
+            # batch: the next batch fuses exactly these two requests.
+            held.queue("grid", lambda: svc.predict_grid(
+                {"sql": sql, "profiles": profiles}))
+            held.queue("predict", lambda: svc.predict({"sql": sql}))
+            held.release()
+            assert not held.errors, held.errors
+            bodies = held.results
             fused = len(profiles) * n_plans + n_plans
             assert bodies["grid"]["batch_pairs"] == fused
             assert bodies["predict"]["batch_pairs"] == fused
@@ -480,8 +579,7 @@ def _get(base, path):
 
 @pytest.fixture()
 def http_server(pipeline, checkpoint):
-    svc = PredictionService(ServingConfig(batch_window_ms=2.0),
-                            catalog=pipeline.catalog)
+    svc = PredictionService(ServingConfig(), catalog=pipeline.catalog)
     svc.load_model(checkpoint)
     srv = serve(svc, port=0, background=True)
     yield srv
@@ -668,7 +766,7 @@ class TestConcurrentHotSwap:
         promote runs; every response must succeed and carry exactly one
         of the two legitimate versions."""
         svc = PredictionService(
-            ServingConfig(batch_window_ms=1.0, default_deadline_ms=5000.0),
+            ServingConfig(default_deadline_ms=5000.0),
             catalog=pipeline.catalog)
         v1 = svc.load_model(checkpoint)
         errors: list = []
