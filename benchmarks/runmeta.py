@@ -1,8 +1,10 @@
 """Run metadata for every ``BENCH_*.json`` artifact.
 
 Performance numbers are only comparable when the run context is
-attributable: which commit, which numpy/BLAS build, how many cores, and
-which BLAS threading caps were in force. :func:`run_metadata` collects
+attributable: which commit (and whether the tree had uncommitted
+changes to tracked files, so an artifact regenerated inside a change
+does not pass for its parent's), which numpy/BLAS build, how many
+cores, and which BLAS threading caps were in force. :func:`run_metadata` collects
 that context; :func:`write_bench_json` stamps it into each benchmark
 artifact under a ``"meta"`` key, so the perf trajectory across PRs can
 separate code changes from environment changes.
@@ -31,14 +33,15 @@ _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _git_sha() -> str | None:
+def _git(*args: str) -> str | None:
+    """Stripped stdout of one git command, or ``None`` if it failed."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=_REPO_ROOT,
+            ["git", *args], cwd=_REPO_ROOT,
             capture_output=True, text=True, timeout=10)
-        return out.stdout.strip() or None if out.returncode == 0 else None
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def _blas_info() -> dict:
@@ -56,8 +59,10 @@ def run_metadata(timestamp: str | None = None) -> dict:
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds")
+    status = _git("status", "--porcelain", "--untracked-files=no")
     return {
-        "git_sha": _git_sha(),
+        "git_sha": _git("rev-parse", "HEAD") or None,
+        "git_dirty": bool(status) if status is not None else None,
         "timestamp": timestamp,
         "numpy_version": np.__version__,
         "blas": _blas_info(),

@@ -1,26 +1,23 @@
-"""Overload-resilience harness: deadlines, shedding, and the ladder.
+"""Overload-resilience harness: deadlines, shedding, and the gate.
 
 Drives the fully-armed guarded predictor (deadline + admission control
-+ degradation ladder + accuracy canary) through six phases:
++ the learned-stage gate) through five phases:
 
 1. **baseline** — closed-loop stream, no faults: everything served by
-   the learned stage, ladder healthy.
+   the learned stage, gate closed.
 2. **saturation** — ``CLIENTS`` concurrent closed loops (≈4× the
    admission capacity) against a model with an injected per-bucket
    hang: admission sheds the excess instantly, the deadline bounds what
-   is admitted, and the ladder demonstrably steps down
-   (f64 → f32 → int8).
-3. **watchdog** — a fresh guard (no ladder masking the learned stage)
-   with the hang raised *past* the deadline: every learned attempt is
-   abandoned by the bucket watchdog and the analytic chain answers
-   inside the budget. No request may hang.
-4. **recovery** — the fault is lifted under light load: the ladder
-   climbs back to healthy via its hysteretic recovery path.
-5. **canary** — the cached int8 bundle is corrupted in place (the
-   staleness fingerprint still matches) with the canary shadow-sampling
-   at 100%: a q-error past ``CANARY_BUDGET`` trips the ladder off the
-   corrupt tier (``canary.trips`` counts ``canary.trips_total``).
-6. **shed fast-fail** — a ``reject``-mode guard behind a fully
+   is admitted, and consecutive blown deadlines open the gate with
+   cause ``deadline``.
+3. **watchdog** — a fresh guard whose gate threshold exceeds its
+   request count (so the gate never masks the learned stage) with the
+   hang raised *past* the deadline: every learned attempt is abandoned
+   by the bucket watchdog and the analytic chain answers inside the
+   budget. No request may hang.
+4. **recovery** — the fault is lifted under light load: after its
+   cooldown the gate's half-open probe succeeds and the gate closes.
+5. **shed fast-fail** — a ``reject``-mode guard behind a fully
    saturated admission controller: every request must fail in
    single-digit milliseconds, not queue.
 
@@ -32,17 +29,15 @@ Results go to ``BENCH_overload.json``. Gates (env-overridable):
   the same bound — nothing hangs, nothing waits out the fault;
 * shed requests must fail within ``REPRO_BENCH_OVERLOAD_SHED_GATE_MS``
   (default 5 ms);
-* the saturation ladder history must contain both ``degraded_f32`` and
-  ``degraded_int8``, and recovery must reach ``healthy``;
-* the canary must trip at least once on the corrupted tier and step the
-  ladder off it.
+* the gate must open with cause ``deadline`` during the saturation
+  storm, and recovery must close it within
+  ``REPRO_BENCH_OVERLOAD_RECOVERY_TIMEOUT_S``.
 
 Scale knobs: ``REPRO_BENCH_OVERLOAD_CLIENTS`` (default 16),
 ``REPRO_BENCH_OVERLOAD_REQS`` (default 8 per client),
 ``REPRO_BENCH_OVERLOAD_DEADLINE_MS`` (default 50),
 ``REPRO_BENCH_OVERLOAD_STORM_SECONDS`` (default 2.5 — the saturation
-storm keeps issuing requests at least this long so the ladder's
-hysteresis dwell can elapse twice).
+storm keeps issuing requests at least this long).
 """
 
 from __future__ import annotations
@@ -63,16 +58,15 @@ from repro.core.advisor import default_profile_grid
 from repro.core.predictor import PredictorConfig
 from repro.errors import Overloaded
 from repro.eval import render_table
-from repro.nn.precision import inference_weights, invalidate_inference_cache
 from repro.reliability import (
+    CLOSED,
+    OPEN,
     AdmissionConfig,
     AdmissionController,
-    DegradationLadder,
-    FaultInjector,
+    BreakerConfig,
     GuardedCostPredictor,
-    LadderConfig,
-    ShadowScorer,
 )
+from tests.faults import FaultInjector
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_overload.json"
 
@@ -101,21 +95,14 @@ def _percentiles(samples: list[float]) -> dict[str, float]:
             "max": float(arr.max())}
 
 
-def _ladder(**overrides) -> DegradationLadder:
-    config = dict(degrade_p99=0.020, window=16, min_samples=8,
-                  hold_seconds=0.25, quarantine_seconds=5.0)
-    config.update(overrides)
-    return DegradationLadder(LadderConfig(**config))
-
-
 def _storm(guard: GuardedCostPredictor, requests_per_client: int,
            make_request, min_duration: float = 0.0) -> dict:
     """``CLIENTS`` concurrent closed loops; per-request latency + source.
 
     Each client issues at least ``requests_per_client`` requests and
     keeps looping until ``min_duration`` wall seconds have elapsed —
-    the saturation phase needs sustained pressure so the ladder's
-    hysteresis dwell can expire, not just a fixed request count.
+    the saturation phase needs sustained pressure, not just a fixed
+    request count.
     """
     samples: list[tuple[float, str, str | None]] = []
     lock = threading.Lock()
@@ -158,8 +145,8 @@ def _storm(guard: GuardedCostPredictor, requests_per_client: int,
         "shed": sum(1 for _, _, r in samples if r and "shed" in r),
         "deadline_exceeded": sum(1 for _, _, r in samples
                                  if r and "deadline_exceeded" in r),
-        "ladder_fallback": sum(1 for _, _, r in samples
-                               if r and "ladder in fallback" in r),
+        "gate_open": sum(1 for _, _, r in samples
+                         if r and "circuit open" in r),
     }
     return {
         "requests": len(samples),
@@ -200,14 +187,22 @@ def test_overload_resilience():
     telemetry = obs.Telemetry.create()
     with obs.attached(telemetry):
         # -- phase 1: baseline, no faults ------------------------------
-        ladder = _ladder()
         admission = AdmissionController(AdmissionConfig(
             max_in_flight=MAX_IN_FLIGHT, max_queue_depth=MAX_IN_FLIGHT,
             max_wait_seconds=0.010))
         guard = GuardedCostPredictor(
-            base, gpsj=gpsj, admission=admission, ladder=ladder,
-            canary=ShadowScorer("canary", sample_rate=0.01),
+            base, gpsj=gpsj, admission=admission,
             default_deadline_ms=DEADLINE_MS)
+        gate = guard.breakers["raal"]
+        gate_history: list[dict] = []
+        telemetry_hook = gate.on_transition
+
+        def record_transition(old: str, new: str) -> None:
+            gate_history.append({"old": old, "new": new,
+                                 "cause": gate.cause})
+            telemetry_hook(old, new)
+
+        gate.on_transition = record_transition
         rng = np.random.default_rng(0)
         guard.predict_many(make_request(rng))  # warm caches + pools
         baseline_samples = []
@@ -217,7 +212,7 @@ def test_overload_resilience():
             baseline_samples.append(time.perf_counter() - t0)
             assert explained.source == "raal", explained
         results["baseline"] = {"all": _percentiles(baseline_samples),
-                               "ladder": ladder.state}
+                               "gate": gate.state}
 
         # -- phase 2: 4x saturation with a per-bucket hang -------------
         restore = injector.force_bucket_hang(model, HANG_MS / 1e3)
@@ -227,17 +222,18 @@ def test_overload_resilience():
                                            min_duration=STORM_SECONDS)
         finally:
             restore()
-        results["saturation"]["ladder_history"] = [
-            {"old": t.old, "new": t.new, "reason": t.reason}
-            for t in ladder.history]
+        results["saturation"]["gate_history"] = list(gate_history)
         results["saturation"]["admission"] = admission.snapshot()
 
         # -- phase 3: the hang outlives the deadline (watchdog) --------
-        # Fresh guard without a ladder: the saturation ladder is fully
-        # degraded by now and would route everything around the model,
-        # leaving the watchdog untested.
+        # Fresh guard whose gate cannot trip within the phase: the
+        # saturation gate is open by now and would route everything
+        # around the model, leaving the watchdog untested.
+        watchdog_requests = CLIENTS * max(REQS_PER_CLIENT // 2, 2)
         watchdog_guard = GuardedCostPredictor(
             base, gpsj=gpsj,
+            breaker_config=BreakerConfig(
+                failure_threshold=watchdog_requests + 1),
             admission=AdmissionController(AdmissionConfig(
                 max_in_flight=MAX_IN_FLIGHT, max_queue_depth=MAX_IN_FLIGHT,
                 max_wait_seconds=0.010)),
@@ -250,49 +246,26 @@ def test_overload_resilience():
         finally:
             restore()
 
-        # -- phase 4: fault lifted, ladder recovers --------------------
+        # -- phase 4: fault lifted, the gate's probe closes it ---------
         recovery_start = time.perf_counter()
         recovered_at = None
         while time.perf_counter() - recovery_start < RECOVERY_TIMEOUT_S:
             guard.predict_many(make_request(rng))
-            if ladder.state == "healthy":
+            if gate.state == CLOSED:
                 recovered_at = time.perf_counter() - recovery_start
                 break
+            # Open-gate answers return at once: pace the loop through
+            # the cooldown instead of spinning on the analytic chain.
+            time.sleep(0.01)
         results["recovery"] = {
-            "ladder": ladder.state,
-            "seconds_to_healthy": recovered_at,
-            "transitions_total": len(ladder.history),
+            "gate": gate.state,
+            "cause": gate.cause,
+            "seconds_to_closed": recovered_at,
+            "cooldown_seconds": gate.config.cooldown_seconds,
+            "transitions_total": len(gate_history),
         }
 
-        # -- phase 5: corrupt int8 bundle, canary trips ----------------
-        # hold_seconds=0 so the push-down needs no wall-clock dwell.
-        canary_ladder = _ladder(hold_seconds=0.0)
-        for _ in range(40):  # drive it onto the int8 rung
-            canary_ladder.record(0.05)
-            if canary_ladder.state == "degraded_int8":
-                break
-        assert canary_ladder.state == "degraded_int8", canary_ladder.state
-        canary = ShadowScorer("canary")
-        canary_guard = GuardedCostPredictor(
-            base, gpsj=gpsj, ladder=canary_ladder, canary=canary)
-        trips = telemetry.registry.get("canary.trips_total")
-        trips_before = trips.value if trips is not None else 0
-        inference_weights(model, "int8")  # materialize the cached bundle
-        try:
-            corrupted = injector.corrupt_precision_cache(model, "int8",
-                                                         magnitude=0.5)
-            canary_guard.predict_many(make_request(rng))
-        finally:
-            invalidate_inference_cache(model)
-        trips = telemetry.registry.get("canary.trips_total")
-        results["canary"] = {
-            "arrays_corrupted": corrupted,
-            **canary.snapshot(),
-            "trips": (trips.value if trips is not None else 0) - trips_before,
-            "ladder_after": canary_ladder.state,
-        }
-
-        # -- phase 6: shed fast-fail -----------------------------------
+        # -- phase 5: shed fast-fail -----------------------------------
         shed_admission = AdmissionController(AdmissionConfig(
             max_in_flight=1, max_queue_depth=0))
         reject_guard = GuardedCostPredictor(
@@ -318,33 +291,33 @@ def test_overload_resilience():
             for name in ("predict.shed_total",
                          "predict.deadline_exceeded_total",
                          "guard.raal.deadline_exceeded_total",
-                         "ladder.transitions_total",
-                         "canary.trips_total")
+                         "guard.raal.breaker_transitions_total",
+                         "gate.deadline_trips_total")
             if telemetry.registry.get(name) is not None
         }
 
     write_bench_json(BENCH_JSON, results)
 
     sat = results["saturation"]
+    trips = [e for e in sat["gate_history"] if e["new"] == OPEN]
     rows = [
         ["baseline", f"{results['baseline']['all']['p99'] * 1e3:.1f}", "-",
-         "-", results["baseline"]["ladder"]],
+         "-", results["baseline"]["gate"]],
         ["saturation", f"{sat['all']['p99'] * 1e3:.1f}",
          str(sat["outcomes"]["shed"]),
          str(sat["outcomes"]["deadline_exceeded"]),
-         sat["ladder_history"][-1]["new"] if sat["ladder_history"] else "-"],
+         f"open ({trips[0]['cause']})" if trips else "-"],
         ["watchdog", f"{results['watchdog']['all']['p99'] * 1e3:.1f}",
          str(results["watchdog"]["outcomes"]["shed"]),
          str(results["watchdog"]["outcomes"]["deadline_exceeded"]), "-"],
-        ["recovery", "-", "-", "-", results["recovery"]["ladder"]],
-        ["canary trip", "-", "-", "-", results["canary"]["ladder_after"]],
+        ["recovery", "-", "-", "-", results["recovery"]["gate"]],
         ["shed fast-fail", f"{results['shed_fastfail']['p99'] * 1e3:.2f}",
          str(len(shed_samples)), "-", "-"],
     ]
     publish("overload_resilience", render_table(
         f"Overload resilience ({CLIENTS} clients, {DEADLINE_MS:.0f}ms "
         f"deadline, {HANG_MS:.0f}ms hang; p99 ms)",
-        ["phase", "p99", "shed", "deadline", "ladder"], rows))
+        ["phase", "p99", "shed", "deadline", "gate"], rows))
 
     # -- gates ----------------------------------------------------------
     bound = (DEADLINE_MS + GRACE_MS) / 1e3
@@ -352,12 +325,9 @@ def test_overload_resilience():
         assert sat["accepted_raal"]["p99"] <= bound, sat["accepted_raal"]
     assert sat["all"]["p99"] <= bound, sat["all"]
     assert results["watchdog"]["all"]["p99"] <= bound, results["watchdog"]
-    ladder_states = {t["new"] for t in sat["ladder_history"]}
-    assert "degraded_f32" in ladder_states, sat["ladder_history"]
-    assert "degraded_int8" in ladder_states, sat["ladder_history"]
-    assert results["recovery"]["ladder"] == "healthy", results["recovery"]
+    assert results["watchdog"]["outcomes"]["deadline_exceeded"] > 0, \
+        results["watchdog"]
+    assert any(e["cause"] == "deadline" for e in trips), sat["gate_history"]
+    assert results["recovery"]["gate"] == CLOSED, results["recovery"]
     assert results["shed_fastfail"]["p99"] <= SHED_GATE_MS / 1e3, \
         results["shed_fastfail"]
-    assert results["canary"]["trips"] >= 1, results["canary"]
-    assert results["canary"]["ladder_after"] == "degraded_f32", \
-        results["canary"]

@@ -13,9 +13,9 @@ play the ground truth:
    parameter (finite corruption: the model keeps answering, it is just
    *wrong*), shifting the geometric-mean q-error severalfold. The gate:
    the detector must flip to ``drift`` within ``DETECT_GATE`` feedback
-   samples, emit ``drift_detected``, trip the degradation ladder to
-   its analytic fallback, and burn the q-error SLO budget into alert.
-3. **recovery** — weights restored, the ladder's fallback probe starts
+   samples, emit ``drift_detected``, open the learned-stage gate with
+   cause ``drift``, and burn the q-error SLO budget into alert.
+3. **recovery** — weights restored, the gate's cooldown probe starts
    letting learned answers (and thus feedback) through again; once the
    current window flushes, the detector must emit ``drift_recovered``
    within ``RECOVERY_TIMEOUT_S``.
@@ -60,12 +60,8 @@ from repro.obs.quality import (
     QualityConfig,
 )
 from repro.obs.slo import SLO, BurnRateConfig, SLOTracker
-from repro.reliability import (
-    DegradationLadder,
-    FaultInjector,
-    GuardedCostPredictor,
-    LadderConfig,
-)
+from repro.reliability import OPEN, BreakerConfig, GuardedCostPredictor
+from tests.faults import FaultInjector
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_quality.json"
 EVENTS_PATH = RESULTS_DIR / "quality_events.jsonl"
@@ -131,21 +127,31 @@ def test_quality_observability():
          SLO("qerror", threshold=QERROR_SLO_THRESHOLD, objective=0.8)],
         BurnRateConfig(fast_window_seconds=15.0, slow_window_seconds=60.0,
                        fast_burn=1.0, slow_burn=1.0))
-    # degrade_p99 sits far above any real serve latency: this harness
-    # exercises the accuracy-drift path, not the latency ladder.
-    ladder = DegradationLadder(LadderConfig(degrade_p99=30.0,
-                                            hold_seconds=0.05))
+    # A 50 ms cooldown lets the recovery phase probe the restored model
+    # (one learned answer, one feedback sample) every 50 ms while the
+    # detector's current window flushes. No deadline: this harness
+    # exercises the accuracy-drift trip, not the latency one.
     guard = GuardedCostPredictor(
-        base, gpsj=gpsj, ladder=ladder, quality=quality,
-        audit=AuditTrail(capacity=4096), slo=slo, workload="imdb")
+        base, gpsj=gpsj, breaker_config=BreakerConfig(cooldown_seconds=0.05),
+        quality=quality, audit=AuditTrail(capacity=4096), slo=slo,
+        workload="imdb")
+    gate = guard.breakers["raal"]
+    gate_history: list[dict] = []
+    telemetry_hook = gate.on_transition
 
-    # Serves the sustain phase: no ladder, so the learned stage keeps
-    # answering (and feedback keeps flowing) while the main guard's
-    # ladder sits in FALLBACK — the shape of feedback for queries that
-    # were served before a trip. It shares the audit trail, quality
+    def record_transition(old: str, new: str) -> None:
+        gate_history.append({"old": old, "new": new, "cause": gate.cause})
+        telemetry_hook(old, new)
+
+    gate.on_transition = record_transition
+
+    # Serves the sustain phase: its own gate is never tripped, so the
+    # learned stage keeps answering (and feedback keeps flowing) while
+    # the main guard's gate is open — the shape of feedback for queries
+    # that were served before a trip. It shares the audit trail, quality
     # tracker and SLO tracker, and every observation is closed through
-    # the main guard, whose drift coupling keeps re-tripping the ladder.
-    unladdered = GuardedCostPredictor(
+    # the main guard, whose drift coupling keeps re-tripping its gate.
+    ungated = GuardedCostPredictor(
         base, gpsj=gpsj, quality=quality, audit=guard.audit, slo=slo,
         workload="imdb")
 
@@ -188,7 +194,7 @@ def test_quality_observability():
             results["healthy"] = {
                 "qerror": _qstats(healthy_q),
                 "drift_state": drift_detector.state,
-                "ladder": ladder.state,
+                "gate": gate.state,
             }
             assert drift_detector.state == STABLE, drift_detector.snapshot()
 
@@ -210,10 +216,10 @@ def test_quality_observability():
                     break
             detect_seconds = time.perf_counter() - detect_started
             # Sustain the drifting feedback past the detection blip:
-            # the burn-rate SLO needs both windows burning, and the
-            # ladder (already in FALLBACK) must stay re-tripped.
+            # the burn-rate SLO needs both windows burning, and the gate
+            # (already open) must stay re-tripped.
             for _ in range(SUSTAIN if samples_to_detect is not None else 0):
-                _, qe = feed_one(unladdered)
+                _, qe = feed_one(ungated)
                 if qe is not None:
                     drift_q.append(qe)
             results["drift"] = {
@@ -221,10 +227,9 @@ def test_quality_observability():
                 "samples_to_detect": samples_to_detect,
                 "detect_seconds": detect_seconds,
                 "detector": drift_detector.snapshot(),
-                "ladder": ladder.state,
-                "ladder_history": [
-                    {"old": t.old, "new": t.new, "reason": t.reason}
-                    for t in ladder.history],
+                "gate": gate.state,
+                "gate_cause": gate.cause,
+                "gate_history": list(gate_history),
                 "slo_alerting": slo.alerting(),
             }
 
@@ -244,14 +249,14 @@ def test_quality_observability():
                     break
                 if source != "raal":
                     # Fallback-served: no feedback flows; give the
-                    # ladder's probe a moment to climb.
+                    # gate's cooldown a moment to elapse.
                     time.sleep(0.01)
             results["recovery"] = {
                 "qerror": _qstats(recovery_q) if recovery_q else None,
                 "seconds_to_recover": recovered_at,
                 "feedback_samples": len(recovery_q),
                 "detector": drift_detector.snapshot(),
-                "ladder": ladder.state,
+                "gate": gate.state,
             }
 
             results["counters"] = {
@@ -259,7 +264,7 @@ def test_quality_observability():
                 for name in ("quality.feedback_total",
                              "quality.drift_detected_total",
                              "quality.drift_recovered_total",
-                             "ladder.drift_trips_total",
+                             "gate.drift_trips_total",
                              "audit.records_total",
                              "audit.observations_total",
                              "slo.alerts_total")
@@ -278,7 +283,7 @@ def test_quality_observability():
     finally:
         telemetry.close()
         guard.close()
-        unladdered.close()
+        ungated.close()
     report.write(REPORT_PATH)
 
     write_bench_json(BENCH_JSON, results)
@@ -290,27 +295,28 @@ def test_quality_observability():
                                                   "p95": float("nan")}
     rows = [
         ["healthy", f"{healthy['mean']:.2f}", f"{healthy['p95']:.2f}",
-         results["healthy"]["drift_state"], results["healthy"]["ladder"]],
+         results["healthy"]["drift_state"], results["healthy"]["gate"]],
         ["drift", f"{drifted['mean']:.2f}", f"{drifted['p95']:.2f}",
          f"detected@{results['drift']['samples_to_detect']}",
-         results["drift"]["ladder"]],
+         f"{results['drift']['gate']} ({results['drift']['gate_cause']})"],
         ["recovery", f"{recovered['mean']:.2f}", f"{recovered['p95']:.2f}",
          results["recovery"]["detector"]["state"],
-         results["recovery"]["ladder"]],
+         results["recovery"]["gate"]],
     ]
     publish("quality_obs", render_table(
         f"Prediction-quality observability ({CORRUPT_FRACTION:.0%} weight "
         f"corruption; gate {DETECT_GATE} samples)",
-        ["phase", "qerr mean", "qerr p95", "detector", "ladder"], rows))
+        ["phase", "qerr mean", "qerr p95", "detector", "gate"], rows))
 
     # -- gates ----------------------------------------------------------
     assert samples_to_detect is not None, \
         f"drift never detected: {drift_detector.snapshot()}"
     assert samples_to_detect <= DETECT_GATE, results["drift"]
     assert results["events"]["drift_detected"] >= 1, results["events"]
-    assert results["drift"]["ladder"] == "fallback", results["drift"]
-    assert any("drift trip" in t["reason"]
-               for t in results["drift"]["ladder_history"]), results["drift"]
+    assert results["drift"]["gate"] == OPEN, results["drift"]
+    assert results["drift"]["gate_cause"] == "drift", results["drift"]
+    assert any(t["new"] == OPEN and t["cause"] == "drift"
+               for t in results["drift"]["gate_history"]), results["drift"]
     assert "qerror" in results["drift"]["slo_alerting"], results["drift"]
     assert results["recovery"]["seconds_to_recover"] is not None, \
         results["recovery"]

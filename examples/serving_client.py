@@ -83,12 +83,13 @@ def main() -> None:
     print(f"\nfeedback recorded: q-error {feedback['q_error']:.3f} "
           f"for request {feedback['request_id']}")
 
-    # 4. Operational state: every model's version, ladder rung, and
-    #    micro-batcher accounting.
+    # 4. Operational state: every model's version, learned-stage gate,
+    #    and micro-batcher accounting.
     health = call(server, "/healthz")
     for name, model in health["models"].items():
+        gate = model["gate"]
         print(f"health: model {name!r} version {model['version']} "
-              f"ladder={model['ladder']} "
+              f"gate={gate['state']} (last trip: {gate['cause']}) "
               f"batched={model['batcher']['coalesced_requests']} requests "
               f"in {model['batcher']['batches']} fused batches")
 

@@ -25,7 +25,7 @@ Commands
 ``top``
     Terminal health snapshot of a run artifact: latency percentiles,
     q-error quality scopes, drift state, SLO error-budget burn rates,
-    and the degradation-ladder/audit posture. ``--once`` for one frame,
+    and the learned-stage gate/audit posture. ``--once`` for one frame,
     otherwise refreshes every ``--interval`` seconds.
 ``audit``
     Query the per-prediction audit trail: the most recent records
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--precision", default="f64", choices=list(PRECISIONS),
         help="inference precision tier (f64 is bit-exact legacy behavior; "
-             "f32/int8 trade ≤0.5%% cost error for speed)")
+             "f32 trades ≤0.5%% cost error for speed)")
     predict.add_argument(
         "--threads", type=int, default=1,
         help="bucket-parallel inference threads (0 = one per CPU core)")
@@ -353,26 +353,27 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     print(f"telemetry self-check OK (span tree '{root.name}' with "
           f"encode/forward stages, {len(telemetry.registry)} metrics)")
     # Overload-resilience posture: run the same prediction through the
-    # guard `repro serve` builds (GPSJ, admission, ladder, canary,
-    # quality, audit, SLO) with a 1 s deadline and report the resulting
-    # health state. A healthy checkpoint must serve from the learned
-    # stage at the top ladder rung.
+    # guard `repro serve` builds (GPSJ, admission, gate, quality, audit,
+    # SLO) with a 1 s deadline and report the resulting health state. A
+    # healthy checkpoint must serve from the learned stage, gate closed.
     guarded = default_guard_builder(catalog, default_deadline_ms=1000.0)(
         "doctor")(predictor)
     explained = guarded.predict_explained(plans[0], PAPER_CLUSTER)
     health = guarded.health_state()
     admission = health.get("admission", {})
-    print(f"health state: ladder={health['ladder']} "
+    gate = health["gate"]
+    print(f"health state: gate={gate['state']} "
           f"precision={health['precision']} "
           f"breakers={health['breakers']} "
           f"shed={admission.get('shed_queue_full', 0) + admission.get('shed_wait_timeout', 0)}")
-    if explained.source != "raal" or health["ladder"] != "healthy":
-        # Name the rung: OPERATIONS.md's triage table keys off it.
-        print(f"health self-check FAILED: ladder rung '{health['ladder']}', "
-              f"served from '{explained.source}' ({explained.reason})")
+    if explained.source != "raal" or gate["state"] != "closed":
+        # Name the trip cause: OPERATIONS.md's triage table keys off it.
+        print(f"health self-check FAILED: gate {gate['state']} "
+              f"(cause: {gate['cause']}), served from "
+              f"'{explained.source}' ({explained.reason})")
         return 1
-    print(f"health self-check OK (served by the learned stage, "
-          f"ladder rung '{health['ladder']}')")
+    print("health self-check OK (served by the learned stage, gate "
+          "closed)")
     return 0
 
 
@@ -524,6 +525,7 @@ def _metric_value(metrics: dict, name: str, default: float = 0.0) -> float:
 def _render_top(artifact: str) -> str:
     """One ``repro top`` frame: latency, quality, SLO burn, health."""
     from repro.obs.metrics import quantile_from_snapshot
+    from repro.reliability import GATE_STATES, TRIP_CAUSES
 
     report = obs.load_report(artifact)
     metrics = report.metrics
@@ -587,11 +589,14 @@ def _render_top(artifact: str) -> str:
             "SLO error-budget burn", ["slo", "fast", "slow", "state"],
             slo_rows))
 
-    ladder_names = {0: "healthy", 1: "degraded_f32", 2: "degraded_int8",
-                    3: "fallback"}
+    gate_state = int(_metric_value(metrics, "health.state"))
+    trips = " ".join(
+        f"{cause}={_metric_value(metrics, f'gate.{cause}_trips_total'):g}"
+        for cause in TRIP_CAUSES)
     health_rows = [
-        ["ladder", ladder_names.get(
-            int(_metric_value(metrics, "health.state")), "unknown")],
+        ["gate", GATE_STATES[gate_state]
+         if 0 <= gate_state < len(GATE_STATES) else "unknown"],
+        ["gate trips", trips],
         ["guarded requests",
          f"{_metric_value(metrics, 'guard.requests_total'):g}"],
         ["degraded answers",

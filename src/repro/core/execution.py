@@ -1,7 +1,7 @@
 """Precision-tiered, bucket-parallel execution engine for inference.
 
 :class:`BucketExecutor` owns the one inference kernel. Every predict
-path — a guarded request's learned stage, the canary shadow,
+path — a guarded request's learned stage, the deploy shadow,
 ``CostPredictor.predict_grid`` and evaluation — runs through
 :meth:`BucketExecutor.predict_log`:
 
@@ -18,8 +18,8 @@ path — a guarded request's learned stage, the canary shadow,
   count before batching, so a batch of short plans is never padded to
   the longest plan in the workload.
 * **Precision tiers** — the forward runs over an
-  :class:`~repro.nn.precision.InferenceWeights` bundle (f64 / f32 /
-  int8); collation pads directly into the execution dtype.
+  :class:`~repro.nn.precision.InferenceWeights` bundle (f64 / f32);
+  collation pads directly into the execution dtype.
 * **Bucket parallelism** — with ``threads > 1`` the independent
   per-bucket forwards run on a thread pool. numpy releases the GIL
   inside BLAS and the large elementwise sweeps, so buckets genuinely
@@ -43,8 +43,8 @@ path — a guarded request's learned stage, the canary shadow,
   immediately; the pool itself stays healthy for subsequent requests.
 
 Every bucket goes through ``model.forward_inference``, so fault hooks
-that replace it (:class:`~repro.reliability.faults.FaultInjector`)
-reach every predict path. It never builds an autograd graph; the
+that replace it (the test suite's ``FaultInjector``, in
+``tests/faults.py``) reach every predict path. It never builds an autograd graph; the
 unbucketed autograd forward it is checked against lives in the test
 suite (``tests/oracles.py``).
 """
@@ -166,7 +166,7 @@ class BucketExecutor:
         Max distinct plans per bucket (usually
         ``TrainerConfig.batch_size``); each carries all its profiles.
     precision:
-        ``"f64"`` (default), ``"f32"``, or ``"int8"``.
+        ``"f64"`` (default) or ``"f32"``.
     threads:
         Bucket-level parallelism. ``1`` (default) stays single-threaded
         on the caller's thread; ``None``/``0`` means one worker per CPU

@@ -34,9 +34,8 @@ class PredictorConfig:
     bucket execution.
     """
 
-    #: Precision tier: ``"f64"`` (the reference), ``"f32"``
-    #: (reduced-precision kernels), or ``"int8"`` (per-channel weight
-    #: quantization, float32 execution over the dequantized cache).
+    #: Precision tier: ``"f64"`` (the reference) or ``"f32"``
+    #: (reduced-precision kernels).
     precision: str = DEFAULT_PRECISION
     #: Bucket-level parallelism inside predict calls. ``1`` stays on
     #: the calling thread; ``0``/``None`` means one worker per core.
@@ -61,7 +60,7 @@ class CostPredictor:
     (``tests/oracles.py``) to ≤ 1e-8.
 
     A :class:`PredictorConfig` selects the execution policy: precision
-    tier (f64 / f32 / int8) and bucket-parallel threading.
+    tier (f64 / f32) and bucket-parallel threading.
 
     This class is the *unguarded* path: encoding or forward failures
     propagate to the caller. Serving code that must never crash plan
@@ -85,9 +84,9 @@ class CostPredictor:
     def configured(self, config: PredictorConfig) -> "CostPredictor":
         """A predictor sharing this one's encoder/model under ``config``.
 
-        The quality tracker is shared too: ladder-degraded tier
-        predictors report into the same feedback accounting as the base
-        tier, distinguished by the ``tier`` scope of each sample.
+        The quality tracker is shared too: predictors at another
+        precision report into the same feedback accounting, distinguished
+        by the ``tier`` scope of each sample.
         """
         return CostPredictor(self.encoder, self.trainer, config,
                              quality=self.quality)

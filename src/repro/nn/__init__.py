@@ -36,7 +36,6 @@ from repro.nn.precision import (
     invalidate_inference_cache,
     resolve_dtype,
 )
-from repro.nn.quantize import QuantizedMatrix, quantize_per_channel
 from repro.nn.optim import SGD, Adam, Optimizer, StepLR, clip_grad_norm
 from repro.nn.rnn import LSTM, LSTMCell
 from repro.nn.serialization import load_model, save_model
@@ -91,8 +90,6 @@ __all__ = [
     "invalidate_inference_cache",
     "PRECISIONS",
     "resolve_dtype",
-    "quantize_per_channel",
-    "QuantizedMatrix",
     "raal_forward_backward",
     "fused_lstm_forward_cached",
     "fused_lstm_backward",

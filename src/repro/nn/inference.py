@@ -14,10 +14,9 @@ front, so the per-timestep loop only carries the (irreducibly
 sequential) recurrent ``h @ W_h`` product.
 
 Every kernel is *dtype-generic*: arithmetic runs in the dtype of its
-inputs, so the same code serves the float64 tier, the float32 tier,
-and the int8 tier (which executes in float32 over dequantized weights
-— see :mod:`repro.nn.precision`). Scratch allocations, mask floats,
-and the masked-softmax logit floor all follow the execution dtype.
+inputs, so the same code serves the float64 and float32 tiers (see
+:mod:`repro.nn.precision`). Scratch allocations, mask floats, and the
+masked-softmax logit floor all follow the execution dtype.
 
 The forward is split into a *plan-side* stage (embedding → LSTM/CNN →
 node-aware attention; depends only on the plan) and a *resource-side*

@@ -1,4 +1,4 @@
-"""Precision policy for the inference engine: f64 / f32 / int8 tiers.
+"""Precision policy for the inference engine: f64 / f32 tiers.
 
 The dtype policy is decided once per predictor (``PredictorConfig``)
 and materialized here as an :class:`InferenceWeights` bundle — every
@@ -9,28 +9,21 @@ array the graph-free forward needs, already in the execution dtype:
 * ``f32`` — float32 copies of every parameter. OpenBLAS moves roughly
   twice the FLOPs at half the memory traffic, and the elementwise
   tanh/exp sweeps in the LSTM and softmax speed up similarly.
-* ``int8`` — every GEMM weight matrix is quantized to int8 with
-  per-output-channel scales (:mod:`repro.nn.quantize`) and dequantized
-  back to float32 *once*, on load; the GEMMs then run in float32 over
-  the dequantized cache. Biases and 1-D parameters stay float32
-  (quantizing them saves nothing and costs accuracy).
 
-Bundles for the non-f64 tiers are cached on the model instance, keyed
-by precision and a weights fingerprint (the per-parameter sums), so
-repeated predict calls pay the cast/quantize cost once per model
-version: fine-tuning or ``load_state_dict`` changes the fingerprint and
-the next predict rebuilds the bundle automatically.
+The f32 bundle is cached on the model instance, keyed by a weights
+fingerprint (the per-parameter sums), so repeated predict calls pay the
+cast once per model version: fine-tuning or ``load_state_dict`` changes
+the fingerprint and the next predict rebuilds the bundle automatically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import PredictionError, ShapeError
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential
-from repro.nn.quantize import quantization_error, quantize_per_channel
 
 __all__ = [
     "PRECISIONS",
@@ -45,10 +38,10 @@ __all__ = [
 ]
 
 #: Supported precision tiers, in decreasing arithmetic width.
-PRECISIONS = ("f64", "f32", "int8")
+PRECISIONS = ("f64", "f32")
 DEFAULT_PRECISION = "f64"
 
-_DTYPES = {"f64": np.float64, "f32": np.float32, "int8": np.float32}
+_DTYPES = {"f64": np.float64, "f32": np.float32}
 
 #: Dtype-aware logit floor for masked softmax entries. Mask bias pushes
 #: masked scores to ~-1e9; exp() of those underflows through libm's
@@ -68,7 +61,7 @@ SOFTMAX_FLOORS = {
 
 
 def resolve_dtype(precision: str) -> np.dtype:
-    """Execution dtype of a precision tier (int8 executes in float32)."""
+    """Execution dtype of a precision tier."""
     try:
         return np.dtype(_DTYPES[precision])
     except KeyError:
@@ -91,8 +84,6 @@ class InferenceWeights:
     ``dense`` is a flat op list — ``("linear", w, b)`` / ``("relu",)``
     — mirroring the model's Sequential head with eval-mode Dropout
     already erased, so the execution kernels never touch Module objects.
-    ``qerror`` carries the per-matrix quantization error summary for the
-    int8 tier (empty otherwise).
     """
 
     precision: str
@@ -106,8 +97,6 @@ class InferenceWeights:
     dense: list[tuple]
     latent_dim: int
     node_dim: int
-    quantized_bytes: int = 0
-    qerror: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
 def weights_fingerprint(model) -> tuple:
@@ -133,8 +122,8 @@ def inference_weights(model, precision: str = DEFAULT_PRECISION) -> InferenceWei
 
     ``f64`` bundles are rebuilt per call from the live parameter arrays
     (pure views, no copies — always current by construction). ``f32``
-    and ``int8`` bundles are cached on the model instance and
-    revalidated against :func:`weights_fingerprint`.
+    bundles are cached on the model instance and revalidated against
+    :func:`weights_fingerprint`.
     """
     dtype = resolve_dtype(precision)
     if precision == "f64":
@@ -152,21 +141,8 @@ def inference_weights(model, precision: str = DEFAULT_PRECISION) -> InferenceWei
 
 
 def _build_weights(model, precision: str, dtype: np.dtype) -> InferenceWeights:
-    qerror: dict[str, dict[str, float]] = {}
-    quantized_bytes = 0
-
-    def matrix(name: str, array: np.ndarray) -> np.ndarray:
-        """A GEMM weight in the execution dtype (quantized for int8)."""
-        nonlocal quantized_bytes
-        if precision == "int8":
-            quantized = quantize_per_channel(array)
-            qerror[name] = quantization_error(array, quantized)
-            quantized_bytes += quantized.nbytes
-            return quantized.dequantize(dtype)
-        return np.asarray(array, dtype=dtype)
-
-    def vector(array: np.ndarray | None) -> np.ndarray | None:
-        """A bias/1-D parameter: cast only, never quantized."""
+    def cast(array: np.ndarray | None) -> np.ndarray | None:
+        """A parameter in the execution dtype (a view at f64)."""
         if array is None:
             return None
         return np.asarray(array, dtype=dtype)
@@ -178,33 +154,29 @@ def _build_weights(model, precision: str, dtype: np.dtype) -> InferenceWeights:
     lstm = cnn = None
     if model.plan_feature is not None:
         cell = model.plan_feature.cell
-        lstm = (matrix("lstm.w_x", cell.w_x.data),
-                matrix("lstm.w_h", cell.w_h.data),
-                vector(cell.bias.data))
+        lstm = (cast(cell.w_x.data), cast(cell.w_h.data),
+                cast(cell.bias.data))
     else:
-        cnn = (matrix("cnn.weight", model.cnn.weight.data),
-               vector(model.cnn.bias.data),
+        cnn = (cast(model.cnn.weight.data), cast(model.cnn.bias.data),
                config.cnn_kernel)
 
     node_attention = resource_attention = None
     if model.node_attention is not None:
         node_attention = (
-            matrix("node_attention.w_query", model.node_attention.w_query.data),
-            matrix("node_attention.w_key", model.node_attention.w_key.data))
+            cast(model.node_attention.w_query.data),
+            cast(model.node_attention.w_key.data))
     if model.resource_attention is not None:
         resource_attention = (
-            matrix("resource_attention.w_resource",
-                   model.resource_attention.w_resource.data),
-            matrix("resource_attention.w_key",
-                   model.resource_attention.w_key.data))
+            cast(model.resource_attention.w_resource.data),
+            cast(model.resource_attention.w_key.data))
 
     dense: list[tuple] = []
     if not isinstance(model.dense, Sequential):
         raise ShapeError("model.dense must be a Sequential of Linear/ReLU/Dropout")
-    for i, layer in enumerate(model.dense):
+    for layer in model.dense:
         if isinstance(layer, Linear):
-            dense.append(("linear", matrix(f"dense.{i}.weight", layer.weight.data),
-                          vector(layer.bias.data if layer.bias is not None else None)))
+            dense.append(("linear", cast(layer.weight.data),
+                          cast(layer.bias.data if layer.bias is not None else None)))
         elif isinstance(layer, ReLU):
             dense.append(("relu",))
         elif isinstance(layer, Dropout):
@@ -216,8 +188,8 @@ def _build_weights(model, precision: str, dtype: np.dtype) -> InferenceWeights:
     return InferenceWeights(
         precision=precision,
         dtype=dtype,
-        embedding_w=matrix("embedding.weight", model.embedding.weight.data),
-        embedding_b=vector(embedding_b),
+        embedding_w=cast(model.embedding.weight.data),
+        embedding_b=cast(embedding_b),
         lstm=lstm,
         cnn=cnn,
         node_attention=node_attention,
@@ -225,6 +197,4 @@ def _build_weights(model, precision: str, dtype: np.dtype) -> InferenceWeights:
         dense=dense,
         latent_dim=config.latent_dim,
         node_dim=config.node_dim,
-        quantized_bytes=quantized_bytes,
-        qerror=qerror,
     )

@@ -23,7 +23,7 @@ enter drift, ``consecutive`` calm ones plus a ``hold_seconds`` dwell to
 leave) so a single outlier batch cannot flap the state. Entering and
 leaving drift emits typed ``drift_detected`` / ``drift_recovered``
 events and drives the ``quality.drift_state`` gauge; the guarded
-predictor couples those transitions into its degradation ladder so
+predictor trips its learned-stage gate while the detector drifts, so
 accuracy regressions are first-class health signals alongside latency.
 
 Everything here is stdlib + the q-error math; like the rest of
@@ -125,7 +125,7 @@ class AccuracyTracker:
     gauge sets), so serving threads can feed it inline. A
     :class:`DriftDetector` passed as ``drift`` is fed every accepted
     sample; the caller reads transitions off the detector (the guarded
-    predictor does this to couple drift into its degradation ladder).
+    predictor does this to couple drift into its learned-stage gate).
     """
 
     def __init__(self, config: QualityConfig | None = None,

@@ -10,42 +10,40 @@ a :class:`~repro.core.predictor.CostPredictor` with exactly that chain:
     RAAL (learned) → GPSJ (analytic) → static heuristic
 
 The learned and analytic stages each have a circuit breaker (skip the
-stage outright after K consecutive failures, re-probe after a
+stage outright after K consecutive strikes, re-probe after a
 cooldown). The learned stage is a deterministic in-process encode and
 forward, so re-running a failed call would only fail again: a failure
 falls through at once. Every answer carries provenance: which stage
 produced it and, when the chain degraded, why.
 
-On top of the fault chain sits the overload-resilience layer (all
-optional, all default-off):
+The RAAL breaker is the one **learned-stage gate**: closed serves the
+model, open serves the analytic chain, half-open lets one probe
+through. It opens with a typed cause (``breakers["raal"].cause``):
 
-* **Deadlines** — every predict call accepts a
-  :class:`~repro.reliability.deadline.Deadline` (or synthesizes one
-  from ``default_deadline_ms``); the learned stage abandons work past
-  the budget and the chain serves the analytic answer instead. A blown
-  deadline is *load*, not model failure — it never trips the breaker.
-* **Admission control** — an :class:`~repro.reliability.admission.
-  AdmissionController` bounds learned-model concurrency; shed requests
-  either fall through to the analytic chain (``shed_mode="fallback"``,
-  default) or raise :class:`~repro.errors.Overloaded` within
-  milliseconds (``shed_mode="reject"``).
-* **Degradation ladder** — a :class:`~repro.reliability.ladder.
-  DegradationLadder` fed with learned-stage latencies picks the
-  serving precision tier (f64 → f32 → int8 → analytic-only) and is
-  pinned to its bottom rung while the RAAL breaker is open. The ladder
-  assumes the configured base tier is ``f64``.
-* **Accuracy canary** — while degraded, a
-  :class:`~repro.reliability.shadow.ShadowScorer` re-scores a seeded
-  sample on the f64 path once the answer is computed (outside the
-  admission slot and the ladder's latency sample) and trips the ladder
-  back up when a pair's q-error exceeds :data:`CANARY_BUDGET`.
+* ``failures`` — K consecutive encode/forward failures;
+* ``deadline`` — K consecutive learned-stage attempts abandoned past
+  a :class:`~repro.reliability.deadline.Deadline` whose budget is at
+  least the server's ``default_deadline_ms``. A deadline strike is the
+  gate's only latency signal, so a guard with no default deadline
+  never trips on latency. A tighter per-request deadline falls back
+  for that request alone: one client's tight budget must not shut the
+  model off for every client;
+* ``drift`` — the quality tracker's drift detector reports drift on
+  feedback (:meth:`GuardedCostPredictor.record_observation`).
+
+An optional :class:`~repro.reliability.admission.AdmissionController`
+bounds learned-model concurrency; shed requests either fall through to
+the analytic chain (``shed_mode="fallback"``, default) or raise
+:class:`~repro.errors.Overloaded` within milliseconds
+(``shed_mode="reject"``). Sheds and input rejections are not strikes:
+they say nothing about the model.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,10 +59,14 @@ from repro.obs.quality import DRIFT, AccuracyTracker
 from repro.obs.slo import SLOTracker
 from repro.plan.physical import PhysicalPlan
 from repro.reliability.admission import AdmissionController
-from repro.reliability.circuit import BreakerConfig, CircuitBreaker
+from repro.reliability.circuit import (
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    BreakerConfig,
+    CircuitBreaker,
+)
 from repro.reliability.deadline import Deadline
-from repro.reliability.ladder import DegradationLadder
-from repro.reliability.shadow import ShadowScorer
 
 __all__ = [
     "GuardedPrediction",
@@ -72,8 +74,8 @@ __all__ = [
     "GuardedCostPredictor",
     "static_heuristic_cost",
     "DEFAULT_CHAIN",
+    "GATE_STATES",
     "SHED_MODES",
-    "CANARY_BUDGET",
 ]
 
 #: How admission-control sheds surface: degrade to the analytic chain,
@@ -83,9 +85,8 @@ SHED_MODES = ("fallback", "reject")
 #: The fallback order: learned model, analytic model, static heuristic.
 DEFAULT_CHAIN = ("raal", "gpsj", "heuristic")
 
-#: Worst canary q-error a degraded tier may show against f64 before the
-#: ladder steps back up: the 5 % tier budget.
-CANARY_BUDGET = 1.05
+#: Learned-stage gate states, in ``health.state`` gauge order.
+GATE_STATES = (CLOSED, HALF_OPEN, OPEN)
 
 #: Fallback-of-last-resort cost when even the heuristic inputs are junk.
 _FLOOR_SECONDS = 1.0
@@ -178,20 +179,11 @@ class GuardedCostPredictor:
     admission:
         Optional :class:`AdmissionController` bounding learned-model
         concurrency; sheds surface per ``shed_mode``.
-    ladder:
-        Optional :class:`DegradationLadder` choosing the serving
-        precision tier from rolling learned-stage latency; coupled to
-        the RAAL breaker (open ⇒ ladder pinned to FALLBACK).
-    canary:
-        Optional :class:`ShadowScorer` re-scoring sampled degraded-tier
-        answers on the f64 path; a pair past :data:`CANARY_BUDGET` trips
-        the ladder back up.
     quality:
         Optional :class:`~repro.obs.quality.AccuracyTracker` fed
         (prediction, observed runtime) pairs via
         :meth:`record_observation`; its drift detector — when drifting
-        — trips the ladder to FALLBACK (the learned model itself is
-        wrong, so no precision tier helps).
+        — trips the learned-stage gate with cause ``drift``.
     audit:
         Optional :class:`~repro.obs.audit.AuditTrail`; every served
         request gets audit records (one per pair up to the trail's
@@ -207,7 +199,8 @@ class GuardedCostPredictor:
         per-workload quality statistics.
     default_deadline_ms:
         When set, every predict call without an explicit deadline gets
-        a fresh one with this budget.
+        a fresh one with this budget, and a blown deadline of at least
+        this budget is a gate strike.
     shed_mode:
         ``"fallback"`` (default) serves shed requests from the analytic
         chain; ``"reject"`` raises :class:`~repro.errors.Overloaded`.
@@ -221,8 +214,6 @@ class GuardedCostPredictor:
         gpsj: GPSJCostModel | None = None,
         breaker_config: BreakerConfig | None = None,
         admission: AdmissionController | None = None,
-        ladder: DegradationLadder | None = None,
-        canary: ShadowScorer | None = None,
         quality: AccuracyTracker | None = None,
         audit: AuditTrail | None = None,
         slo: SLOTracker | None = None,
@@ -240,8 +231,6 @@ class GuardedCostPredictor:
         self.predictor = predictor
         self.gpsj = gpsj
         self.admission = admission
-        self.ladder = ladder
-        self.canary = canary
         self.quality = quality
         self.audit = audit
         self.slo = slo
@@ -249,7 +238,6 @@ class GuardedCostPredictor:
         self.default_deadline_ms = default_deadline_ms
         self.shed_mode = shed_mode
         self._clock = clock
-        self._tier_predictors: dict[str, CostPredictor] = {}
         self.breakers = {
             stage: CircuitBreaker(config=breaker_config, clock=clock,
                                   on_transition=self._breaker_listener(stage))
@@ -259,17 +247,24 @@ class GuardedCostPredictor:
     def _breaker_listener(self, stage: str) -> Callable[[str, str], None]:
         """Telemetry hook for one stage's breaker state changes.
 
-        The RAAL stage's transitions additionally drive the degradation
-        ladder: an open breaker pins it to FALLBACK, the half-open
-        probe releases it.
+        Every transition event carries the breaker's last trip cause.
+        The RAAL stage's transitions also set the ``health.state`` gauge
+        (the :data:`GATE_STATES` index) and count trips per cause.
         """
         def _on_transition(old: str, new: str) -> None:
+            cause = self.breakers[stage].cause
             obs.inc(f"guard.{stage}.breaker_transitions_total",
                     help="Circuit breaker state changes")
             obs.emit_event("guard", "breaker_transition",
-                           stage=stage, old=old, new=new)
-            if stage == "raal" and self.ladder is not None:
-                self.ladder.on_breaker_transition(old, new)
+                           stage=stage, old=old, new=new, cause=cause)
+            if stage != "raal":
+                return
+            obs.set_gauge("health.state", GATE_STATES.index(new),
+                          help="Learned-stage gate (0=closed, 1=half_open, "
+                               "2=open)")
+            if new == OPEN:
+                obs.inc(f"gate.{cause}_trips_total",
+                        help="Learned-stage gate trips with this cause")
         return _on_transition
 
     # -- CostPredictor-compatible surface ---------------------------------
@@ -284,10 +279,8 @@ class GuardedCostPredictor:
         return self.predictor.trainer
 
     def close(self) -> None:
-        """Release worker pools held by the base and tier predictors."""
+        """Release the wrapped predictor's worker pool."""
         self.predictor.close()
-        for predictor in self._tier_predictors.values():
-            predictor.close()
 
     def predict(self, plan: PhysicalPlan, resources: ResourceProfile,
                 deadline: Deadline | None = None) -> float:
@@ -336,13 +329,14 @@ class GuardedCostPredictor:
     def health_state(self) -> dict[str, object]:
         """Live overload-resilience posture (``repro doctor`` and tests).
 
-        Summarizes the ladder rung, breaker states, and admission /
-        canary snapshots in one JSON-friendly dict.
+        Summarizes the learned-stage gate (state and last trip cause),
+        breaker states, and admission / quality snapshots in one
+        JSON-friendly dict.
         """
+        gate = self.breakers["raal"]
         state: dict[str, object] = {
-            "ladder": self.ladder.state if self.ladder is not None else "healthy",
-            "precision": (self.ladder.precision() if self.ladder is not None
-                          else self.predictor.config.precision),
+            "gate": {"state": gate.state, "cause": gate.cause},
+            "precision": self.predictor.config.precision,
             "breakers": {stage: breaker.state
                          for stage, breaker in self.breakers.items()},
             "shed_mode": self.shed_mode,
@@ -350,8 +344,6 @@ class GuardedCostPredictor:
         }
         if self.admission is not None:
             state["admission"] = self.admission.snapshot()
-        if self.canary is not None:
-            state["canary"] = self.canary.snapshot()
         if self.quality is not None:
             state["quality"] = self.quality.snapshot()
         if self.audit is not None:
@@ -388,12 +380,9 @@ class GuardedCostPredictor:
         with obs.span("guarded_predict", pairs=len(pairs)) as sp:
             obs.inc("guard.requests_total", help="Guarded prediction requests")
             reasons: list[str] = []
-            tier: str | None = None
-            learned = self._learned(pairs, deadline, reasons)
-            if learned is not None:
-                costs, tier = learned
-                source = "raal"
-            else:
+            costs = self._learned(pairs, deadline, reasons)
+            source = "raal"
+            if costs is None:
                 costs = self._analytic(pairs, reasons)
                 source = "gpsj"
                 if costs is None:
@@ -412,19 +401,20 @@ class GuardedCostPredictor:
                                reason=reason)
             request_ids = self._record_served(
                 pairs, members or [len(pairs)], costs, stage=source,
-                tier=tier, reason=reason, latency=self._clock() - started)
+                reason=reason, latency=self._clock() - started)
             return ExplainedPredictions(costs=costs, source=source,
                                         reason=reason, request_ids=request_ids)
 
     def _learned(self, pairs, deadline: Deadline | None, reasons: list[str]
-                 ) -> tuple[np.ndarray, str | None] | None:
-        """The learned stage: ``(costs, degraded tier or None)``, or
-        ``None`` with the reason appended when the chain falls through.
+                 ) -> np.ndarray | None:
+        """The learned stage's costs, or ``None`` with the reason
+        appended when the chain falls through.
 
-        Input-validation rejections (a bad *request*, e.g. an oversized
-        plan), ladder fallback, blown deadlines and admission sheds do
-        not count against the breaker — they say nothing about the
-        model's health.
+        Failures and blown server deadlines are gate strikes.
+        Input-validation
+        rejections (a bad *request*, e.g. an oversized plan) and
+        admission sheds are not — they say nothing about the model's
+        health — and a shed hands a half-open probe slot on.
         """
         problem = self._validate_inputs(pairs)
         if problem is not None:
@@ -434,32 +424,34 @@ class GuardedCostPredictor:
                            reason=problem)
             reasons.append(f"raal: {problem}")
             return None
-        tier: str | None = None
-        if self.ladder is not None:
-            tier = self.ladder.precision()
-            if tier is None:
-                obs.inc("guard.raal.ladder_fallback_total",
-                        help="Requests routed past the learned model while "
-                             "the ladder sat in FALLBACK")
-                reasons.append("raal: ladder in fallback")
-                return None
-            if tier in ("f64", self.predictor.config.precision):
-                tier = None  # healthy rung serves the base tier
         breaker = self.breakers["raal"]
         if not breaker.allow():
             obs.inc("guard.raal.skipped_open_total",
                     help="Stage skipped while breaker open")
-            reasons.append("raal: circuit open")
+            reasons.append(f"raal: circuit open ({breaker.cause})")
             return None
+        admit = (self.admission.admit(deadline)
+                 if self.admission is not None else nullcontext())
         try:
-            costs, encoded = self._guarded_raal(pairs, deadline, tier)
+            with admit:
+                costs = self._raal_costs(pairs, deadline)
         except Overloaded as exc:
+            breaker.release()
             obs.emit_event("guard", "shed", stage="raal", error=str(exc))
             reasons.append(f"raal: shed — {exc}")
             if self.shed_mode == "reject":
                 raise
             return None
         except DeadlineExceeded as exc:
+            # Only the server's own budget judges the model: a client may
+            # ask for any budget, and a fused batch runs under its
+            # tightest member's.
+            budget = deadline.budget_seconds if deadline else None
+            if (budget is not None and self.default_deadline_ms is not None
+                    and budget >= self.default_deadline_ms / 1e3):
+                breaker.record_failure("deadline")
+            else:
+                breaker.release()
             obs.inc("guard.raal.deadline_exceeded_total",
                     help="Learned-stage attempts abandoned past their "
                          "deadline")
@@ -471,14 +463,7 @@ class GuardedCostPredictor:
             self._stage_failed("raal", exc, reasons)
             return None
         breaker.record_success()
-        if tier is not None:
-            obs.inc("guard.raal.degraded_precision_total",
-                    help="Learned answers served at a ladder-degraded "
-                         "precision tier")
-            reasons.append(f"raal: degraded_precision:{tier}")
-            if self.canary is not None and self.canary.should_sample():
-                self._shadow_canary(encoded, costs, tier)
-        return costs, tier
+        return costs
 
     def _analytic(self, pairs, reasons: list[str]) -> np.ndarray | None:
         """GPSJ costs, or ``None`` with the reason appended."""
@@ -511,7 +496,7 @@ class GuardedCostPredictor:
         reasons.append(f"{stage}: {exc}")
     # -- the feedback loop -------------------------------------------------
     def _record_served(self, pairs, members: list[int], costs: np.ndarray,
-                       stage: str, tier: str | None, reason: str | None,
+                       stage: str, reason: str | None,
                        latency: float) -> tuple[str, ...]:
         """Audit the served answers, one request id per member, and feed
         the latency SLO (best effort)."""
@@ -521,10 +506,8 @@ class GuardedCostPredictor:
             self.slo.record("latency", latency)
         if self.audit is None:
             return ()
-        if stage == "raal":
-            served_tier = tier or self.predictor.config.precision
-        else:
-            served_tier = None
+        served_tier = (self.predictor.config.precision if stage == "raal"
+                       else None)
         request_ids = []
         start = 0
         for size in members:
@@ -562,8 +545,8 @@ class GuardedCostPredictor:
         measures the model, not the analytic fallbacks) and the
         ``qerror`` SLO (every served answer — users experience fallback
         inaccuracy too), and couples a drifting detector into the
-        ladder. Returns the sample's q-error, or ``None`` when the
-        record is unknown/evicted or ground truth is unusable.
+        learned-stage gate. Returns the sample's q-error, or ``None``
+        when the record is unknown/evicted or ground truth is unusable.
         """
         if self.audit is None:
             raise PredictionError(
@@ -581,60 +564,22 @@ class GuardedCostPredictor:
         return record.q_error
 
     def _couple_drift(self) -> None:
-        """Drifting accuracy drops the ladder to its analytic fallback.
+        """Drifting accuracy opens the learned-stage gate.
 
         Called after every quality-tracked feedback sample: while the
         detector reports drift, the learned model's answers are not
-        trusted at *any* precision tier, so the ladder is (re-)tripped
-        to FALLBACK. The ladder's dwell probe still climbs back
-        periodically; if the feedback stream keeps drifting the next
-        sample trips it again, and once the detector recovers the probe
-        sticks.
+        trusted, so the gate is (re-)tripped with cause ``drift``. Its
+        cooldown probe still lets a learned answer through periodically;
+        if the feedback stream keeps drifting the next sample trips it
+        again, and once the detector recovers the probe sticks.
         """
-        if self.quality is None or self.ladder is None:
-            return
         detector = self.quality.drift
         if detector is not None and detector.state == DRIFT:
-            self.ladder.trip_drift(detector.last_reason or "accuracy drift")
+            self.breakers["raal"].trip("drift")
 
     # -- the learned stage -------------------------------------------------
-    def _guarded_raal(self, pairs, deadline: Deadline | None,
-                      tier: str | None):
-        """Admission-gated, ladder-tiered learned prediction: the costs
-        and the encoded pairs they came from.
-
-        Learned-stage latency feeds the ladder on success *and* on a
-        blown deadline — overruns are exactly the signal that should
-        push it down. Generic failures do not feed it (the breaker owns
-        those).
-        """
-        admit = (self.admission.admit(deadline)
-                 if self.admission is not None else nullcontext())
-        with admit:
-            start = self._clock()
-            try:
-                result = self._raal_costs(pairs, deadline=deadline, tier=tier)
-            except DeadlineExceeded:
-                if self.ladder is not None:
-                    self.ladder.record(self._clock() - start)
-                raise
-            if self.ladder is not None:
-                self.ladder.record(self._clock() - start)
-            return result
-
-    def _tier_predictor(self, tier: str | None) -> CostPredictor:
-        """The serving predictor for a ladder tier (base config when None)."""
-        if tier is None or tier == self.predictor.config.precision:
-            return self.predictor
-        cached = self._tier_predictors.get(tier)
-        if cached is None:
-            cached = self.predictor.configured(
-                replace(self.predictor.config, precision=tier))
-            self._tier_predictors[tier] = cached
-        return cached
-
-    def _raal_costs(self, pairs, deadline: Deadline | None = None,
-                    tier: str | None = None):
+    def _raal_costs(self, pairs, deadline: Deadline | None = None
+                    ) -> np.ndarray:
         encoded = self.predictor.encoder.encode_many(pairs)
         # Encoded pairs share their plan-side and resource arrays (one
         # per distinct plan and profile): check each array once.
@@ -656,39 +601,15 @@ class GuardedCostPredictor:
                 f"{len(encoded)} samples (first at index {bad[0]})")
         if deadline is not None:
             deadline.check("after encode")
-        # Route through the (possibly ladder-degraded) configured engine
-        # so precision tier and bucket threading apply under the guard.
-        serving = self._tier_predictor(tier)
-        costs, saturated = serving.predict_encoded(encoded, deadline=deadline)
+        costs, saturated = self.predictor.predict_encoded(encoded,
+                                                          deadline=deadline)
         if not np.all(np.isfinite(costs)):
             raise PredictionError("model produced non-finite costs")
         if saturated:
             raise PredictionError(
                 f"model output saturated the log-cost clamp for "
                 f"{saturated} of {len(costs)} samples")
-        return costs, encoded
-
-    def _shadow_canary(self, encoded, costs: np.ndarray, tier: str) -> None:
-        """Re-score a degraded answer on the f64 path (best effort).
-
-        Runs after the answer is computed, without a deadline, outside
-        the admission slot and the ladder's latency sample: the canary
-        is sampled bookkeeping, not part of the learned stage.
-        """
-        qerrors = self.canary.score(
-            costs,
-            lambda: self._tier_predictor("f64").predict_encoded(encoded)[0])
-        if qerrors is None:
-            return
-        worst = float(qerrors.max())
-        if worst <= CANARY_BUDGET:
-            return
-        obs.inc("canary.trips_total", help="Canary accuracy-budget breaches")
-        obs.emit_event("canary", "canary_trip", tier=tier, qerror=worst,
-                       budget=CANARY_BUDGET)
-        if self.ladder is not None:
-            self.ladder.trip_accuracy(
-                f"canary q-error {worst:.3f} on tier {tier}")
+        return costs
 
     # -- input validation --------------------------------------------------
     def _validate_inputs(self, pairs) -> str | None:

@@ -1,20 +1,15 @@
 """Shadow scoring: re-score a served answer and measure the divergence.
 
-Two control loops compare a served answer against a second opinion:
+The **candidate shadow** re-scores every live batch of a shard on a
+deployed-but-not-promoted model; the promotion gate reads the mean
+candidate-vs-incumbent q-error.
 
-* the **accuracy canary** re-scores a seeded ~1 % sample of degraded
-  (f32/int8) answers on the f64 path — the guard trips the ladder back
-  up when a pair's q-error exceeds its tier budget;
-* the **candidate shadow** re-scores every live batch of a shard on a
-  deployed-but-not-promoted model — the promotion gate reads the mean
-  candidate-vs-incumbent q-error.
-
-:class:`ShadowScorer` is the one implementation of both: seeded
-sampling, a best-effort reference call, and per-pair q-error
-accounting. It publishes only under its own ``name``
-(``<name>.samples_total``, ``<name>.errors_total``, ``<name>.qerror``),
-never into the ``quality.*`` metrics that measure the served model
-against ground truth.
+:class:`ShadowScorer` implements it: seeded sampling, a best-effort
+reference call, and per-pair q-error accounting. It publishes only
+under its own ``name`` (``<name>.samples_total``,
+``<name>.errors_total``, ``<name>.qerror``), never into the
+``quality.*`` metrics that measure the served model against ground
+truth.
 """
 
 from __future__ import annotations
@@ -38,8 +33,7 @@ class ShadowScorer:
     Parameters
     ----------
     name:
-        Metric prefix and event component (``"canary"``,
-        ``"serve.shadow"``).
+        Metric prefix and event component (e.g. ``"serve.shadow"``).
     sample_rate:
         Fraction of :meth:`should_sample` calls that answer ``True``.
     seed:

@@ -68,7 +68,7 @@ ROUTES = (
     Route("GET", "/v1/models", "models", False,
           "List serving models, versions, and swap state"),
     Route("GET", "/healthz", "health", False,
-          "Liveness plus ladder/breaker/admission posture per model"),
+          "Liveness plus gate/breaker/admission posture per model"),
     Route("GET", "/metrics", "metrics_text", False,
           "Prometheus text exposition of the serving metrics"),
     Route("POST", "/admin/deploy", "deploy", True,

@@ -61,7 +61,6 @@ from repro.obs.slo import SLO, SLOTracker
 from repro.reliability.admission import AdmissionController
 from repro.reliability.deadline import Deadline
 from repro.reliability.guard import GuardedCostPredictor
-from repro.reliability.ladder import DegradationLadder
 from repro.reliability.shadow import ShadowScorer
 from repro.serving.batcher import BatchItem, MicroBatcher
 
@@ -112,8 +111,8 @@ class ModelShard:
     :class:`~repro.obs.audit.AuditTrail` and
     :class:`~repro.obs.slo.SLOTracker` are shared across the shard's
     model *versions* (a swap must not reset request-id minting or the
-    SLO burn history), while quality tracking and the degradation
-    ladder are per-version — they measure one model.
+    SLO burn history), while quality tracking and the learned-stage
+    gate are per-version — they measure one model.
     """
 
     def __init__(self, model_id: str, build_guard: Callable,
@@ -405,7 +404,8 @@ def default_guard_builder(catalog, workload: str | None = None,
     Returns a ``build_guard_factory`` for :class:`ModelRegistry`: per
     shard it creates one shared audit trail and SLO tracker, and per
     model version a fully armed guard (GPSJ fallback, admission
-    control, degradation ladder, accuracy canary, quality tracking).
+    control, quality tracking; the learned-stage gate at its
+    :class:`~repro.reliability.circuit.BreakerConfig` defaults).
     ``repro serve``, ``repro predict`` and ``repro doctor`` all build
     their guard here.
     """
@@ -423,8 +423,6 @@ def default_guard_builder(catalog, workload: str | None = None,
                 predictor,
                 gpsj=GPSJCostModel(catalog) if catalog is not None else None,
                 admission=AdmissionController(admission_config),
-                ladder=DegradationLadder(),
-                canary=ShadowScorer("canary", sample_rate=0.01),
                 quality=AccuracyTracker(drift=DriftDetector()),
                 audit=audit,
                 slo=slo,

@@ -391,9 +391,9 @@ class PredictionService:
     def health(self) -> dict:
         """Liveness + posture for ``GET /healthz``.
 
-        ``status`` is ``ok`` when every shard's ladder sits on its
-        healthy rung, ``degraded`` when any shard is degraded or
-        fallen back, and ``draining`` during shutdown.
+        ``status`` is ``ok`` when every shard's learned-stage gate is
+        closed, ``degraded`` when any gate is open or half-open, and
+        ``draining`` during shutdown.
         """
         models: dict[str, dict] = {}
         worst = "ok"
@@ -406,7 +406,7 @@ class PredictionService:
             state = current.guard.health_state()
             models[model_id] = {
                 "version": current.version,
-                "ladder": state["ladder"],
+                "gate": state["gate"],
                 "precision": state["precision"],
                 "breakers": state["breakers"],
                 "shed_mode": state["shed_mode"],
@@ -415,7 +415,7 @@ class PredictionService:
                               if shard.candidate is not None else None),
                 "batcher": shard.batcher.snapshot(),
             }
-            if state["ladder"] != "healthy":
+            if state["gate"]["state"] != "closed":
                 worst = "degraded"
         status = "draining" if self.draining else worst
         return {

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.reliability import FaultInjector
+from tests.faults import FaultInjector
 
 
 class TestParser:
@@ -32,6 +32,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--model", "m", flag, "2"])
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--model", "m"],
+        ["predict", "--model", "m", "--sql", "select count(*) from title t"]])
+    def test_precision_offers_f64_and_f32_only(self, command, capsys):
+        for precision in ("f64", "f32"):
+            args = build_parser().parse_args(
+                [*command, "--precision", precision])
+            assert args.precision == precision
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--precision", "int8"])
+        assert "invalid choice: 'int8'" in capsys.readouterr().err
 
     def test_batching_is_one_switch(self):
         assert build_parser().parse_args(["serve"]).batching
@@ -123,6 +135,9 @@ class TestDoctor:
         out = capsys.readouterr().out
         assert "OK" in out
         assert "self-test prediction OK" in out
+        assert "health state: gate=closed" in out
+        assert "health self-check OK (served by the learned stage, gate " \
+            "closed)" in out
 
     def test_doctor_manifest_only_mode(self, shared_model_dir, capsys):
         code = main(["doctor", shared_model_dir, "--no-selftest"])
@@ -234,6 +249,25 @@ class TestMetricsVerb:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestTopVerb:
+    def test_top_shows_gate_state_and_trips_by_cause(self, tmp_path, capsys):
+        import re
+
+        from repro import obs
+
+        telemetry = obs.Telemetry.create()
+        with obs.attached(telemetry):
+            obs.set_gauge("health.state", 2)
+            obs.inc("gate.deadline_trips_total")
+        path = tmp_path / "report.json"
+        obs.TelemetryReport.from_telemetry(telemetry).write(path)
+        assert main(["top", str(path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\bgate\s+open\b", out), out
+        assert "failures=0 deadline=1 drift=0" in out
+        assert "ladder" not in out
 
 
 class TestServeShutdown:

@@ -18,11 +18,8 @@ from repro.core import CostPredictor
 from repro.core.trainer import Trainer, TrainerConfig
 from repro.core.variants import make_model, variant
 from repro.eval.experiments import SMOKE, ExperimentPipeline
-from repro.reliability import (
-    BreakerConfig,
-    FaultInjector,
-    GuardedCostPredictor,
-)
+from repro.reliability import BreakerConfig, GuardedCostPredictor
+from tests.faults import FaultInjector
 
 
 class FakeClock:

@@ -17,8 +17,8 @@ from repro.core import (
 from repro.core.persistence import CHECKPOINT_SCHEMA_VERSION
 from repro.errors import CheckpointError, TrainingError
 from repro.eval.experiments import SMOKE, ExperimentPipeline
-from repro.reliability import FaultInjector
 from repro.text import Word2Vec, Word2VecConfig
+from tests.faults import FaultInjector
 
 
 @pytest.fixture(scope="module")

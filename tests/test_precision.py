@@ -1,4 +1,4 @@
-"""Precision tiers: f32/int8 equivalence, the per-plan kernel, threading.
+"""Precision tiers: f32 equivalence, the per-plan kernel, threading.
 
 The contract under test (DESIGN.md "Precision-tiered inference"):
 
@@ -6,8 +6,6 @@ The contract under test (DESIGN.md "Precision-tiered inference"):
   weight bundle is passed explicitly (bitwise);
 * the f32 tier agrees with f64 within float32 rounding accumulated
   over the network (budget: 1e-4 relative in seconds space);
-* the int8 tier agrees within the quantization error budget (0.5% per
-  GEMM weight, ≤ 5% end-to-end in seconds space);
 * the one inference kernel — one plan-side pass per distinct plan,
   each plan scored under its profile block — is numerically
   equivalent to the pairwise computation (one row per pair) at every
@@ -34,11 +32,10 @@ from repro.nn.precision import (
     resolve_dtype,
     softmax_floor,
 )
-from repro.nn.quantize import QMAX, quantization_error, quantize_per_channel
 from tests.oracles import pairwise_predict_log
 
 #: Documented end-to-end tolerance budgets, log space (model output).
-LOG_TOL = {"f64": 0.0, "f32": 1e-5, "int8": 0.05}
+LOG_TOL = {"f64": 0.0, "f32": 1e-5}
 
 VARIANT_SWITCHES = {
     "RAAL": {},
@@ -79,44 +76,13 @@ def eval_model(name, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Quantization unit behavior
-# ---------------------------------------------------------------------------
-class TestQuantize:
-    def test_roundtrip_error_bounded_per_channel(self):
-        rng = np.random.default_rng(0)
-        # Columns with wildly different magnitudes: per-channel scales
-        # must keep each column's relative error at rounding level.
-        w = rng.normal(size=(40, 12)) * (10.0 ** rng.integers(-3, 3, size=12))
-        quantized = quantize_per_channel(w)
-        err = quantization_error(w, quantized)
-        assert err["max_rel"] <= 0.5 / QMAX + 1e-12
-        assert quantized.q.dtype == np.int8
-        assert np.abs(quantized.q).max() <= QMAX
-
-    def test_zero_column_is_exact(self):
-        w = np.zeros((5, 3))
-        w[:, 1] = np.linspace(-1, 1, 5)
-        deq = quantize_per_channel(w).dequantize(np.float64)
-        assert np.all(deq[:, 0] == 0.0)
-        assert np.all(deq[:, 2] == 0.0)
-
-    def test_payload_smaller_than_float32(self):
-        w = np.random.default_rng(1).normal(size=(64, 64))
-        quantized = quantize_per_channel(w)
-        assert quantized.nbytes < w.astype(np.float32).nbytes / 3
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            quantize_per_channel(np.zeros(4))
-
-
-# ---------------------------------------------------------------------------
 # Weight bundles
 # ---------------------------------------------------------------------------
 class TestInferenceWeights:
     def test_unknown_precision_rejected(self):
-        with pytest.raises(PredictionError):
-            resolve_dtype("f16")
+        for retired in ("f16", "int8"):
+            with pytest.raises(PredictionError):
+                resolve_dtype(retired)
         with pytest.raises(PredictionError):
             inference_weights(eval_model("RAAL"), "bf16")
 
@@ -137,13 +103,6 @@ class TestInferenceWeights:
         assert not np.array_equal(w2.embedding_w, w1.embedding_w)
         invalidate_inference_cache(model)
         assert inference_weights(model, "f32") is not w2
-
-    def test_int8_bundle_records_qerror_budget(self):
-        weights = inference_weights(eval_model("RAAL"), "int8")
-        assert weights.quantized_bytes > 0
-        assert weights.qerror
-        for name, err in weights.qerror.items():
-            assert err["max_rel"] <= 0.5 / QMAX + 1e-12, name
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +320,7 @@ class TestPredictorIntegration:
         explicit = predictor.configured(PredictorConfig()).predict_many(pairs)
         assert np.array_equal(default, explicit)
 
-    @pytest.mark.parametrize("precision", ["f32", "int8"])
+    @pytest.mark.parametrize("precision", ["f32"])
     def test_precision_tiers_within_budget_seconds(self, served, precision):
         predictor, plans, profile, PredictorConfig = served
         pairs = [(p, profile) for p in plans]
@@ -370,10 +329,9 @@ class TestPredictorIntegration:
             PredictorConfig(precision=precision, threads=2))
         out = tiered.predict_many(pairs)
         rel = np.abs(out - reference) / np.maximum(np.abs(reference), 1e-9)
-        # seconds-space budgets: expm1 amplifies log-space error by
-        # roughly the cost magnitude, still far under the tier budgets.
-        budget = 1e-4 if precision == "f32" else 0.05
-        assert rel.max() <= budget
+        # seconds-space budget: expm1 amplifies log-space error by
+        # roughly the cost magnitude, still far under the tier budget.
+        assert rel.max() <= 1e-4
 
     @pytest.mark.parametrize("precision", PRECISIONS)
     def test_factored_grid_matches_pairwise_grid(self, served, precision):
@@ -392,7 +350,7 @@ class TestPredictorIntegration:
         rel = np.abs(grid - pairwise) / np.maximum(np.abs(pairwise), 1e-9)
         assert rel.max() <= (1e-9 if precision == "f64" else 1e-4)
 
-    @pytest.mark.parametrize("precision", ["f32", "int8"])
+    @pytest.mark.parametrize("precision", ["f32"])
     def test_guarded_chain_uses_configured_precision(self, served, precision):
         from repro.reliability.guard import GuardedCostPredictor
 
@@ -405,7 +363,7 @@ class TestPredictorIntegration:
         assert result.source == "raal"
         rel = (np.abs(result.costs - reference)
                / np.maximum(np.abs(reference), 1e-9))
-        assert rel.max() <= (1e-4 if precision == "f32" else 0.05)
+        assert rel.max() <= 1e-4
 
     def test_invalid_precision_rejected_at_construction(self, served):
         predictor, _, _, PredictorConfig = served

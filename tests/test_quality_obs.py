@@ -5,7 +5,7 @@ quantiles, the accuracy tracker, the drift detector's hysteretic state machine),
 ``repro.obs.audit`` (bounded ring, ground-truth attachment, JSONL
 round-trips), ``repro.obs.slo`` (multi-window multi-burn-rate
 alerting), the Chrome trace exporter, and the guarded predictor's
-feedback loop (audit → quality → drift → ladder coupling) end to end
+feedback loop (audit → quality → drift → gate coupling) end to end
 on a tiny trained model.
 """
 
@@ -455,11 +455,11 @@ from repro.baselines.gpsj import GPSJCostModel  # noqa: E402
 from repro.core.predictor import CostPredictor  # noqa: E402
 from repro.eval.experiments import SMOKE, ExperimentPipeline  # noqa: E402
 from repro.reliability import (  # noqa: E402
-    DegradationLadder,
-    FaultInjector,
+    OPEN,
+    BreakerConfig,
     GuardedCostPredictor,
-    LadderConfig,
 )
+from tests.faults import FaultInjector  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -492,7 +492,7 @@ def _feedback_guard(trained, pipeline, **overrides):
                        fast_burn=1.0, slow_burn=1.0))
     kwargs = dict(
         gpsj=GPSJCostModel(pipeline.catalog),
-        ladder=DegradationLadder(LadderConfig(hold_seconds=30.0)),
+        breaker_config=BreakerConfig(cooldown_seconds=30.0),
         quality=quality, audit=AuditTrail(capacity=64),
         slo=slo, workload="imdb")
     kwargs.update(overrides)
@@ -540,7 +540,7 @@ class TestGuardedFeedbackLoop:
             assert qe == pytest.approx(1.0)
         assert guard.quality.count == len(pairs)
 
-    def test_drift_trips_ladder_to_fallback(self, trained, pipeline, pair):
+    def test_drift_opens_the_gate(self, trained, pipeline, pair):
         telemetry = Telemetry.create()
         with obs.attached(telemetry):
             guard = _feedback_guard(trained, pipeline)
@@ -552,7 +552,8 @@ class TestGuardedFeedbackLoop:
             assert guard.quality.drift.state == STABLE
             # The world shifts: observed runtimes now 8x the prediction.
             served = 0
-            while guard.ladder.state != "fallback" and served < 20:
+            gate = guard.breakers["raal"]
+            while gate.state != OPEN and served < 20:
                 explained = guard.predict_explained(*pair)
                 if explained.source != "raal":
                     break
@@ -560,14 +561,13 @@ class TestGuardedFeedbackLoop:
                                          explained.seconds * 8.0)
                 served += 1
         assert guard.quality.drift.state == DRIFT
-        assert guard.ladder.state == "fallback"
-        assert any("drift trip" in t.reason for t in guard.ladder.history)
+        assert (gate.state, gate.cause) == (OPEN, "drift")
         assert telemetry.events.events("quality", "drift_detected")
-        assert telemetry.registry.get("ladder.drift_trips_total").value >= 1
+        assert telemetry.registry.get("gate.drift_trips_total").value == 1
         # While tripped, the chain serves the analytic fallback.
         explained = guard.predict_explained(*pair)
         assert explained.source == "gpsj"
-        assert "ladder in fallback" in explained.reason
+        assert explained.reason == "raal: circuit open (drift)"
         # The q-error SLO burned its budget on the drifting samples.
         assert "qerror" in guard.slo.alerting()
         health = guard.health_state()
@@ -579,7 +579,7 @@ class TestGuardedFeedbackLoop:
                                                         pipeline, pair):
         from repro.nn import invalidate_inference_cache
 
-        guard = _feedback_guard(trained, pipeline, ladder=None)
+        guard = _feedback_guard(trained, pipeline)
         model = guard.predictor.trainer.model
         injector = FaultInjector(seed=3)
         saved = [p.data.copy() for _, p in model.named_parameters()]

@@ -20,10 +20,10 @@ from repro.reliability import (
     OPEN,
     BreakerConfig,
     CircuitBreaker,
-    FaultInjector,
     GuardedCostPredictor,
     static_heuristic_cost,
 )
+from tests.faults import FaultInjector
 
 
 class FakeClock:
@@ -92,6 +92,107 @@ class TestCircuitBreaker:
         assert not breaker.allow()  # cooldown restarted at re-open
         clock.advance(2.0)
         assert breaker.allow()
+
+    def test_half_open_admits_one_probe(self):
+        breaker, clock = self.make(threshold=1, cooldown=10.0)
+        breaker.record_failure()
+        clock.advance(11.0)
+        assert [breaker.allow() for _ in range(3)] == [True, False, False]
+        breaker.record_success()
+        assert [breaker.allow() for _ in range(3)] == [True, True, True]
+
+    def test_half_open_admits_one_probe_across_threads(self):
+        import sys
+        import threading
+
+        breaker, clock = self.make(threshold=1, cooldown=10.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                breaker.record_failure()
+                clock.advance(11.0)
+                barrier = threading.Barrier(8, timeout=10)
+                admitted = []
+
+                def caller():
+                    barrier.wait()
+                    admitted.append(breaker.allow())
+
+                threads = [threading.Thread(target=caller) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(admitted) == [False] * 7 + [True]
+                # The probe's thread has ended; the next round's strike
+                # re-opens the breaker and frees the slot.
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_release_hands_the_probe_on(self):
+        import threading
+
+        breaker, clock = self.make(threshold=1, cooldown=10.0)
+        breaker.record_failure()
+        clock.advance(11.0)
+        assert breaker.allow()
+        # Only the thread holding the probe can hand it on.
+        other = threading.Thread(target=breaker.release)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert not breaker.allow()
+        breaker.release()
+        assert breaker.state == HALF_OPEN
+        assert breaker.allow()
+
+    def test_trip_records_its_cause(self):
+        breaker, clock = self.make(threshold=3, cooldown=10.0)
+        assert breaker.cause is None
+        breaker.trip("drift")
+        assert (breaker.state, breaker.cause) == (OPEN, "drift")
+        breaker.trip("failures")  # no-op while open
+        assert breaker.cause == "drift"
+        clock.advance(11.0)
+        assert breaker.allow()
+        breaker.record_failure("deadline")  # a failed probe re-opens
+        assert (breaker.state, breaker.cause) == (OPEN, "deadline")
+        clock.advance(11.0)
+        assert breaker.allow()
+        breaker.record_success()
+        # The last cause is kept after recovery.
+        assert (breaker.state, breaker.cause) == (CLOSED, "deadline")
+
+    def test_late_verdict_of_a_call_admitted_before_a_trip(self):
+        breaker, clock = self.make(threshold=3, cooldown=10.0)
+        assert breaker.allow()  # admitted while closed
+        breaker.trip("drift")  # e.g. from a feedback thread
+        breaker.record_success()
+        assert (breaker.state, breaker.cause) == (OPEN, "drift")
+        breaker.record_failure("deadline")
+        assert (breaker.state, breaker.cause) == (OPEN, "drift")
+        clock.advance(9.0)
+        assert not breaker.allow()  # the cooldown was not restarted
+        clock.advance(2.0)
+        assert breaker.allow()
+
+    def test_success_of_a_non_probe_leaves_half_open(self):
+        import threading
+
+        breaker, clock = self.make(threshold=1, cooldown=10.0)
+        breaker.record_failure()
+        clock.advance(11.0)
+        assert breaker.allow()  # this thread holds the probe
+        # A call on another thread, admitted before the trip, succeeds.
+        other = threading.Thread(target=breaker.record_success)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert breaker.state == HALF_OPEN
+        breaker.record_success()  # the probe's verdict
+        assert breaker.state == CLOSED
 
 
 # -- guarded prediction ----------------------------------------------------
@@ -468,8 +569,8 @@ class TestValidateOncePerObject:
 class TestConcurrentSaturation:
     """The saturation verdict belongs to the call that produced it.
 
-    Ladder tiers share one trainer, and the HTTP handler threads run
-    guarded calls concurrently, so a count kept on the trainer could be
+    Predictors configured from one base share its trainer, and the HTTP
+    handler threads run guarded calls concurrently, so a count kept on the trainer could be
     overwritten by another call between the forward and the check.
     """
 

@@ -546,7 +546,7 @@ class TestService:
         health = service.health()
         assert health["status"] == "ok"
         model = health["models"]["default"]
-        assert model["ladder"] == "healthy"
+        assert model["gate"] == {"state": "closed", "cause": None}
         assert model["batcher"]["enabled"]
         models = service.models()
         assert models["models"]["default"]["version"].startswith("g")
