@@ -135,15 +135,10 @@ def test_inference_throughput(benchmark):
         "max_abs_diff_seconds": bulk_diff,
     }
 
-    # -- precision tiers on the grid shape -----------------------------
-    # The f32 multi-threaded grid (warm encoder cache) against two f64
-    # single-thread grids: the pairwise one (every pair its own row
-    # through model.forward_inference, so the plan side runs once per
-    # pair) and the per-plan one every tier runs. Only the pairwise
-    # ratio is gated. Relative error is bounded by the f32 tier's
-    # documented budget (DESIGN.md).
-    from repro.core.predictor import PredictorConfig
-
+    # -- the per-plan kernel on the grid shape -------------------------
+    # The per-plan f64 grid (warm encoder cache) against the pairwise
+    # one: every pair its own row through model.forward_inference, so
+    # the plan side runs once per pair instead of once per plan.
     def pairwise_f64_grid():
         encoded = encoder.encode_many(grid_pairs)
         return trainer.seconds_from_log(pairwise_predict_log(
@@ -151,19 +146,10 @@ def test_inference_throughput(benchmark):
 
     pairwise_s, _ = _best_of(pairwise_f64_grid)
     per_plan_s, _ = _best_of(lambda: predictor.predict_grid(plans, profiles))
-    results["precision"] = {
+    results["grid_kernel"] = {
         "pairwise_f64_pairs_per_sec": len(grid_pairs) / pairwise_s,
         "per_plan_f64_pairs_per_sec": len(grid_pairs) / per_plan_s,
-    }
-    f32 = predictor.configured(PredictorConfig(precision="f32", threads=0))
-    f32_s, f32_matrix = _best_of(lambda: f32.predict_grid(plans, profiles))
-    rel = float((np.abs(f32_matrix - fast_matrix)
-                 / np.maximum(np.abs(fast_matrix), 1e-9)).max())
-    results["precision"]["f32"] = {
-        "pairs_per_sec": len(grid_pairs) / f32_s,
-        "speedup_vs_pairwise_f64": pairwise_s / f32_s,
-        "speedup_vs_per_plan_f64": per_plan_s / f32_s,
-        "max_rel_diff_vs_f64": rel,
+        "per_plan_speedup_vs_pairwise": pairwise_s / per_plan_s,
     }
 
     results["config"] = {
@@ -193,10 +179,7 @@ def test_inference_throughput(benchmark):
     for name in ("single", "grid", "bulk"):
         assert results[name]["max_abs_diff_seconds"] <= 1e-6, results[name]
         assert results[name]["speedup"] >= 1.0, results[name]
-    # The float32 multi-threaded grid must at least double the float64
-    # single-threaded pairwise grid's throughput; drift stays within the
-    # documented f32 rounding budget (DESIGN.md).
-    assert results["precision"]["f32"]["speedup_vs_pairwise_f64"] >= 2.0, \
-        results["precision"]
-    assert results["precision"]["f32"]["max_rel_diff_vs_f64"] <= 1e-4, \
-        results["precision"]
+    # The per-plan grid must at least double the pairwise grid's
+    # throughput.
+    assert results["grid_kernel"]["per_plan_speedup_vs_pairwise"] >= 2.0, \
+        results["grid_kernel"]

@@ -49,7 +49,6 @@ from repro import obs
 from repro.baselines.gpsj import GPSJCostModel
 from repro.core import CostPredictor
 from repro.eval import render_table
-from repro.nn import invalidate_inference_cache
 from repro.obs.audit import AuditTrail
 from repro.obs.quality import (
     DRIFT,
@@ -203,7 +202,6 @@ def test_quality_observability():
             saved = [p.data.copy() for _, p in model.named_parameters()]
             injector.corrupt_weights(model, fraction=CORRUPT_FRACTION,
                                      value=0.0)
-            invalidate_inference_cache(model)
             drift_q: list[float] = []
             samples_to_detect = None
             detect_started = time.perf_counter()
@@ -236,7 +234,6 @@ def test_quality_observability():
             # -- phase 3: restore weights, wait for recovery -----------
             for (_, p), data in zip(model.named_parameters(), saved):
                 p.data[...] = data
-            invalidate_inference_cache(model)
             recovery_q: list[float] = []
             recovery_started = time.perf_counter()
             recovered_at = None

@@ -61,7 +61,6 @@ from repro import obs
 from repro.cluster.resources import PAPER_CLUSTER
 from repro.core.persistence import load_predictor, save_predictor, verify_checkpoint
 from repro.core.predictor import CostPredictor, PredictorConfig
-from repro.nn.precision import PRECISIONS
 from repro.core.selector import PlanSelector
 from repro.errors import ReproError
 from repro.eval.experiments import ExperimentPipeline, ExperimentScale
@@ -102,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--memory-gb", type=float, default=4.0)
     predict.add_argument("--executors", type=int, default=2)
     predict.add_argument("--executor-cores", type=int, default=2)
-    predict.add_argument(
-        "--precision", default="f64", choices=list(PRECISIONS),
-        help="inference precision tier (f64 is bit-exact legacy behavior; "
-             "f32 trades ≤0.5%% cost error for speed)")
     predict.add_argument(
         "--threads", type=int, default=1,
         help="bucket-parallel inference threads (0 = one per CPU core)")
@@ -170,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batching", dest="batching", action="store_false",
         help="score every request on its own thread instead of fusing "
              "requests that queue behind a running batch into one forward")
-    serve.add_argument(
-        "--precision", default="f64", choices=list(PRECISIONS),
-        help="inference precision tier for all served models")
     serve.add_argument(
         "--threads", type=int, default=1,
         help="bucket-parallel inference threads (0 = one per CPU core)")
@@ -298,8 +290,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     # the learned stage the same way.
     guarded = default_guard_builder(
         catalog, workload=args.dataset,
-        exec_config=PredictorConfig(precision=args.precision,
-                                    threads=args.threads),
+        exec_config=PredictorConfig(threads=args.threads),
         default_deadline_ms=args.deadline_ms)(args.dataset)(predictor)
     query = analyze(parse_sql(args.sql), catalog)
     selector = PlanSelector(guarded, catalog)
@@ -363,7 +354,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     admission = health.get("admission", {})
     gate = health["gate"]
     print(f"health state: gate={gate['state']} "
-          f"precision={health['precision']} "
           f"breakers={health['breakers']} "
           f"shed={admission.get('shed_queue_full', 0) + admission.get('shed_wait_timeout', 0)}")
     if explained.source != "raal" or gate["state"] != "closed":
@@ -388,7 +378,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServingConfig(
         dataset=args.dataset, catalog_scale=args.catalog_scale,
         batching=args.batching,
-        precision=args.precision, threads=args.threads,
+        threads=args.threads,
         default_deadline_ms=args.deadline_ms, shed_mode=args.shed_mode,
         max_in_flight=args.max_in_flight,
         max_queue_depth=args.max_queue_depth,

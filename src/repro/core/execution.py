@@ -1,4 +1,4 @@
-"""Precision-tiered, bucket-parallel execution engine for inference.
+"""Bucket-parallel execution engine for inference.
 
 :class:`BucketExecutor` owns the one inference kernel. Every predict
 path — a guarded request's learned stage, the deploy shadow,
@@ -17,9 +17,9 @@ path — a guarded request's learned stage, the deploy shadow,
 * **Length bucketing** — distinct plans are stable-sorted by node
   count before batching, so a batch of short plans is never padded to
   the longest plan in the workload.
-* **Precision tiers** — the forward runs over an
-  :class:`~repro.nn.precision.InferenceWeights` bundle (f64 / f32);
-  collation pads directly into the execution dtype.
+* **One weight bundle per call** — every bucket's forward reads the
+  same :class:`~repro.nn.inference.InferenceWeights`, the model's live
+  float64 parameter arrays.
 * **Bucket parallelism** — with ``threads > 1`` the independent
   per-bucket forwards run on a thread pool. numpy releases the GIL
   inside BLAS and the large elementwise sweeps, so buckets genuinely
@@ -60,11 +60,7 @@ from repro import obs
 from repro.core.raal import RAALBatch
 from repro.errors import DeadlineExceeded, PredictionError
 from repro.nn.arena import ScratchArena, thread_local_arena
-from repro.nn.precision import (
-    DEFAULT_PRECISION,
-    InferenceWeights,
-    inference_weights,
-)
+from repro.nn.inference import inference_weights
 
 __all__ = ["BucketExecutor", "collate_inference", "group_by_plan",
            "resolve_threads"]
@@ -77,18 +73,17 @@ def resolve_threads(threads: int | None) -> int:
     return int(threads)
 
 
-def collate_inference(encoded: list, dtype: np.dtype,
+def collate_inference(encoded: list,
                       arena: ScratchArena | None = None,
                       profiles: tuple[np.ndarray, np.ndarray] | None = None,
                       ) -> RAALBatch:
     """Zero-pad encoded plans into an inference-only :class:`RAALBatch`.
 
     The one padding implementation: the training
-    :func:`repro.core.trainer.collate` calls it at float64 and adds
-    targets. Casts directly into the execution ``dtype`` and — when
-    given an ``arena`` — writes into reusable scratch buffers instead
-    of fresh allocations. Arena-backed batches are only valid until the
-    same thread's next collate call.
+    :func:`repro.core.trainer.collate` calls it and adds targets. Pads
+    into float64 and — when given an ``arena`` — writes into reusable
+    scratch buffers instead of fresh allocations. Arena-backed batches
+    are only valid until the same thread's next collate call.
 
     Resources come from each encoded plan, ``(B, R)``, unless
     ``profiles`` gives ``(slots, rows)``: a boolean ``(B, P_max)`` mask
@@ -103,26 +98,26 @@ def collate_inference(encoded: list, dtype: np.dtype,
     node_dim = encoded[0].node_features.shape[1]
     resource_dim = len(encoded[0].resources)
 
-    def zeros(key, shape, dt):
+    def zeros(key, shape, dt=np.float64):
         if arena is None:
             return np.zeros(shape, dtype=dt)
         return arena.zeros(key, shape, dt)
 
-    def empty(key, shape, dt):
+    def empty(key, shape):
         if arena is None:
-            return np.empty(shape, dtype=dt)
-        return arena.empty(key, shape, dt)
+            return np.empty(shape, dtype=np.float64)
+        return arena.empty(key, shape, np.float64)
 
-    feats = zeros("collate.feats", (batch, n, node_dim), dtype)
+    feats = zeros("collate.feats", (batch, n, node_dim))
     child = zeros("collate.child", (batch, n, n), np.bool_)
     mask = zeros("collate.mask", (batch, n), np.bool_)
-    extras = empty("collate.extras", (batch, len(encoded[0].extras)), dtype)
+    extras = empty("collate.extras", (batch, len(encoded[0].extras)))
     if profiles is None:
-        resources = empty("collate.resources", (batch, resource_dim), dtype)
+        resources = empty("collate.resources", (batch, resource_dim))
     else:
         slots, rows = profiles
         resources = zeros("collate.profiles",
-                          (batch, slots.shape[1], resource_dim), dtype)
+                          (batch, slots.shape[1], resource_dim))
         resources[slots] = rows
     for i, e in enumerate(encoded):
         k = e.num_nodes
@@ -156,7 +151,7 @@ def group_by_plan(encoded: list) -> list[list[int]]:
 
 
 class BucketExecutor:
-    """Runs length-bucketed model forwards at a fixed precision tier.
+    """Runs length-bucketed model forwards.
 
     Parameters
     ----------
@@ -165,8 +160,6 @@ class BucketExecutor:
     batch_size:
         Max distinct plans per bucket (usually
         ``TrainerConfig.batch_size``); each carries all its profiles.
-    precision:
-        ``"f64"`` (default) or ``"f32"``.
     threads:
         Bucket-level parallelism. ``1`` (default) stays single-threaded
         on the caller's thread; ``None``/``0`` means one worker per CPU
@@ -175,11 +168,9 @@ class BucketExecutor:
     """
 
     def __init__(self, model, batch_size: int,
-                 precision: str = DEFAULT_PRECISION,
                  threads: int | None = 1) -> None:
         self.model = model
         self.batch_size = int(batch_size)
-        self.precision = precision
         self.threads = resolve_threads(threads)
         self._pool: ThreadPoolExecutor | None = None
 
@@ -211,10 +202,6 @@ class BucketExecutor:
         self.close()
 
     # -- execution -----------------------------------------------------------
-    def weights(self) -> InferenceWeights:
-        """The current weight bundle (cached per model version)."""
-        return inference_weights(self.model, self.precision)
-
     def _slices(self, encoded: list) -> list[np.ndarray]:
         """Input indices per bucket: stable-sorted by node count."""
         order = np.argsort([e.num_nodes for e in encoded], kind="stable")
@@ -298,7 +285,7 @@ class BucketExecutor:
         if deadline is not None:
             deadline.check("before predict")
         self.model.eval()
-        weights = self.weights()
+        weights = inference_weights(self.model)
         groups = group_by_plan(encoded)
         plans = [encoded[members[0]] for members in groups]
         slices = self._slices(plans)
@@ -314,9 +301,9 @@ class BucketExecutor:
             # the filled slots.
             pairs = [i for members in bucket for i in members]
             rows = np.array([encoded[i].resources for i in pairs],
-                            dtype=weights.dtype)
+                            dtype=np.float64)
             batch = collate_inference(
-                [plans[g] for g in idx], weights.dtype,
+                [plans[g] for g in idx],
                 arena=thread_local_arena(), profiles=(slots, rows))
             block = self.model.forward_inference(batch, weights)
             # Each pair belongs to one plan, and each plan to one

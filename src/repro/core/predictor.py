@@ -20,7 +20,7 @@ from repro.cluster.resources import ResourceProfile
 from repro.core.execution import BucketExecutor
 from repro.core.trainer import Trainer
 from repro.encoding.plan_encoder import EncodedPlan, PlanEncoder
-from repro.nn.precision import DEFAULT_PRECISION, resolve_dtype
+from repro.errors import PredictionError
 from repro.plan.physical import PhysicalPlan
 
 __all__ = ["CostPredictor", "PredictorConfig"]
@@ -30,13 +30,12 @@ __all__ = ["CostPredictor", "PredictorConfig"]
 class PredictorConfig:
     """Serving-side execution policy for a :class:`CostPredictor`.
 
-    The default configuration is float64 weights with single-threaded
-    bucket execution.
+    The default configuration is single-threaded bucket execution.
     """
 
-    #: Precision tier: ``"f64"`` (the reference) or ``"f32"``
-    #: (reduced-precision kernels).
-    precision: str = DEFAULT_PRECISION
+    #: Only ``"f64"``: inference runs at one precision. Accepted so
+    #: callers that pass it keep working.
+    precision: str = "f64"
     #: Bucket-level parallelism inside predict calls. ``1`` stays on
     #: the calling thread; ``0``/``None`` means one worker per core.
     threads: int | None = 1
@@ -44,6 +43,12 @@ class PredictorConfig:
     #: predict path already runs the plan-side network once per
     #: distinct plan.
     factor_grids: bool = False
+
+    def __post_init__(self) -> None:
+        if self.precision != "f64":
+            raise PredictionError(
+                f"unknown precision {self.precision!r}; inference runs "
+                "at f64 only")
 
 
 class CostPredictor:
@@ -59,8 +64,8 @@ class CostPredictor:
     The test suite checks it against an unbucketed autograd forward
     (``tests/oracles.py``) to ≤ 1e-8.
 
-    A :class:`PredictorConfig` selects the execution policy: precision
-    tier (f64 / f32) and bucket-parallel threading.
+    A :class:`PredictorConfig` selects the execution policy:
+    bucket-parallel threading.
 
     This class is the *unguarded* path: encoding or forward failures
     propagate to the caller. Serving code that must never crash plan
@@ -75,7 +80,6 @@ class CostPredictor:
         self.encoder = encoder
         self.trainer = trainer
         self.config = config or PredictorConfig()
-        resolve_dtype(self.config.precision)  # validate eagerly
         # Optional repro.obs.quality.AccuracyTracker; built lazily on
         # first record_observation when the caller didn't supply one.
         self.quality = quality
@@ -84,16 +88,14 @@ class CostPredictor:
     def configured(self, config: PredictorConfig) -> "CostPredictor":
         """A predictor sharing this one's encoder/model under ``config``.
 
-        The quality tracker is shared too: predictors at another
-        precision report into the same feedback accounting, distinguished
-        by the ``tier`` scope of each sample.
+        The quality tracker is shared too, so every configuration
+        reports into the same feedback accounting.
         """
         return CostPredictor(self.encoder, self.trainer, config,
                              quality=self.quality)
 
     def record_observation(self, prediction_seconds: float,
                            observed_seconds: float, *,
-                           tier: str | None = None,
                            workload: str | None = None) -> float:
         """Feed one (prediction, observed runtime) pair back.
 
@@ -101,9 +103,8 @@ class CostPredictor:
         request identity (the guarded predictor offers the audit-ring
         variant keyed by request id). Folds the pair into the
         predictor's :class:`~repro.obs.quality.AccuracyTracker`
-        (created on first use when not injected), under the configured
-        precision tier unless ``tier`` overrides it. Returns the
-        sample's q-error (``nan`` for unusable ground truth).
+        (created on first use when not injected). Returns the sample's
+        q-error (``nan`` for unusable ground truth).
         """
         if self.quality is None:
             # Imported lazily: repro.obs.quality is cheap, but the
@@ -113,7 +114,6 @@ class CostPredictor:
 
             self.quality = AccuracyTracker()
         return self.quality.record(prediction_seconds, observed_seconds,
-                                   tier=tier or self.config.precision,
                                    workload=workload)
 
     @property
@@ -122,7 +122,7 @@ class CostPredictor:
         if self._executor is None:
             self._executor = BucketExecutor(
                 self.trainer.model, self.trainer.config.batch_size,
-                precision=self.config.precision, threads=self.config.threads)
+                threads=self.config.threads)
         return self._executor
 
     def close(self) -> None:
@@ -143,8 +143,8 @@ class CostPredictor:
 
         The execution entry point shared by :meth:`predict_many` and
         the guarded predictor's RAAL stage — both route through the
-        configured engine, so precision, threading, and deadline policy
-        apply under the fallback chain too. Returns ``(costs,
+        configured engine, so threading and deadline policy apply
+        under the fallback chain too. Returns ``(costs,
         saturated)``: the number of this call's predictions clamped at
         the trainer's ``log_clamp_max``.
         """

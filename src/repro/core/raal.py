@@ -193,9 +193,9 @@ class RAAL(Module):
         builds no autograd graph and fuses the LSTM input projections
         into one GEMM — the inference fast path used by
         :meth:`repro.core.trainer.Trainer.predict_seconds`. ``weights``
-        optionally supplies a precision-tier bundle
-        (:func:`repro.nn.precision.inference_weights`); the default is
-        a float64 view of the live parameters.
+        optionally supplies the weight bundle
+        (:func:`repro.nn.inference.inference_weights`) built once by a
+        caller running many batches; the default is built per call.
         """
         from repro import obs
         from repro.nn.inference import raal_forward_inference

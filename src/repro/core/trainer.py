@@ -57,7 +57,7 @@ def collate(samples: list[TrainingSample]) -> RAALBatch:
         if len(dims) > 1:
             raise TrainingError(
                 f"inconsistent {name} shapes in batch: {sorted(dims)}")
-    batch = collate_inference([s.encoded for s in samples], np.float64)
+    batch = collate_inference([s.encoded for s in samples])
     batch.targets = np.array([s.log_cost for s in samples])
     return batch
 
@@ -336,7 +336,7 @@ class Trainer:
         return self._evaluate_batches(self._collate_bucketed(samples))
 
     def bucket_executor(self) -> BucketExecutor:
-        """The default (f64, single-thread) execution engine."""
+        """The default (single-thread) execution engine."""
         if self._executor is None:
             self._executor = BucketExecutor(
                 self.model, self.config.batch_size)
@@ -353,17 +353,15 @@ class Trainer:
         built.
 
         ``executor`` optionally supplies a configured
-        :class:`~repro.core.execution.BucketExecutor` (precision tier,
-        bucket-level threading); the default engine runs float64 on the
-        calling thread. ``deadline`` bounds the forward — expiry raises
+        :class:`~repro.core.execution.BucketExecutor` (bucket-level
+        threading); the default engine runs on the calling thread. ``deadline`` bounds the forward — expiry raises
         :class:`~repro.errors.DeadlineExceeded` instead of returning a
         late answer.
         """
         if not encoded:
             return np.zeros(0)
         engine = executor if executor is not None else self.bucket_executor()
-        with obs.span("forward", plans=len(encoded),
-                      precision=engine.precision) as sp:
+        with obs.span("forward", plans=len(encoded)) as sp:
             start = self.clock()
             preds, batches = engine.predict_log(encoded, deadline=deadline)
             sp.annotate(batches=batches)

@@ -162,7 +162,6 @@ class PlanEncoder:
         # interleavings. RLock because cache_clear() is called from
         # locked paths (the config setters).
         self._lock = threading.RLock()
-        self._dtype = np.dtype(np.float64)
         # The switches below go through properties so that flipping one
         # after construction invalidates cached plan-side features.
         self._use_onehot = bool(use_onehot)
@@ -219,28 +218,6 @@ class PlanEncoder:
             if value and self.structure is None:
                 self.structure = StructureEncoder()
             self._use_structure = value
-            self.cache_clear()
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Dtype of emitted feature arrays (default float64).
-
-        A serving-memory knob for the reduced-precision inference tiers:
-        switching to float32 halves the cache and per-request encode
-        footprint. Training should keep the float64 default — the
-        analytic backward and its equivalence tolerances assume it.
-        Changing the dtype invalidates the plan-side cache.
-        """
-        return self._dtype
-
-    @dtype.setter
-    def dtype(self, value) -> None:
-        dtype = np.dtype(value)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise EncodingError(
-                f"encoder dtype must be float64 or float32, got {dtype}")
-        if dtype != self._dtype:
-            self._dtype = dtype
             self.cache_clear()
 
     @property
@@ -333,9 +310,9 @@ class PlanEncoder:
             n = plan.num_nodes
             child_mask = ~np.eye(n, dtype=bool)
         return _PlanFeatures(
-            node_features=np.ascontiguousarray(node_features, dtype=self._dtype),
+            node_features=np.ascontiguousarray(node_features, dtype=np.float64),
             child_mask=child_mask,
-            extras=self._plan_extras(plan).astype(self._dtype, copy=False),
+            extras=self._plan_extras(plan).astype(np.float64, copy=False),
         )
 
     # -- encoding ------------------------------------------------------------
@@ -387,7 +364,7 @@ class PlanEncoder:
             return EncodedPlan(
                 node_features=features.node_features,
                 child_mask=features.child_mask,
-                resources=np.asarray(resources.as_features(), dtype=self._dtype),
+                resources=np.asarray(resources.as_features(), dtype=np.float64),
                 extras=features.extras,
             )
 
@@ -418,7 +395,7 @@ class PlanEncoder:
                 plan_side = features[id(plan)]
                 vector = vectors.get(id(resources))
                 if vector is None:
-                    vector = np.array(resources.as_features(), dtype=self._dtype)
+                    vector = np.array(resources.as_features(), dtype=np.float64)
                     vector.setflags(write=False)
                     vectors[id(resources)] = vector
                 out.append(EncodedPlan(

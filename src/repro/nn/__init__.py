@@ -9,8 +9,10 @@ the LSTM (:mod:`repro.nn.rnn`), the paper's two attention mechanisms
 from repro.nn.arena import ScratchArena, thread_local_arena
 from repro.nn.attention import NodeAwareAttention, ResourceAwareAttention
 from repro.nn.inference import (
+    InferenceWeights,
     dense_forward,
     fused_lstm_forward,
+    inference_weights,
     masked_mean_forward,
     node_attention_forward,
     raal_forward_inference,
@@ -29,13 +31,6 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.loss import huber_loss, mae_loss, mse_loss, q_error
-from repro.nn.precision import (
-    PRECISIONS,
-    InferenceWeights,
-    inference_weights,
-    invalidate_inference_cache,
-    resolve_dtype,
-)
 from repro.nn.optim import SGD, Adam, Optimizer, StepLR, clip_grad_norm
 from repro.nn.rnn import LSTM, LSTMCell
 from repro.nn.serialization import load_model, save_model
@@ -87,9 +82,6 @@ __all__ = [
     "thread_local_arena",
     "InferenceWeights",
     "inference_weights",
-    "invalidate_inference_cache",
-    "PRECISIONS",
-    "resolve_dtype",
     "raal_forward_backward",
     "fused_lstm_forward_cached",
     "fused_lstm_backward",

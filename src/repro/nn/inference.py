@@ -13,10 +13,9 @@ timesteps are computed in a single ``(B·T, D) @ (D, 4H)`` GEMM up
 front, so the per-timestep loop only carries the (irreducibly
 sequential) recurrent ``h @ W_h`` product.
 
-Every kernel is *dtype-generic*: arithmetic runs in the dtype of its
-inputs, so the same code serves the float64 and float32 tiers (see
-:mod:`repro.nn.precision`). Scratch allocations, mask floats, and the
-masked-softmax logit floor all follow the execution dtype.
+The kernels read the model's weights through an
+:class:`InferenceWeights` bundle: the live float64 parameter arrays,
+by reference, with the dense head compiled to a flat op list.
 
 The forward is split into a *plan-side* stage (embedding → LSTM/CNN →
 node-aware attention; depends only on the plan) and a *resource-side*
@@ -35,17 +34,16 @@ Entry point: :func:`raal_forward_inference`, also exposed as
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential
-from repro.nn.precision import (
-    SOFTMAX_FLOORS,
-    InferenceWeights,
-    inference_weights,
-)
 
 __all__ = [
+    "InferenceWeights",
+    "inference_weights",
     "fused_lstm_forward",
     "node_attention_forward",
     "resource_attention_forward",
@@ -60,6 +58,15 @@ __all__ = [
 
 _NEG_INF = -1e9
 
+#: Logit floor for masked softmax entries. Mask bias pushes masked
+#: scores to ~-1e9; exp() of those underflows through libm's slow
+#: denormal path, and anything near the underflow edge turns into
+#: denormals after the normalizing division, poisoning every downstream
+#: multiply. float64 underflows below exp(-745) (min normal ~2.2e-308),
+#: so -200 keeps exp fast and every derived value normal, with ~1e-87
+#: headroom, while perturbing masked weights by < 1e-86.
+SOFTMAX_FLOOR = -200.0
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Same clipping as Tensor.sigmoid so the two paths agree bitwise on
@@ -70,23 +77,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
-    # Mask bias pushes entries to ~-1e9; exp() of those underflows
-    # through libm's slow denormal path, and anything closer to the
-    # underflow edge turns into denormals after the division below,
-    # which poisons every downstream multiply. The floor is dtype-aware
-    # (float32 underflows at exp(-87.3), float64 at exp(-745)): each
-    # tier's floor keeps exp fast and every derived value in the normal
-    # range while perturbing masked weights by < 1e-26.
-    floor = SOFTMAX_FLOORS.get(shifted.dtype, -200.0)
-    np.clip(shifted, floor, None, out=shifted)
+    np.clip(shifted, SOFTMAX_FLOOR, None, out=shifted)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
     return shifted
 
 
-def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
-    """0 where ``mask``, a large negative logit elsewhere, in ``dtype``."""
-    return np.where(mask, 0.0, _NEG_INF).astype(dtype, copy=False)
+def _mask_bias(mask: np.ndarray) -> np.ndarray:
+    """0 where ``mask``, a large negative logit elsewhere."""
+    return np.where(mask, 0.0, _NEG_INF)
 
 
 def fused_lstm_forward(
@@ -118,7 +117,7 @@ def fused_lstm_forward(
     # Single implementation with the training fast path: the cached
     # time-major kernel is faster than a per-gate loop even counting the
     # activation slabs it records (lazy import: training imports from
-    # this module). Arithmetic runs in the dtype of ``x``/``w_x``.
+    # this module).
     from repro.nn.training import fused_lstm_forward_cached
 
     outputs, _ = fused_lstm_forward_cached(x, w_x, w_h, bias, mask=mask)
@@ -140,11 +139,8 @@ def node_attention_forward(
     queries = hidden @ w_query
     keys = hidden @ w_key
     scores = queries @ keys.transpose(0, 2, 1)
-    # float(sqrt): a Python-float scale keeps float32 arrays float32
-    # under NEP 50 (a numpy float64 scalar would silently upcast).
     scores = scores * (1.0 / float(np.sqrt(latent_dim)))
-    bias = _mask_bias(child_mask, scores.dtype)
-    attn = _softmax(scores + bias, axis=-1)
+    attn = _softmax(scores + _mask_bias(child_mask), axis=-1)
     has_children = child_mask.any(axis=-1, keepdims=True).astype(hidden.dtype)
     attn = attn * has_children
     context = attn @ hidden + hidden * (1.0 - has_children)
@@ -172,10 +168,8 @@ def resource_attention_forward(
     query = resources @ w_resource                      # (B, P, K)
     keys = hidden @ w_key                               # (B, N, K)
     scores = keys @ query.transpose(0, 2, 1)            # (B, N, P)
-    # float(sqrt): a Python-float scale keeps float32 arrays float32
-    # under NEP 50 (a numpy float64 scalar would silently upcast).
     scores *= 1.0 / float(np.sqrt(latent_dim))
-    scores += _mask_bias(node_mask, scores.dtype)[:, :, None]
+    scores += _mask_bias(node_mask)[:, :, None]
     attn = _softmax(scores, axis=1)                     # over nodes
     return attn.transpose(0, 2, 1) @ hidden             # (B, P, H)
 
@@ -209,8 +203,7 @@ def dense_forward_ops(ops: list[tuple], x: np.ndarray) -> np.ndarray:
 
     Same arithmetic and operation order as :func:`dense_forward`, but
     over ``("linear", w, b)`` / ``("relu",)`` tuples instead of Module
-    objects — no isinstance dispatch on the hot path, and the weights
-    are already in the execution dtype.
+    objects — no isinstance dispatch on the hot path.
     """
     for op in ops:
         if op[0] == "linear":
@@ -236,6 +229,83 @@ def conv1d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Weight bundle
+# ---------------------------------------------------------------------------
+
+@dataclass
+class InferenceWeights:
+    """All arrays of one RAAL-family model, as the kernels read them.
+
+    ``dense`` is a flat op list — ``("linear", w, b)`` / ``("relu",)``
+    — mirroring the model's Sequential head with eval-mode Dropout
+    already erased, so the execution kernels never touch Module objects.
+    """
+
+    embedding_w: np.ndarray
+    embedding_b: np.ndarray | None
+    lstm: tuple[np.ndarray, np.ndarray, np.ndarray] | None   # w_x, w_h, bias
+    cnn: tuple[np.ndarray, np.ndarray, int] | None           # weight, bias, kernel
+    node_attention: tuple[np.ndarray, np.ndarray] | None     # w_query, w_key
+    resource_attention: tuple[np.ndarray, np.ndarray] | None  # w_resource, w_key
+    dense: list[tuple]
+    latent_dim: int
+    node_dim: int
+
+
+def inference_weights(model) -> InferenceWeights:
+    """The model's weights as an execution bundle.
+
+    Every array is the live parameter array itself (no copies), so a
+    bundle built per call is always current: an optimizer step, a
+    ``load_state_dict`` or an in-place edit reaches the next forward
+    with nothing to invalidate.
+    """
+    config = model.config
+    lstm = cnn = None
+    if model.plan_feature is not None:
+        cell = model.plan_feature.cell
+        lstm = (cell.w_x.data, cell.w_h.data, cell.bias.data)
+    else:
+        cnn = (model.cnn.weight.data, model.cnn.bias.data, config.cnn_kernel)
+
+    node_attention = resource_attention = None
+    if model.node_attention is not None:
+        node_attention = (model.node_attention.w_query.data,
+                          model.node_attention.w_key.data)
+    if model.resource_attention is not None:
+        resource_attention = (model.resource_attention.w_resource.data,
+                              model.resource_attention.w_key.data)
+
+    dense: list[tuple] = []
+    if not isinstance(model.dense, Sequential):
+        raise ShapeError("model.dense must be a Sequential of Linear/ReLU/Dropout")
+    for layer in model.dense:
+        if isinstance(layer, Linear):
+            dense.append(("linear", layer.weight.data,
+                          layer.bias.data if layer.bias is not None else None))
+        elif isinstance(layer, ReLU):
+            dense.append(("relu",))
+        elif isinstance(layer, Dropout):
+            pass  # identity at inference
+        else:
+            raise ShapeError(
+                f"no inference kernel for dense layer {type(layer).__name__}")
+
+    return InferenceWeights(
+        embedding_w=model.embedding.weight.data,
+        embedding_b=(model.embedding.bias.data
+                     if model.embedding.bias is not None else None),
+        lstm=lstm,
+        cnn=cnn,
+        node_attention=node_attention,
+        resource_attention=resource_attention,
+        dense=dense,
+        latent_dim=config.latent_dim,
+        node_dim=config.node_dim,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Staged forward
 # ---------------------------------------------------------------------------
 
@@ -247,7 +317,7 @@ def plan_side_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Everything that depends only on the plan: ``(hidden, plan_vec)``.
 
-    ``node_features`` must already be in the execution dtype. Returns
+    ``node_features`` must already be float64. Returns
     the feature-layer hidden states ``(B, N, H)`` and the node-attention
     (or masked-mean) pooled plan vector ``(B, H)``.
     """
@@ -289,7 +359,7 @@ def resource_side_forward(
 ) -> np.ndarray:
     """Resource attention + dense head over a profile block: ``(B, P)``.
 
-    ``resources`` is the ``(B, P, R)`` block in the execution dtype.
+    ``resources`` is the float64 ``(B, P, R)`` block.
     The resource-blind ablation never reads it: its one answer per plan
     is broadcast to every profile.
     """
@@ -304,7 +374,7 @@ def resource_side_forward(
     hs = plan_vec.shape[1]
     off = 2 * hs + resource_dim
     joined = np.empty((batch, n_profiles, off + extras.shape[1]),
-                      dtype=weights.dtype)
+                      dtype=np.float64)
     joined[:, :, :hs] = plan_vec[:, None, :]
     joined[:, :, hs : 2 * hs] = res_vec
     joined[:, :, 2 * hs : off] = resources
@@ -330,9 +400,9 @@ def raal_forward_inference(model, batch,
         either ``(B, R)`` — one profile per plan — or a ``(B, P, R)``
         profile block, each plan under ``P`` profiles.
     weights:
-        Optional precision-tier weight bundle
-        (:func:`repro.nn.precision.inference_weights`); defaults to a
-        zero-copy float64 view of the model's parameters.
+        Optional weight bundle (:func:`inference_weights`), so a caller
+        running many batches builds it once; defaults to the model's
+        own.
 
     Returns
     -------
@@ -341,19 +411,19 @@ def raal_forward_inference(model, batch,
         ``(B, P)`` for a profile block.
     """
     if weights is None:
-        weights = inference_weights(model, "f64")
-    node_features = np.asarray(batch.node_features, dtype=weights.dtype)
+        weights = inference_weights(model)
+    node_features = np.asarray(batch.node_features, dtype=np.float64)
     if node_features.shape[2] != weights.node_dim:
         raise ShapeError(
             f"batch node_dim {node_features.shape[2]} != "
             f"model node_dim {weights.node_dim}")
     hidden, plan_vec = plan_side_forward(
         weights, node_features, batch.child_mask, batch.node_mask)
-    resources = np.asarray(batch.resources, dtype=weights.dtype)
+    resources = np.asarray(batch.resources, dtype=np.float64)
     pairwise = resources.ndim == 2
     if pairwise:
         resources = resources[:, None, :]
-    extras = np.asarray(batch.extras, dtype=weights.dtype)
+    extras = np.asarray(batch.extras, dtype=np.float64)
     out = resource_side_forward(
         weights, hidden, plan_vec, resources, extras, batch.node_mask)
     return out[:, 0] if pairwise else out

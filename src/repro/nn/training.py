@@ -112,8 +112,7 @@ def fused_lstm_forward_cached(
     x_t = np.ascontiguousarray(x.transpose(1, 0, 2))
     acts = (x_t.reshape(seq * batch, input_size) @ w_x).reshape(seq, batch, 4 * hs)
     acts += bias
-    # Scratch follows the execution dtype (float64 for training, float32
-    # for the reduced-precision inference tiers).
+    # Scratch follows the dtype of the inputs.
     dtype = acts.dtype
     h = np.zeros((batch, hs), dtype=dtype)
     c = np.zeros((batch, hs), dtype=dtype)

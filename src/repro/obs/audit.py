@@ -2,7 +2,7 @@
 wrong it turned out to be.
 
 Every served prediction gets an :class:`AuditRecord` in a bounded ring:
-request id, plan fingerprint, resource profile, precision tier, chain
+request id, plan fingerprint, resource profile, serving tier, chain
 provenance, serving latency, and the prediction itself. When the query
 actually runs, :meth:`AuditTrail.observe` attaches the ground-truth
 runtime and the resulting q-error — closing the loop that the

@@ -5,8 +5,8 @@ this module says whether it is still *right*. Serving code feeds
 ``(prediction, observed_runtime)`` pairs back through
 :meth:`AccuracyTracker.record`, which maintains online q-error
 statistics — running mean plus median/p95 (within 1 %) from one
-:class:`~repro.obs.metrics.Histogram` sketch per scope — globally, per
-precision tier, and per workload class, all exported through the active
+:class:`~repro.obs.metrics.Histogram` sketch per scope — globally and
+per workload class, all exported through the active
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
 A :class:`DriftDetector` chained behind the tracker compares a frozen
@@ -84,7 +84,7 @@ def q_error(prediction: float, observed: float) -> float:
 
 
 class _ScopeStats:
-    """Online q-error statistics for one scope (global / tier / workload)."""
+    """Online q-error statistics for one scope (global / workload)."""
 
     __slots__ = ("sketch", "last")
 
@@ -134,7 +134,6 @@ class AccuracyTracker:
         self.drift = drift
         self._lock = threading.Lock()
         self._global = _ScopeStats()
-        self._by_tier: dict[str, _ScopeStats] = {}
         self._by_workload: dict[str, _ScopeStats] = {}
         self._window: deque[float] = deque(maxlen=self.config.window)
         self.rejected = 0
@@ -144,7 +143,7 @@ class AccuracyTracker:
         return _KEY_RE.sub("_", str(raw)) or "unknown"
 
     def record(self, prediction_seconds: float, observed_seconds: float,
-               tier: str | None = None, workload: str | None = None) -> float:
+               workload: str | None = None) -> float:
         """Fold one feedback pair in; returns the sample's q-error.
 
         Samples whose q-error is not finite (non-finite inputs) are
@@ -162,10 +161,6 @@ class AccuracyTracker:
             self._global.observe(qe)
             self._window.append(qe)
             scopes = [("quality", self._global)]
-            if tier is not None:
-                stats = self._by_tier.setdefault(self._key(tier), _ScopeStats())
-                stats.observe(qe)
-                scopes.append((f"quality.tier.{self._key(tier)}", stats))
             if workload is not None:
                 stats = self._by_workload.setdefault(
                     self._key(workload), _ScopeStats())
@@ -215,7 +210,6 @@ class AccuracyTracker:
         with self._lock:
             snap = {
                 "overall": self._global.snapshot(),
-                "by_tier": {k: s.snapshot() for k, s in self._by_tier.items()},
                 "by_workload": {k: s.snapshot()
                                 for k, s in self._by_workload.items()},
                 "rejected": self.rejected,

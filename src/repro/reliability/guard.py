@@ -41,7 +41,9 @@ they say nothing about the model.
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
@@ -87,6 +89,13 @@ DEFAULT_CHAIN = ("raal", "gpsj", "heuristic")
 
 #: Learned-stage gate states, in ``health.state`` gauge order.
 GATE_STATES = (CLOSED, HALF_OPEN, OPEN)
+
+#: ``GATE_STATES`` index of every live guard whose gate is not closed.
+#: The ``health.state`` gauge reads the worst of them, so with several
+#: models it agrees with ``/healthz`` ``status``.
+_NOT_CLOSED: "weakref.WeakKeyDictionary[GuardedCostPredictor, int]" = \
+    weakref.WeakKeyDictionary()
+_NOT_CLOSED_LOCK = threading.Lock()
 
 #: Fallback-of-last-resort cost when even the heuristic inputs are junk.
 _FLOOR_SECONDS = 1.0
@@ -238,6 +247,7 @@ class GuardedCostPredictor:
         self.default_deadline_ms = default_deadline_ms
         self.shed_mode = shed_mode
         self._clock = clock
+        self._live = True
         self.breakers = {
             stage: CircuitBreaker(config=breaker_config, clock=clock,
                                   on_transition=self._breaker_listener(stage))
@@ -248,20 +258,26 @@ class GuardedCostPredictor:
         """Telemetry hook for one stage's breaker state changes.
 
         Every transition event carries the breaker's last trip cause.
-        The RAAL stage's transitions also set the ``health.state`` gauge
-        (the :data:`GATE_STATES` index) and count trips per cause.
+        The RAAL stage's transitions also refresh the ``health.state``
+        gauge (:meth:`_publish_gate`) and count trips per cause. The
+        hook holds the guard weakly: a guard dropped without
+        :meth:`close` is freed at once, and with it its entry on the
+        gate board.
         """
+        ref = weakref.ref(self)
+
         def _on_transition(old: str, new: str) -> None:
-            cause = self.breakers[stage].cause
+            guard = ref()
+            if guard is None:
+                return
+            cause = guard.breakers[stage].cause
             obs.inc(f"guard.{stage}.breaker_transitions_total",
                     help="Circuit breaker state changes")
             obs.emit_event("guard", "breaker_transition",
                            stage=stage, old=old, new=new, cause=cause)
             if stage != "raal":
                 return
-            obs.set_gauge("health.state", GATE_STATES.index(new),
-                          help="Learned-stage gate (0=closed, 1=half_open, "
-                               "2=open)")
+            guard._publish_gate()
             if new == OPEN:
                 obs.inc(f"gate.{cause}_trips_total",
                         help="Learned-stage gate trips with this cause")
@@ -278,8 +294,32 @@ class GuardedCostPredictor:
         """The wrapped predictor's trainer (CostPredictor compatibility)."""
         return self.predictor.trainer
 
+    def _publish_gate(self) -> None:
+        """Record this guard's gate and set ``health.state`` to the
+        worst gate (:data:`GATE_STATES` index) among the live guards."""
+        with _NOT_CLOSED_LOCK:
+            state = self.breakers["raal"].state
+            if self._live and state != CLOSED:
+                _NOT_CLOSED[self] = GATE_STATES.index(state)
+            else:
+                _NOT_CLOSED.pop(self, None)
+            obs.set_gauge("health.state", max(_NOT_CLOSED.values(), default=0),
+                          help="Worst learned-stage gate among live guards "
+                               "(0=closed, 1=half_open, 2=open)")
+
+    def set_live(self, live: bool) -> None:
+        """Whether this guard's gate counts toward ``health.state``.
+
+        A guard is live from construction until :meth:`close`; a
+        serving shard takes a model version out while it is not the one
+        being served.
+        """
+        self._live = live
+        self._publish_gate()
+
     def close(self) -> None:
-        """Release the wrapped predictor's worker pool."""
+        """Leave ``health.state`` and release the predictor's worker pool."""
+        self.set_live(False)
         self.predictor.close()
 
     def predict(self, plan: PhysicalPlan, resources: ResourceProfile,
@@ -336,7 +376,6 @@ class GuardedCostPredictor:
         gate = self.breakers["raal"]
         state: dict[str, object] = {
             "gate": {"state": gate.state, "cause": gate.cause},
-            "precision": self.predictor.config.precision,
             "breakers": {stage: breaker.state
                          for stage, breaker in self.breakers.items()},
             "shed_mode": self.shed_mode,
@@ -506,8 +545,7 @@ class GuardedCostPredictor:
             self.slo.record("latency", latency)
         if self.audit is None:
             return ()
-        served_tier = (self.predictor.config.precision if stage == "raal"
-                       else None)
+        served_tier = "f64" if stage == "raal" else None
         request_ids = []
         start = 0
         for size in members:
@@ -557,7 +595,7 @@ class GuardedCostPredictor:
             return None
         if self.quality is not None and record.source == "raal":
             self.quality.record(record.prediction_seconds, observed_seconds,
-                                tier=record.tier, workload=record.workload)
+                                workload=record.workload)
             self._couple_drift()
         if self.slo is not None and "qerror" in self.slo.names():
             self.slo.record("qerror", record.q_error)

@@ -293,6 +293,8 @@ class ModelShard:
             if self._previous is not None:
                 self._retired.append(self._previous)
             self._previous = old
+            if old is not None:
+                old.guard.set_live(False)
         obs.inc("serve.promotions_total", help="Candidate models promoted")
         obs.emit_event("serve", "model_promoted", model=self.model_id,
                        version=state.model.version,
@@ -311,7 +313,8 @@ class ModelShard:
             demoted, self.current = self.current, self._previous
             self._previous = None
             if demoted is not None:
-                self._retired.append(demoted)
+                self._retire(demoted)
+            self.current.guard.set_live(True)
         obs.inc("serve.rollbacks_total", help="Model rollbacks")
         obs.emit_event("serve", "model_rolled_back", model=self.model_id,
                        version=self.current.version,
@@ -319,7 +322,11 @@ class ModelShard:
         return self.current.version
 
     def _retire(self, model: ServingModel) -> None:
-        """Park a replaced model; executors close at shard shutdown."""
+        """Park a replaced model; executors close at shard shutdown.
+
+        Its gate stops counting toward ``health.state`` at once.
+        """
+        model.guard.set_live(False)
         self._retired.append(model)
 
     # -- lifecycle / introspection ----------------------------------------
@@ -353,7 +360,7 @@ class ModelRegistry:
     """All shards of one serving process, keyed by model id.
 
     ``build_guard`` is supplied by the service so every shard's guard
-    shares the serving policy (precision config, deadlines, shed mode)
+    shares the serving policy (execution config, deadlines, shed mode)
     while owning its own reliability state.
     """
 

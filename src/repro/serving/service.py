@@ -68,8 +68,7 @@ class ServingConfig:
     #: Fuse requests that queue behind a running batch into the next
     #: one; ``False`` scores every request on its own thread.
     batching: bool = True
-    #: Serving execution policy applied to every loaded model.
-    precision: str = "f64"
+    #: Bucket-parallel inference threads for every loaded model.
     threads: int = 1
     #: Synthesized per request when the body carries no ``deadline_ms``.
     default_deadline_ms: float | None = None
@@ -117,8 +116,7 @@ class PredictionService:
         if catalog is None:
             catalog = self._build_catalog()
         self.catalog = catalog
-        exec_config = PredictorConfig(
-            precision=self.config.precision, threads=self.config.threads)
+        exec_config = PredictorConfig(threads=self.config.threads)
         self.registry = ModelRegistry(
             default_guard_builder(
                 catalog,
@@ -407,7 +405,6 @@ class PredictionService:
             models[model_id] = {
                 "version": current.version,
                 "gate": state["gate"],
-                "precision": state["precision"],
                 "breakers": state["breakers"],
                 "shed_mode": state["shed_mode"],
                 "admission": state.get("admission"),

@@ -34,7 +34,6 @@ import numpy as np
 from repro.core.execution import collate_inference
 from repro.nn import Tensor, mse_loss, no_grad
 from repro.nn.arena import thread_local_arena
-from repro.nn.precision import inference_weights
 
 __all__ = ["autograd_predict_log", "autograd_predict_seconds",
            "autograd_forward", "autograd_step", "autograd_training",
@@ -45,12 +44,8 @@ def autograd_forward(model, batch, weights=None) -> np.ndarray:
     """``RAAL.forward`` under ``no_grad``, as a ``forward_inference`` twin.
 
     ``weights`` is accepted for signature compatibility; the autograd
-    forward reads the live float64 parameters, so only the f64 bundle
-    (or none) makes sense here.
+    forward reads the live parameters.
     """
-    if weights is not None and weights.dtype != np.float64:
-        raise ValueError(f"the autograd reference is float64-only, "
-                         f"got a {weights.dtype} weight bundle")
     with no_grad():
         return model(batch).numpy()
 
@@ -60,7 +55,7 @@ def autograd_predict_log(model, encoded: list, batch_size: int) -> np.ndarray:
     model.eval()
     preds = np.empty(len(encoded))
     for lo in range(0, len(encoded), batch_size):
-        batch = collate_inference(encoded[lo : lo + batch_size], np.float64)
+        batch = collate_inference(encoded[lo : lo + batch_size])
         preds[lo : lo + batch_size] = autograd_forward(model, batch)
     return preds
 
@@ -72,25 +67,22 @@ def autograd_predict_seconds(trainer, encoded: list) -> np.ndarray:
     return np.expm1(np.clip(log_preds, 0.0, trainer.config.log_clamp_max))
 
 
-def pairwise_predict_log(model, encoded: list, batch_size: int,
-                         weights=None) -> np.ndarray:
+def pairwise_predict_log(model, encoded: list, batch_size: int) -> np.ndarray:
     """Log-space predictions with one row per pair, length-bucketed.
 
     Pairs are stable-sorted by node count and collated ``batch_size``
     rows at a time through ``model.forward_inference`` — the plan side
     of the network runs once per *pair*, however many pairs share a
-    plan. ``weights`` is a precision-tier bundle (default f64).
+    plan.
     """
-    if weights is None:
-        weights = inference_weights(model, "f64")
     model.eval()
     order = np.argsort([e.num_nodes for e in encoded], kind="stable")
     preds = np.empty(len(encoded))
     for lo in range(0, len(order), batch_size):
         idx = order[lo : lo + batch_size]
-        batch = collate_inference([encoded[i] for i in idx], weights.dtype,
+        batch = collate_inference([encoded[i] for i in idx],
                                   arena=thread_local_arena())
-        preds[idx] = model.forward_inference(batch, weights)
+        preds[idx] = model.forward_inference(batch)
     return preds
 
 

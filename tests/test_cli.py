@@ -27,23 +27,18 @@ class TestParser:
             build_parser().parse_args([*argv, "--no-fast-path"])
         assert "unrecognized arguments: --no-fast-path" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--batch-window-ms", "--max-batch-pairs"])
-    def test_retired_batching_knobs_rejected(self, flag, capsys):
+    @pytest.mark.parametrize("command, flag", [
+        (["serve", "--model", "m"], "--batch-window-ms"),
+        (["serve", "--model", "m"], "--max-batch-pairs"),
+        (["serve", "--model", "m"], "--precision"),
+        (["predict", "--model", "m", "--sql", "select count(*) from title t"],
+         "--precision")],
+        ids=["--batch-window-ms", "--max-batch-pairs", "serve--precision",
+             "predict--precision"])
+    def test_retired_batching_knobs_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--model", "m", flag, "2"])
+            build_parser().parse_args([*command, flag, "2"])
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", [
-        ["serve", "--model", "m"],
-        ["predict", "--model", "m", "--sql", "select count(*) from title t"]])
-    def test_precision_offers_f64_and_f32_only(self, command, capsys):
-        for precision in ("f64", "f32"):
-            args = build_parser().parse_args(
-                [*command, "--precision", precision])
-            assert args.precision == precision
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([*command, "--precision", "int8"])
-        assert "invalid choice: 'int8'" in capsys.readouterr().err
 
     def test_batching_is_one_switch(self):
         assert build_parser().parse_args(["serve"]).batching

@@ -6,7 +6,8 @@ if any of them is missing from the user documentation (README.md +
 docs/). New surface area cannot land undocumented — CI runs this in
 the serving job. In the reverse direction, README.md, docs/ and
 DESIGN.md may not advertise a verb, endpoint or ``--flag`` that no
-longer exists.
+longer exists, and neither may the verify skill's build-and-run
+recipe (``.claude/skills/verify/SKILL.md``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.serving.http import ROUTES
 
 REPO = pathlib.Path(__file__).parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
-FLAG_DOC_FILES = [*DOC_FILES, REPO / "DESIGN.md"]
+FLAG_DOC_FILES = [*DOC_FILES, REPO / "DESIGN.md",
+                  REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
 #: Lines invoking these tools document *their* flags, not the repro CLI's.
 FOREIGN_TOOLS = ("pytest", "perfbench/", "pip ")
 

@@ -279,20 +279,7 @@ class TestEncoderDtype:
         enc = encoder.encode(plans[0], PAPER_CLUSTER)
         assert enc.node_features.dtype == np.float64
         assert enc.resources.dtype == np.float64
-
-    def test_float32_mode_halves_footprint_and_clears_cache(self, encoder, plans):
-        encoder.encode(plans[0], PAPER_CLUSTER)
-        assert encoder.cache_info().size == 1
-        encoder.dtype = np.float32
-        assert encoder.cache_info().size == 0   # stale f64 entries dropped
-        enc = encoder.encode(plans[0], PAPER_CLUSTER)
-        assert enc.node_features.dtype == np.float32
-        assert enc.resources.dtype == np.float32
-        assert enc.extras.dtype == np.float32
-
-    def test_rejects_non_float_dtype(self, encoder):
-        with pytest.raises(EncodingError):
-            encoder.dtype = np.int32
+        assert enc.extras.dtype == np.float64
 
 
 #: A 24-profile grid (executors × cores × memory), the advisor's shape.
@@ -339,16 +326,14 @@ class TestDeduplicatedColdEncode:
         if encoder.use_structure:
             rows = np.concatenate([rows, encoder.structure.encode_plan(plan)],
                                   axis=1)
-        return rows.astype(encoder.dtype)
+        return rows.astype(np.float64)
 
-    @pytest.mark.parametrize("dtype,use_structure", [
-        (np.float64, True), (np.float32, True), (np.float64, False)])
+    @pytest.mark.parametrize("use_structure", [True, False])
     def test_grid_matches_per_node_encode_bit_for_bit(
-            self, workload_plans, workload_encoder, dtype, use_structure):
+            self, workload_plans, workload_encoder, use_structure):
         encoder = PlanEncoder(semantic=workload_encoder.semantic,
                               structure=workload_encoder.structure,
                               use_structure=use_structure)
-        encoder.dtype = dtype
         profiles = GRID_24[:4]
         grid = [(plan, prof) for prof in profiles for plan in workload_plans]
         expected = {id(plan): self._per_node(encoder, plan)
@@ -356,11 +341,11 @@ class TestDeduplicatedColdEncode:
         for phase in ("cold", "warm"):
             encoded = encoder.encode_many(grid)
             for (plan, prof), enc in zip(grid, encoded):
-                assert enc.node_features.dtype == np.dtype(dtype)
+                assert enc.node_features.dtype == np.float64
                 assert np.array_equal(enc.node_features, expected[id(plan)]), \
                     (phase, plan.label)
                 assert np.array_equal(enc.resources,
-                                      prof.as_features().astype(dtype))
+                                      prof.as_features())
         info = encoder.cache_info()
         assert (info.misses, info.size) == (len(workload_plans),
                                             len(workload_plans))

@@ -7,16 +7,20 @@ the whole prediction path must never build or retain an autograd graph.
 The autograd reference predictions come from `tests/oracles.py`.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import RAAL, RAALBatch, RAALConfig, CostPredictor, Trainer, TrainerConfig
+from repro.core.predictor import PredictorConfig
 from repro.encoding import EncodedPlan, PlanEncoder
-from repro.errors import ShapeError
-from repro.nn import Tensor, raal_forward_inference
+from repro.errors import PredictionError, ShapeError
+from repro.nn import Tensor, inference_weights, raal_forward_inference
 from repro.plan.physical import FileScan, FilterExec, HashAggregate, PhysicalPlan
 from repro.cluster.resources import ResourceProfile
-from tests.oracles import autograd_predict_log, autograd_predict_seconds
+from tests.oracles import (autograd_predict_log, autograd_predict_seconds,
+                           pairwise_predict_log)
 
 TOL = 1e-8
 
@@ -103,6 +107,17 @@ class TestForwardEquivalence:
         batch = make_batch(config, seed=7)
         np.testing.assert_array_equal(
             raal_forward_inference(model, batch), model.forward_inference(batch))
+
+    def test_weight_bundle_is_zero_copy_view(self):
+        model = RAAL(RAALConfig(node_dim=20, hidden_size=16,
+                                embedding_dim=16)).eval()
+        batch = make_batch(model.config, seed=4)
+        assert inference_weights(model).embedding_w is model.embedding.weight.data
+        before = model.forward_inference(batch)
+        # An in-place weight change (what Adam and load_state_dict do)
+        # reaches the next forward with nothing to invalidate.
+        model.embedding.weight.data += 0.5
+        assert not np.array_equal(model.forward_inference(batch), before)
 
 
 def random_encoded(config: RAALConfig, count=12, max_n=10, seed=0):
@@ -237,3 +252,99 @@ class TestPredictorNoGrad:
             for j, plan in enumerate(plans):
                 assert grid[i, j] == pytest.approx(
                     predictor.predict(plan, profile), abs=1e-6)
+
+
+class TestPredictorConfig:
+    """Predictor-level execution policy: threading and the one precision."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        from repro.cluster import PAPER_CLUSTER
+        from repro.core.trainer import TrainingSample
+        from repro.data import build_imdb_catalog
+        from repro.plan import analyze, enumerate_plans
+        from repro.sql import parse
+        from repro.text import Word2VecConfig
+
+        catalog = build_imdb_catalog(scale=0.05, seed=3)
+        sqls = [
+            "select count(*) from movie_keyword mk where mk.keyword_id < 25",
+            """select count(*) from title t, movie_companies mc
+               where t.id = mc.movie_id and mc.company_type_id > 1""",
+            """select count(*) from title t, movie_companies mc, movie_keyword mk
+               where t.id = mc.movie_id and t.id = mk.movie_id
+               and mc.company_id = 4 and mk.keyword_id < 25""",
+        ]
+        plans = []
+        for sql in sqls:
+            q = analyze(parse(sql), catalog)
+            plans.extend(enumerate_plans(q, catalog)[:4])
+        encoder = PlanEncoder.fit(
+            plans, word2vec_config=Word2VecConfig(dim=12, epochs=2))
+        config = RAALConfig(node_dim=encoder.node_dim,
+                            hidden_size=16, embedding_dim=16, latent_dim=8,
+                            dense_sizes=(24, 12), seed=0)
+        trainer = Trainer(RAAL(config),
+                          TrainerConfig(epochs=2, batch_size=4, seed=0))
+        samples = [TrainingSample(encoder.encode(p, PAPER_CLUSTER),
+                                  1.0 + i * 0.35)
+                   for i, p in enumerate(plans)]
+        trainer.fit(samples)
+        return CostPredictor(encoder, trainer), plans, PAPER_CLUSTER
+
+    def test_default_config_is_legacy_behavior(self, served):
+        predictor, plans, profile = served
+        pairs = [(p, profile) for p in plans]
+        default = predictor.predict_many(pairs)
+        explicit = predictor.configured(PredictorConfig()).predict_many(pairs)
+        assert np.array_equal(default, explicit)
+
+    def test_only_f64_precision_constructs(self):
+        assert PredictorConfig(precision="f64", factor_grids=True)
+        for retired in ("f32", "f16", "bf16", "int8"):
+            with pytest.raises(PredictionError):
+                PredictorConfig(precision=retired)
+
+    def test_invalid_precision_rejected_at_construction(self, served):
+        predictor, _, _ = served
+        with pytest.raises(PredictionError):
+            predictor.configured(PredictorConfig(precision="f8"))
+
+    def test_grid_matches_pairwise_grid(self, served):
+        from repro.core.advisor import default_profile_grid
+
+        predictor, plans, _ = served
+        profiles = default_profile_grid()[:5]
+        grid = predictor.predict_grid(plans[:4], profiles)
+        # Pairwise reference: every pair collated as its own row.
+        encoded = [predictor.encoder.encode(plan, profile)
+                   for profile in profiles for plan in plans[:4]]
+        pairwise, _ = predictor.trainer.seconds_from_log(pairwise_predict_log(
+            predictor.trainer.model, encoded, 4))
+        pairwise = pairwise.reshape(grid.shape)
+        rel = np.abs(grid - pairwise) / np.maximum(np.abs(pairwise), 1e-9)
+        assert rel.max() <= 1e-9
+
+    def test_concurrent_predict_many_is_safe(self, served):
+        predictor, plans, profile = served
+        threaded = predictor.configured(PredictorConfig(threads=2))
+        pairs = [(p, profile) for p in plans]
+        expected = threaded.predict_many(pairs)
+        results = [None] * 6
+        errors = []
+
+        def worker(i):
+            try:
+                results[i] = threaded.predict_many(pairs)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        workers = [threading.Thread(target=worker, args=(i,))
+                   for i in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+        assert not errors
+        for out in results:
+            assert np.array_equal(out, expected)

@@ -10,10 +10,12 @@ robust on loaded CI machines.
 """
 
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.reliability.guard as guard_module
 from repro import obs
 from repro.baselines.gpsj import GPSJCostModel
 from repro.core import CostPredictor
@@ -418,7 +420,7 @@ class TestGuardOverload:
             default_deadline_ms=100.0)
         health = guard.health_state()
         assert health["gate"] == {"state": CLOSED, "cause": None}
-        assert health["precision"] == "f64"
+        assert "precision" not in health
         assert health["breakers"]["raal"] == CLOSED
         assert health["admission"]["in_flight"] == 0
         assert health["default_deadline_ms"] == 100.0
@@ -586,6 +588,26 @@ class TestLearnedStageGate:
                                      result.seconds * factor)
         assert (gate.state, gate.cause) == (OPEN, "drift")
         assert serve(guard, pipeline).reason == "raal: circuit open (drift)"
+
+    def test_gauge_reads_the_worst_gate_of_several_guards(
+            self, predictor, pipeline, telemetry, monkeypatch):
+        # A fresh board: open gates of guards other tests left behind
+        # must not count here.
+        monkeypatch.setattr(guard_module, "_NOT_CLOSED",
+                            weakref.WeakKeyDictionary())
+        clock = FakeClock()
+        a = gate_guard(predictor, pipeline, clock)
+        b = gate_guard(predictor, pipeline, clock)
+        a.breakers["raal"].trip("drift")
+        b.breakers["raal"].trip("failures")
+        clock.advance(COOLDOWN + 0.1)
+        assert serve(b, pipeline).source == "raal"  # B's probe closes it
+        assert a.breakers["raal"].state == OPEN
+        assert b.breakers["raal"].state == CLOSED
+        gauge = telemetry.registry.get("health.state")
+        assert gauge.value == 2
+        a.close()  # a closed guard is no longer live
+        assert gauge.value == 0
 
     def test_successful_probe_closes_the_gate(self, predictor, pipeline):
         clock = FakeClock()

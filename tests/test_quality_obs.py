@@ -87,13 +87,13 @@ class TestScopeQuantiles:
         tracker = AccuracyTracker()
         with obs.attached(telemetry):
             for v in samples:
-                tracker.record(1.0, float(v), tier="f64")
+                tracker.record(1.0, float(v), workload="imdb")
         reg = telemetry.registry
         for q, name in ((0.5, "p50"), (0.95, "p95")):
             exact = float(np.quantile(samples, q, method="lower"))
-            for scope in ("overall", "by_tier"):
+            for scope in ("overall", "by_workload"):
                 snap = tracker.snapshot()[scope]
-                value = snap[name] if scope == "overall" else snap["f64"][name]
+                value = snap[name] if scope == "overall" else snap["imdb"][name]
                 assert abs(value - exact) <= RELATIVE_ACCURACY * exact
             assert reg.get(f"quality.qerror_{name}").value == \
                 tracker.snapshot()["overall"][name]
@@ -115,17 +115,16 @@ class TestAccuracyTracker:
         telemetry = Telemetry.create()
         with obs.attached(telemetry):
             tracker = AccuracyTracker(QualityConfig(window=4))
-            tracker.record(1.0, 2.0, tier="f64", workload="imdb")
-            tracker.record(1.0, 1.0, tier="int8", workload="imdb")
+            tracker.record(1.0, 2.0, workload="imdb")
+            tracker.record(1.0, 1.0, workload="imdb")
         snap = tracker.snapshot()
         assert snap["overall"]["count"] == 2
-        assert snap["by_tier"]["f64"]["last"] == pytest.approx(2.0)
-        assert snap["by_tier"]["int8"]["last"] == pytest.approx(1.0)
+        assert "by_tier" not in snap
         assert snap["by_workload"]["imdb"]["count"] == 2
+        assert snap["by_workload"]["imdb"]["last"] == pytest.approx(1.0)
         reg = telemetry.registry
         assert reg.get("quality.feedback_total").value == 2
         assert reg.get("quality.qerror_mean").value == pytest.approx(1.5)
-        assert "quality.tier.f64.qerror_p95" in reg
         assert "quality.workload.imdb.qerror_p50" in reg
         assert reg.get("quality.qerror").count == 2
 
@@ -525,7 +524,6 @@ class TestGuardedFeedbackLoop:
         assert qe == pytest.approx(2.0)
         assert guard.quality.count == 1
         snap = guard.quality.snapshot()
-        assert snap["by_tier"]["f64"]["count"] == 1
         assert snap["by_workload"]["imdb"]["count"] == 1
         # Unknown request ids are counted, not raised.
         assert guard.record_observation("req-999999", 1.0) is None
@@ -577,14 +575,11 @@ class TestGuardedFeedbackLoop:
 
     def test_fallback_answers_skip_quality_but_feed_slo(self, trained,
                                                         pipeline, pair):
-        from repro.nn import invalidate_inference_cache
-
         guard = _feedback_guard(trained, pipeline)
         model = guard.predictor.trainer.model
         injector = FaultInjector(seed=3)
         saved = [p.data.copy() for _, p in model.named_parameters()]
         injector.corrupt_weights(model)
-        invalidate_inference_cache(model)
         try:
             explained = guard.predict_explained(*pair)
             assert explained.source == "gpsj"
@@ -593,7 +588,6 @@ class TestGuardedFeedbackLoop:
         finally:
             for (_, p), data in zip(model.named_parameters(), saved):
                 p.data[...] = data
-            invalidate_inference_cache(model)
         # The audit record closed with a q-error and the SLO saw it, but
         # the tracker (which measures the learned model) did not.
         assert qe == pytest.approx(3.0)
@@ -615,16 +609,14 @@ class TestPredictorFeedbackAPI:
         qe = predictor.record_observation(2.0, 4.0)
         assert qe == pytest.approx(2.0)
         assert predictor.quality is not None
-        assert "f64" in predictor.quality.snapshot()["by_tier"]
+        assert predictor.quality.snapshot()["overall"]["count"] == 1
 
     def test_configured_shares_the_tracker(self, trained):
         from dataclasses import replace
 
         predictor = CostPredictor(trained.encoder, trained.trainer)
         predictor.record_observation(1.0, 1.0)
-        tiered = predictor.configured(
-            replace(predictor.config, precision="f32"))
-        tiered.record_observation(1.0, 2.0)
+        threaded = predictor.configured(replace(predictor.config, threads=2))
+        threaded.record_observation(1.0, 2.0)
         snap = predictor.quality.snapshot()
         assert snap["overall"]["count"] == 2
-        assert set(snap["by_tier"]) == {"f64", "f32"}

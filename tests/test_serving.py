@@ -21,10 +21,12 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.reliability.guard as guard_module
 from repro.cluster.resources import PAPER_CLUSTER
 from repro.core import CostPredictor
 from repro.core.persistence import (checkpoint_fingerprint, save_predictor)
@@ -350,6 +352,22 @@ class TestHotSwap:
         # And back again.
         rolled = service.rollback({})
         assert rolled["version"] == v1
+
+    def test_health_gauge_follows_the_served_version(
+            self, service, checkpoint, monkeypatch):
+        # A fresh board: open gates of guards other tests left behind
+        # must not count here.
+        monkeypatch.setattr(guard_module, "_NOT_CLOSED",
+                            weakref.WeakKeyDictionary())
+        gauge = service.telemetry.registry.gauge("health.state")
+        service.registry.shard("default").current.guard.breakers[
+            "raal"].trip("drift")
+        assert (gauge.value, service.health()["status"]) == (2, "degraded")
+        service.deploy({"checkpoint": checkpoint, "shadow_requests": 0})
+        # The drifting version is kept for rollback but no longer served.
+        assert (gauge.value, service.health()["status"]) == (0, "ok")
+        service.rollback({})
+        assert (gauge.value, service.health()["status"]) == (2, "degraded")
 
     def test_shadow_leaves_ground_truth_quality_untouched(
             self, service, checkpoint, sql):
