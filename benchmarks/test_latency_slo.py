@@ -1,16 +1,12 @@
-"""Sustained-load latency SLO harness: p50/p95/p99 per execution mode.
+"""Sustained-load latency SLO harness: p50/p95/p99 of the one execution mode.
 
 Drives a *closed-loop* request stream (each request issued as soon as
 the previous one returns — the plan-selector-in-the-loop serving shape)
-against the predictor in two execution modes:
+against the predictor. The requests carry no deadline, so every
+forward runs on the caller's thread (mode **f64-1T**) through the one
+inference kernel (one plan-side forward per distinct plan).
 
-* **f64-1T** — single-thread: the default configuration;
-* **f64-multiT** — bucket-parallel threads, one per core.
-
-Every mode runs the one inference kernel (one plan-side forward per
-distinct plan).
-
-Per mode it reports p50/p95/p99 twice: exact percentiles over the raw
+It reports p50/p95/p99 twice: exact percentiles over the raw
 per-request wall-clock samples, and the estimates of the
 ``predict.latency_seconds`` obs histogram (what a production deployment
 would alert on). The histogram is a log-bucket sketch whose quantiles
@@ -24,16 +20,15 @@ Results go to ``BENCH_latency.json`` with run metadata. Three gates:
   ``REPRO_BENCH_SLO_MIN_GRID_SPEEDUP`` (default 2.0×) over the f64
   *pairwise* grid — every pair collated as its own row through
   ``model.forward_inference`` (``tests.oracles.pairwise_predict_log``),
-  so the plan side runs once per pair. The f64-multiT grid and its
-  speedup over f64-1T are reported, not gated;
+  so the plan side runs once per pair;
 * the per-plan grid must agree with the pairwise grid to a relative
   1e-12 (same math, regrouped GEMMs);
-* p99 of each mode must not exceed ``REPRO_BENCH_SLO_MAX_P99_REGRESSION``
-  (default 10×) times the committed baseline's p99 for that mode —
+* p99 must not exceed ``REPRO_BENCH_SLO_MAX_P99_REGRESSION``
+  (default 10×) times the committed baseline's f64-1T p99 —
   a coarse threshold by design, so cross-host variance doesn't flake
   while order-of-magnitude regressions still fail.
 
-Scale knobs: ``REPRO_BENCH_SLO_REQUESTS`` (default 150 per mode),
+Scale knobs: ``REPRO_BENCH_SLO_REQUESTS`` (default 150),
 ``REPRO_BENCH_SLO_PAIRS`` (default 8 pairs per request),
 ``REPRO_BENCH_SLO_GRID_REPEATS`` (default 5).
 """
@@ -51,7 +46,6 @@ from benchmarks.runmeta import write_bench_json
 from repro import obs
 from repro.core import CostPredictor
 from repro.core.advisor import default_profile_grid
-from repro.core.predictor import PredictorConfig
 from repro.eval import render_table
 from tests.oracles import pairwise_predict_log
 
@@ -68,11 +62,8 @@ MAX_P99_REGRESSION = float(
 GRID_PLANS = 8
 GRID_PROFILES = 24
 
-#: mode name -> execution policy
-MODES: dict[str, PredictorConfig] = {
-    "f64-1T": PredictorConfig(threads=1),
-    "f64-multiT": PredictorConfig(threads=0),
-}
+#: The one execution mode: float64, no deadline, on the caller's thread.
+MODE = "f64-1T"
 
 
 def _percentiles(samples: list[float]) -> dict[str, float]:
@@ -87,8 +78,8 @@ def _closed_loop(predictor: CostPredictor, requests: list) -> dict:
     telemetry = obs.Telemetry.create()
     samples: list[float] = []
     with obs.attached(telemetry):
-        # One warmup request primes the thread pool / scratch arenas
-        # outside the measured stream.
+        # One warmup request primes the scratch arenas outside the
+        # measured stream.
         predictor.predict_many(requests[0])
         start = time.perf_counter()
         for pairs in requests:
@@ -139,7 +130,7 @@ def test_latency_slo():
 
     pipeline = get_fixed_pipeline("imdb")
     trained = pipeline.train_variant("RAAL", epochs=4)
-    base = CostPredictor(trained.encoder, trained.trainer)
+    predictor = CostPredictor(trained.encoder, trained.trainer)
 
     records = pipeline.split.test
     plans = list({id(r.plan): r.plan for r in records}.values())[:GRID_PLANS]
@@ -152,37 +143,26 @@ def test_latency_slo():
         for _ in range(N_REQUESTS)
     ]
 
-    results: dict[str, dict] = {"modes": {}}
-    predictors = {name: base.configured(cfg) for name, cfg in MODES.items()}
-    for name, predictor in predictors.items():
-        stats = _closed_loop(predictor, requests)
-        stats["config"] = {"threads": predictor.executor.threads}
-        results["modes"][name] = stats
+    results: dict[str, dict] = {
+        "modes": {MODE: _closed_loop(predictor, requests)}}
 
     # -- grid throughput: the per-plan kernel vs the pairwise grid -----
     grid_pairwise_s = _best_of(
-        lambda: _pairwise_f64_grid(predictors["f64-1T"], plans, profiles),
+        lambda: _pairwise_f64_grid(predictor, plans, profiles),
         GRID_REPEATS)
     grid_1t_s = _best_of(
-        lambda: predictors["f64-1T"].predict_grid(plans, profiles),
-        GRID_REPEATS)
-    grid_multit_s = _best_of(
-        lambda: predictors["f64-multiT"].predict_grid(plans, profiles),
-        GRID_REPEATS)
+        lambda: predictor.predict_grid(plans, profiles), GRID_REPEATS)
     n_grid = GRID_PLANS * GRID_PROFILES
     results["grid"] = {
         "pairs": n_grid,
         "pairwise_f64_pairs_per_sec": n_grid / grid_pairwise_s,
         "f64_1T_pairs_per_sec": n_grid / grid_1t_s,
-        "f64_multiT_pairs_per_sec": n_grid / grid_multit_s,
         "per_plan_speedup_vs_pairwise": grid_pairwise_s / grid_1t_s,
-        # Not gated: the bucket-thread measurement.
-        "multiT_speedup_vs_1T": grid_1t_s / grid_multit_s,
     }
 
     # The per-plan f64 grid against the pairwise one (contract: 1e-12).
-    pairwise_ref = _pairwise_f64_grid(predictors["f64-1T"], plans, profiles)
-    grid_ref = predictors["f64-1T"].predict_grid(plans, profiles)
+    pairwise_ref = _pairwise_f64_grid(predictor, plans, profiles)
+    grid_ref = predictor.predict_grid(plans, profiles)
     results["grid"]["max_rel_diff_vs_pairwise"] = float(
         (np.abs(grid_ref - pairwise_ref)
          / np.maximum(np.abs(pairwise_ref), 1e-300)).max())

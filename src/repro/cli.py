@@ -60,7 +60,7 @@ import sys
 from repro import obs
 from repro.cluster.resources import PAPER_CLUSTER
 from repro.core.persistence import load_predictor, save_predictor, verify_checkpoint
-from repro.core.predictor import CostPredictor, PredictorConfig
+from repro.core.predictor import CostPredictor
 from repro.core.selector import PlanSelector
 from repro.errors import ReproError
 from repro.eval.experiments import ExperimentPipeline, ExperimentScale
@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--memory-gb", type=float, default=4.0)
     predict.add_argument("--executors", type=int, default=2)
     predict.add_argument("--executor-cores", type=int, default=2)
-    predict.add_argument(
-        "--threads", type=int, default=1,
-        help="bucket-parallel inference threads (0 = one per CPU core)")
     predict.add_argument(
         "--deadline-ms", type=float, default=None,
         help="per-prediction latency budget; past it the learned model "
@@ -165,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batching", dest="batching", action="store_false",
         help="score every request on its own thread instead of fusing "
              "requests that queue behind a running batch into one forward")
-    serve.add_argument(
-        "--threads", type=int, default=1,
-        help="bucket-parallel inference threads (0 = one per CPU core)")
     serve.add_argument(
         "--deadline-ms", type=float, default=None,
         help="default per-request latency budget when the request body "
@@ -290,7 +284,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     # the learned stage the same way.
     guarded = default_guard_builder(
         catalog, workload=args.dataset,
-        exec_config=PredictorConfig(threads=args.threads),
         default_deadline_ms=args.deadline_ms)(args.dataset)(predictor)
     query = analyze(parse_sql(args.sql), catalog)
     selector = PlanSelector(guarded, catalog)
@@ -378,7 +371,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServingConfig(
         dataset=args.dataset, catalog_scale=args.catalog_scale,
         batching=args.batching,
-        threads=args.threads,
         default_deadline_ms=args.deadline_ms, shed_mode=args.shed_mode,
         max_in_flight=args.max_in_flight,
         max_queue_depth=args.max_queue_depth,

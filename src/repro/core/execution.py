@@ -1,4 +1,4 @@
-"""Bucket-parallel execution engine for inference.
+"""Bucketed execution engine for inference.
 
 :class:`BucketExecutor` owns the one inference kernel. Every predict
 path — a guarded request's learned stage, the deploy shadow,
@@ -20,27 +20,20 @@ path — a guarded request's learned stage, the deploy shadow,
 * **One weight bundle per call** — every bucket's forward reads the
   same :class:`~repro.nn.inference.InferenceWeights`, the model's live
   float64 parameter arrays.
-* **Bucket parallelism** — with ``threads > 1`` the independent
-  per-bucket forwards run on a thread pool. numpy releases the GIL
-  inside BLAS and the large elementwise sweeps, so buckets genuinely
-  overlap on multi-core hosts. Workers write disjoint slices of the
-  output array; each worker collates into its own thread-local
-  :class:`~repro.nn.arena.ScratchArena`.
 * **Arena collation** — inference does not need the training collate's
   Tensor targets or fresh allocations; pads are written into grow-only
   per-thread scratch buffers, so a steady-state request stream performs
   no collation allocations at all.
-* **Deadlines** — :meth:`BucketExecutor.predict_log` accepts a
-  :class:`~repro.reliability.deadline.Deadline`. The serial path
-  checks it cooperatively before every bucket; the threaded path adds
-  a watchdog wait over the bucket futures that abandons late work
-  (queued buckets are cancelled, running buckets finish into the
-  abandoned output array) and raises the typed
-  :class:`~repro.errors.DeadlineExceeded` promptly. A hung worker can
-  therefore never block the caller past its budget.
-* **Prompt error propagation** — a fault in any bucket worker cancels
-  every not-yet-started bucket and re-raises on the caller's thread
-  immediately; the pool itself stays healthy for subsequent requests.
+* **One deadline rule** — a call without a
+  :class:`~repro.reliability.deadline.Deadline` runs its buckets on the
+  caller's thread. A call with one runs them as one task on the
+  executor's worker pool while the caller waits at most the remaining
+  budget: on expiry the caller raises the typed
+  :class:`~repro.errors.DeadlineExceeded` at once, and the abandoned
+  task stops at its next bucket boundary. A hung forward therefore
+  never blocks a deadline-carrying caller past its budget. A fault in
+  the task re-raises on the caller's thread, and the pool stays
+  healthy for later calls.
 
 Every bucket goes through ``model.forward_inference``, so fault hooks
 that replace it (the test suite's ``FaultInjector``, in
@@ -52,7 +45,9 @@ suite (``tests/oracles.py``).
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 
@@ -62,15 +57,7 @@ from repro.errors import DeadlineExceeded, PredictionError
 from repro.nn.arena import ScratchArena, thread_local_arena
 from repro.nn.inference import inference_weights
 
-__all__ = ["BucketExecutor", "collate_inference", "group_by_plan",
-           "resolve_threads"]
-
-
-def resolve_threads(threads: int | None) -> int:
-    """Effective worker count: ``None``/``0`` means one per CPU core."""
-    if threads is None or threads <= 0:
-        return os.cpu_count() or 1
-    return int(threads)
+__all__ = ["BucketExecutor", "collate_inference", "group_by_plan"]
 
 
 def collate_inference(encoded: list,
@@ -160,38 +147,41 @@ class BucketExecutor:
     batch_size:
         Max distinct plans per bucket (usually
         ``TrainerConfig.batch_size``); each carries all its profiles.
-    threads:
-        Bucket-level parallelism. ``1`` (default) stays single-threaded
-        on the caller's thread; ``None``/``0`` means one worker per CPU
-        core. The pool is created lazily and kept for the executor's
-        lifetime.
+
+    A call without a deadline runs on the caller's thread. A call with
+    one runs on the executor's own worker pool (one worker per CPU
+    core, built on the first such call and kept for the executor's
+    lifetime), so a hung model behind one executor cannot starve
+    another executor's callers.
     """
 
-    def __init__(self, model, batch_size: int,
-                 threads: int | None = 1) -> None:
+    def __init__(self, model, batch_size: int) -> None:
         self.model = model
         self.batch_size = int(batch_size)
-        self.threads = resolve_threads(threads)
         self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.threads,
-                thread_name_prefix="repro-bucket")
-        return self._pool
+    def _submit(self, fn):
+        """Run ``fn`` on the worker pool, building the pool on first use."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=os.cpu_count() or 1,
+                    thread_name_prefix="repro-bucket")
+            return self._pool.submit(fn)
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent, safe to call twice).
 
         Queued-but-unstarted work is cancelled so an executor poisoned
-        by abandoned (deadline-expired) buckets still closes promptly;
-        buckets already running are allowed to finish. A closed
-        executor remains usable — the next predict call lazily builds a
-        fresh pool.
+        by abandoned (deadline-expired) calls still closes promptly;
+        a call already running is allowed to finish. A closed executor
+        remains usable — the next deadline-carrying call builds a fresh
+        pool.
         """
-        pool, self._pool = self._pool, None
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -211,61 +201,35 @@ class BucketExecutor:
     def _run_buckets(self, slices: list[np.ndarray], run, deadline) -> None:
         """Execute ``run`` over every bucket, honouring the deadline.
 
-        Serial path (one thread, or one bucket without a deadline):
-        cooperative — the deadline is checked before each bucket
-        (``run`` itself re-checks at bucket start, so the threaded
-        workers share the same guard).
-
-        Threaded path: the buckets are submitted to the pool and the
-        caller becomes a *watchdog*: it waits on the futures with the
-        deadline's remaining budget as timeout. On expiry, queued
-        buckets are cancelled, running ones are abandoned (they finish
-        writing into the output array nobody will read — disjoint
-        slices, so this is safe), and :class:`DeadlineExceeded` is
-        raised promptly. On a worker fault, pending buckets are
-        cancelled and the fault re-raises immediately — the pool is
-        never poisoned and the caller never deadlocks on its siblings.
-        A deadline forces the watchdog even for a single bucket: the
-        serial path can only cancel *between* buckets, so a lone hung
-        bucket would overrun the budget by its full runtime.
+        Without a deadline the buckets run on the caller's thread. With
+        one, the whole bucket loop is one pool task and the caller
+        waits for it at most ``deadline.remaining()``. On expiry the
+        task is cancelled if it has not started, or abandoned if it
+        has: ``run`` checks the deadline at every bucket start, so it
+        stops at the next bucket boundary, and its writes land in an
+        output array nobody reads. A fault in the task re-raises here.
         """
+        def run_all() -> None:
+            for idx in slices:
+                run(idx)
+
+        if deadline is None:
+            run_all()
+            return
         try:
-            if self.threads > 1 and (len(slices) > 1 or deadline is not None):
-                self._watch_buckets(slices, run, deadline)
-            else:
-                for idx in slices:
-                    if deadline is not None:
-                        deadline.check("between buckets")
-                    run(idx)
-            if deadline is not None:
-                deadline.check("after final bucket")
+            future = self._submit(obs.bind(run_all))
+            try:
+                future.result(timeout=max(deadline.remaining(), 0.0))
+            except FutureTimeout:
+                future.cancel()
+                raise DeadlineExceeded(
+                    f"forward of {len(slices)} buckets abandoned past the "
+                    f"deadline (overrun {-deadline.remaining() * 1e3:.1f}ms)"
+                ) from None
+            deadline.check("after final bucket")
         except DeadlineExceeded:
             obs.inc("predict.deadline_exceeded_total",
                     help="Predict calls abandoned past their deadline")
-            raise
-
-    def _watch_buckets(self, slices: list[np.ndarray], run, deadline) -> None:
-        pool = self._ensure_pool()
-        pending = set(pool.submit(run, idx) for idx in slices)
-        try:
-            while pending:
-                timeout = None
-                if deadline is not None:
-                    timeout = max(deadline.remaining(), 0.0)
-                done, pending = wait(pending, timeout=timeout,
-                                     return_when=FIRST_COMPLETED)
-                for future in done:
-                    exc = future.exception()
-                    if exc is not None:
-                        raise exc
-                if deadline is not None and pending and deadline.expired():
-                    raise DeadlineExceeded(
-                        f"{len(pending)} of {len(slices)} buckets abandoned "
-                        f"past the deadline "
-                        f"(overrun {-deadline.remaining() * 1e3:.1f}ms)")
-        except BaseException:
-            for future in pending:
-                future.cancel()
             raise
 
     def predict_log(self, encoded: list,
@@ -306,8 +270,6 @@ class BucketExecutor:
                 [plans[g] for g in idx],
                 arena=thread_local_arena(), profiles=(slots, rows))
             block = self.model.forward_inference(batch, weights)
-            # Each pair belongs to one plan, and each plan to one
-            # bucket: concurrent writes are disjoint.
             preds[pairs] = block[slots]
 
         self._run_buckets(slices, run, deadline)

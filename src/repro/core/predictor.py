@@ -3,10 +3,12 @@
 :class:`CostPredictor` has one inference path. ``predict``,
 ``predict_many``, ``predict_grid`` and the guarded predictor's learned
 stage all encode through the plan-side cache and then call
-:meth:`CostPredictor.predict_encoded`, which runs the configured
+:meth:`CostPredictor.predict_encoded`, which runs the predictor's
 :class:`~repro.core.execution.BucketExecutor`: one forward per distinct
 plan, each plan scored under all of its profiles. A grid is
-``predict_many`` over its pairs plus a reshape.
+``predict_many`` over its pairs plus a reshape. A call that carries a
+deadline runs under the executor's watchdog; one without runs on the
+caller's thread.
 """
 
 from __future__ import annotations
@@ -28,19 +30,15 @@ __all__ = ["CostPredictor", "PredictorConfig"]
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    """Serving-side execution policy for a :class:`CostPredictor`.
+    """Serving-side settings of a :class:`CostPredictor`.
 
-    The default configuration is single-threaded bucket execution.
+    Both fields are accepted only so callers that pass them keep
+    working; neither changes how a prediction runs.
     """
 
-    #: Only ``"f64"``: inference runs at one precision. Accepted so
-    #: callers that pass it keep working.
+    #: Only ``"f64"``: inference runs at one precision.
     precision: str = "f64"
-    #: Bucket-level parallelism inside predict calls. ``1`` stays on
-    #: the calling thread; ``0``/``None`` means one worker per core.
-    threads: int | None = 1
-    #: No effect: accepted so callers that pass it keep working. Every
-    #: predict path already runs the plan-side network once per
+    #: Every predict path already runs the plan-side network once per
     #: distinct plan.
     factor_grids: bool = False
 
@@ -64,9 +62,6 @@ class CostPredictor:
     The test suite checks it against an unbucketed autograd forward
     (``tests/oracles.py``) to ≤ 1e-8.
 
-    A :class:`PredictorConfig` selects the execution policy:
-    bucket-parallel threading.
-
     This class is the *unguarded* path: encoding or forward failures
     propagate to the caller. Serving code that must never crash plan
     selection should wrap it in
@@ -83,7 +78,8 @@ class CostPredictor:
         # Optional repro.obs.quality.AccuracyTracker; built lazily on
         # first record_observation when the caller didn't supply one.
         self.quality = quality
-        self._executor: BucketExecutor | None = None
+        self.executor = BucketExecutor(trainer.model,
+                                       trainer.config.batch_size)
 
     def configured(self, config: PredictorConfig) -> "CostPredictor":
         """A predictor sharing this one's encoder/model under ``config``.
@@ -116,20 +112,9 @@ class CostPredictor:
         return self.quality.record(prediction_seconds, observed_seconds,
                                    workload=workload)
 
-    @property
-    def executor(self) -> BucketExecutor:
-        """The lazily-built execution engine for this config."""
-        if self._executor is None:
-            self._executor = BucketExecutor(
-                self.trainer.model, self.trainer.config.batch_size,
-                threads=self.config.threads)
-        return self._executor
-
     def close(self) -> None:
         """Release the engine's worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        self.executor.close()
 
     def predict(self, plan: PhysicalPlan, resources: ResourceProfile,
                 deadline=None) -> float:
@@ -143,10 +128,10 @@ class CostPredictor:
 
         The execution entry point shared by :meth:`predict_many` and
         the guarded predictor's RAAL stage — both route through the
-        configured engine, so threading and deadline policy apply
-        under the fallback chain too. Returns ``(costs,
-        saturated)``: the number of this call's predictions clamped at
-        the trainer's ``log_clamp_max``.
+        predictor's engine, so the deadline rule applies under the
+        fallback chain too. Returns ``(costs, saturated)``: the number
+        of this call's predictions clamped at the trainer's
+        ``log_clamp_max``.
         """
         log_preds = self.trainer.predict_log(encoded, executor=self.executor,
                                              deadline=deadline)

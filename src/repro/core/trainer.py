@@ -136,8 +136,8 @@ class Trainer:
         #: Monotonic time source for epoch/total wall-clock accounting;
         #: injectable so tests assert exact timings without sleeping.
         self.clock = clock
-        # Default (f64, single-thread) execution engine, built lazily;
-        # CostPredictor passes its own configured engine instead.
+        # Default execution engine, built lazily; CostPredictor passes
+        # its own engine instead.
         self._executor = None
 
     def fit(self, samples: list[TrainingSample]) -> TrainResult:
@@ -336,7 +336,7 @@ class Trainer:
         return self._evaluate_batches(self._collate_bucketed(samples))
 
     def bucket_executor(self) -> BucketExecutor:
-        """The default (single-thread) execution engine."""
+        """The default execution engine."""
         if self._executor is None:
             self._executor = BucketExecutor(
                 self.model, self.config.batch_size)
@@ -352,9 +352,10 @@ class Trainer:
         plan scored under all of its profiles. No autograd graph is
         built.
 
-        ``executor`` optionally supplies a configured
-        :class:`~repro.core.execution.BucketExecutor` (bucket-level
-        threading); the default engine runs on the calling thread. ``deadline`` bounds the forward — expiry raises
+        ``executor`` optionally supplies the
+        :class:`~repro.core.execution.BucketExecutor` to run on (a
+        predictor's own engine); the default is the trainer's.
+        ``deadline`` bounds the forward — expiry raises
         :class:`~repro.errors.DeadlineExceeded` instead of returning a
         late answer.
         """

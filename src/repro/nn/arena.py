@@ -2,15 +2,15 @@
 
 The bucketed predict loop pads every batch into fresh arrays — node
 features, child mask, node mask, resources, extras — and throws them
-away after one forward. Under a thread-pool executor that is allocator
-traffic multiplied by the worker count. :class:`ScratchArena` applies
+away after one forward, on every serving thread and every executor
+pool worker. :class:`ScratchArena` applies
 the rotating-buffer pattern the analytic LSTM backward uses
 (:mod:`repro.nn.training`) to collation: one grow-only flat buffer per
 (key, dtype), re-sliced and re-shaped per batch, so a steady-state
 request stream performs no collation allocations at all.
 
-Arenas are deliberately *not* thread-safe — each executor worker gets
-its own via :func:`thread_local_arena` — and views handed out by an
+Arenas are deliberately *not* thread-safe — each thread gets its own
+via :func:`thread_local_arena` — and views handed out by an
 arena are only valid until the same thread's next request for the same
 key, which matches the collate → forward → discard lifecycle exactly.
 """

@@ -56,6 +56,7 @@ from repro.obs.runtime import (
     active,
     attach,
     attached,
+    bind,
     detach,
     emit_event,
     enabled,
@@ -111,6 +112,7 @@ __all__ = [
     "active",
     "enabled",
     "span",
+    "bind",
     "inc",
     "observe",
     "set_gauge",

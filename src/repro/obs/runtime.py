@@ -159,6 +159,25 @@ def span(name: str, **annotations: object):
     return tel.tracer.span(name, **annotations)
 
 
+def bind(fn: Callable):
+    """``fn``, nesting its spans under the calling thread's open span.
+
+    For work handed to another thread, whose spans would otherwise
+    become separate roots. Returns ``fn`` itself when detached or when
+    no span is open.
+    """
+    tel = _ACTIVE
+    parent = tel.tracer.current if tel is not None else None
+    if parent is None:
+        return fn
+
+    def bound(*args, **kwargs):
+        with tel.tracer.adopt(parent):
+            return fn(*args, **kwargs)
+
+    return bound
+
+
 def inc(name: str, amount: float = 1.0, help: str = "") -> None:
     """Increment counter ``name`` on the active registry, if any."""
     tel = _ACTIVE

@@ -9,9 +9,10 @@ annotations (cache hits, batch sizes, fallback sources).
 
 The clock is injectable (as everywhere in this codebase's reliability
 and telemetry layers) so tests assert exact durations without sleeping.
-The span stack is thread-local; finished root spans are kept in a
-bounded ring so a long-lived server cannot leak memory through its
-tracer.
+The span stack is thread-local; work handed to another thread nests
+under the caller's open span through :meth:`Tracer.adopt`. Finished
+root spans are kept in a bounded ring so a long-lived server cannot
+leak memory through its tracer.
 """
 
 from __future__ import annotations
@@ -149,6 +150,20 @@ class Tracer:
                 with self._lock:
                     self._roots.append(span)
                     self._finished += 1
+
+    @contextmanager
+    def adopt(self, parent: Span) -> Iterator[None]:
+        """Nest this thread's new spans under ``parent``.
+
+        ``parent`` is another thread's open span; the scope neither
+        ends it nor records it as a root.
+        """
+        stack = self._stack()
+        stack.append(parent)
+        try:
+            yield
+        finally:
+            stack.pop()
 
     def roots(self) -> list[Span]:
         """Finished root spans, oldest first."""

@@ -2,12 +2,12 @@
 
 A :class:`Deadline` is an absolute expiry on an injectable monotonic
 clock. It travels with one request from the public predictor API down
-into :class:`~repro.core.execution.BucketExecutor`, which checks it
-cooperatively between length buckets (serial path) and enforces it with
-a watchdog wait on the bucket futures (threaded path). Expiry raises
-the typed :class:`~repro.errors.DeadlineExceeded`, which the guarded
-chain maps to the analytic GPSJ fallback — a late answer from the
-learned model is treated exactly like a failed one.
+into :class:`~repro.core.execution.BucketExecutor`, which runs a
+deadline-carrying forward on its worker pool, waits for it at most the
+remaining budget, and checks the deadline at every bucket start.
+Expiry raises the typed :class:`~repro.errors.DeadlineExceeded`, which
+the guarded chain maps to the analytic GPSJ fallback — a late answer
+from the learned model is treated exactly like a failed one.
 
 Deadlines are cheap value objects: create one per request
 (:meth:`Deadline.after` / :meth:`Deadline.from_ms`), never reuse them

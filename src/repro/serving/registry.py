@@ -52,7 +52,7 @@ from repro.core.persistence import (
     load_predictor,
     verify_checkpoint,
 )
-from repro.core.predictor import CostPredictor, PredictorConfig
+from repro.core.predictor import CostPredictor
 from repro.errors import (CheckpointError, DeployConflict, ModelNotFound,
                           PredictionError)
 from repro.obs.audit import AuditTrail
@@ -402,7 +402,6 @@ class ModelRegistry:
 
 
 def default_guard_builder(catalog, workload: str | None = None,
-                          exec_config: PredictorConfig | None = None,
                           default_deadline_ms: float | None = None,
                           shed_mode: str = "fallback",
                           admission_config=None) -> Callable[[str], Callable]:
@@ -424,8 +423,6 @@ def default_guard_builder(catalog, workload: str | None = None,
         ])
 
         def build(predictor: CostPredictor) -> GuardedCostPredictor:
-            if exec_config is not None and exec_config != predictor.config:
-                predictor = predictor.configured(exec_config)
             return GuardedCostPredictor(
                 predictor,
                 gpsj=GPSJCostModel(catalog) if catalog is not None else None,

@@ -38,7 +38,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.resources import PAPER_CLUSTER, ResourceProfile
 from repro.core.persistence import load_predictor
-from repro.core.predictor import CostPredictor, PredictorConfig
+from repro.core.predictor import CostPredictor
 from repro.errors import ReproError, ServingError
 from repro.plan.builder import analyze
 from repro.plan.enumerator import enumerate_plans
@@ -68,8 +68,6 @@ class ServingConfig:
     #: Fuse requests that queue behind a running batch into the next
     #: one; ``False`` scores every request on its own thread.
     batching: bool = True
-    #: Bucket-parallel inference threads for every loaded model.
-    threads: int = 1
     #: Synthesized per request when the body carries no ``deadline_ms``.
     default_deadline_ms: float | None = None
     #: ``fallback`` serves shed/blown-deadline requests analytically;
@@ -116,11 +114,9 @@ class PredictionService:
         if catalog is None:
             catalog = self._build_catalog()
         self.catalog = catalog
-        exec_config = PredictorConfig(threads=self.config.threads)
         self.registry = ModelRegistry(
             default_guard_builder(
                 catalog,
-                exec_config=exec_config,
                 default_deadline_ms=self.config.default_deadline_ms,
                 shed_mode=self.config.shed_mode,
                 admission_config=AdmissionConfig(

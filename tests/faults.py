@@ -129,12 +129,12 @@ class FaultInjector:
         """Stall every inference bucket forward by ``seconds``.
 
         Wraps the model's fast-path ``forward_inference`` with a sleep
-        before delegating — the "slow worker" scenario that deadline
-        watchdogs and the degradation ladder must absorb. The hang runs
-        *inside* the bucket worker thread, so a threaded
-        :class:`~repro.core.execution.BucketExecutor` sees genuinely
-        stuck in-flight futures, not a slow submit. Returns a restore
-        callable that re-arms the healthy forward.
+        before delegating — the "slow worker" scenario that the deadline
+        watchdog and the learned-stage gate must absorb. The hang runs
+        *inside* the bucket forward, so a deadline-carrying call to a
+        :class:`~repro.core.execution.BucketExecutor` sees a genuinely
+        stuck pool task, not a slow submit. Returns a restore callable
+        that re-arms the healthy forward.
         """
         if seconds < 0:
             raise ReproError(f"hang seconds must be >= 0, got {seconds}")

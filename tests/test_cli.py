@@ -32,9 +32,12 @@ class TestParser:
         (["serve", "--model", "m"], "--max-batch-pairs"),
         (["serve", "--model", "m"], "--precision"),
         (["predict", "--model", "m", "--sql", "select count(*) from title t"],
-         "--precision")],
+         "--precision"),
+        (["serve", "--model", "m"], "--threads"),
+        (["predict", "--model", "m", "--sql", "select count(*) from title t"],
+         "--threads")],
         ids=["--batch-window-ms", "--max-batch-pairs", "serve--precision",
-             "predict--precision"])
+             "predict--precision", "serve--threads", "predict--threads"])
     def test_retired_batching_knobs_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([*command, flag, "2"])

@@ -7,6 +7,7 @@ the whole prediction path must never build or retain an autograd graph.
 The autograd reference predictions come from `tests/oracles.py`.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -255,7 +256,7 @@ class TestPredictorNoGrad:
 
 
 class TestPredictorConfig:
-    """Predictor-level execution policy: threading and the one precision."""
+    """Predictor-level settings, the one precision and concurrent use."""
 
     @pytest.fixture(scope="class")
     def served(self):
@@ -326,25 +327,37 @@ class TestPredictorConfig:
         assert rel.max() <= 1e-9
 
     def test_concurrent_predict_many_is_safe(self, served):
+        from repro.reliability import Deadline
+
         predictor, plans, profile = served
-        threaded = predictor.configured(PredictorConfig(threads=2))
+        shared = predictor.configured(PredictorConfig())
         pairs = [(p, profile) for p in plans]
-        expected = threaded.predict_many(pairs)
+        expected = shared.predict_many(pairs)
         results = [None] * 6
         errors = []
 
         def worker(i):
+            # Odd workers carry a deadline and run under the watchdog
+            # on the shared pool; even ones run on their own thread.
+            deadline = Deadline.after(60.0) if i % 2 else None
             try:
-                results[i] = threaded.predict_many(pairs)
+                results[i] = shared.predict_many(pairs, deadline=deadline)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         workers = [threading.Thread(target=worker, args=(i,))
                    for i in range(6)]
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers finely
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            shared.close()
+        assert not any(t.is_alive() for t in workers)
         assert not errors
         for out in results:
             assert np.array_equal(out, expected)

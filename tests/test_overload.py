@@ -265,37 +265,41 @@ def encoded(predictor, pairs):
     return predictor.encoder.encode_many(pairs)
 
 
-# -- executor error propagation and deadlines (satellite regression) -------
+# -- executor error propagation and the deadline rule ---------------------
 class TestExecutorPropagation:
     def test_mid_bucket_fault_reraises_promptly(self, trained, encoded):
-        executor = BucketExecutor(trained.trainer.model, batch_size=2,
-                                  threads=2)
+        executor = BucketExecutor(trained.trainer.model, batch_size=2)
         restore = FaultInjector().force_forward_errors(trained.trainer.model)
         try:
+            # A deadline sends the forward to the pool: the worker's
+            # fault re-raises on the caller's thread.
             with pytest.raises(TrainingError, match="injected forward fault"):
-                executor.predict_log(encoded)
+                executor.predict_log(encoded, deadline=Deadline.after(60.0))
         finally:
             restore()
             executor.close()
 
     def test_executor_recovers_after_fault_and_close_is_idempotent(
             self, trained, encoded):
-        executor = BucketExecutor(trained.trainer.model, batch_size=2,
-                                  threads=2)
+        executor = BucketExecutor(trained.trainer.model, batch_size=2)
         restore = FaultInjector().force_forward_errors(trained.trainer.model)
         try:
             with pytest.raises(TrainingError):
-                executor.predict_log(encoded)
+                executor.predict_log(encoded, deadline=Deadline.after(60.0))
         finally:
             restore()
-        preds, _ = executor.predict_log(encoded)  # pool not poisoned
+        preds, _ = executor.predict_log(  # pool not poisoned
+            encoded, deadline=Deadline.after(60.0))
         assert np.all(np.isfinite(preds))
         executor.close()
         executor.close()  # idempotent
+        preds, _ = executor.predict_log(  # a fresh pool after close
+            encoded, deadline=Deadline.after(60.0))
+        assert np.all(np.isfinite(preds))
+        executor.close()
 
     def test_threaded_watchdog_abandons_hung_buckets(self, trained, encoded):
-        executor = BucketExecutor(trained.trainer.model, batch_size=2,
-                                  threads=2)
+        executor = BucketExecutor(trained.trainer.model, batch_size=2)
         restore = FaultInjector().force_bucket_hang(
             trained.trainer.model, seconds=0.5)
         try:
@@ -311,12 +315,20 @@ class TestExecutorPropagation:
 
     def test_serial_path_checks_between_buckets(self, trained, encoded):
         clock = FakeClock()
-        executor = BucketExecutor(trained.trainer.model, batch_size=2,
-                                  threads=1)
+        executor = BucketExecutor(trained.trainer.model, batch_size=2)
+        _, buckets = executor.predict_log(encoded)
+        assert buckets > 1
+        hangs = []
+
+        def hang(seconds: float) -> None:
+            hangs.append(seconds)
+            clock.advance(seconds)
+
         # The injected "hang" advances the deadline's fake clock, so the
-        # cooperative check fires deterministically without sleeping.
+        # task's check at the next bucket start fires deterministically
+        # without sleeping.
         restore = FaultInjector().force_bucket_hang(
-            trained.trainer.model, seconds=0.1, sleep=clock.advance)
+            trained.trainer.model, seconds=0.1, sleep=hang)
         try:
             with pytest.raises(DeadlineExceeded):
                 executor.predict_log(
@@ -324,6 +336,98 @@ class TestExecutorPropagation:
         finally:
             restore()
             executor.close()
+        # The task stopped at the first bucket boundary.
+        assert hangs == [0.1]
+
+    def test_watchdog_spans_nest_under_the_caller(self, predictor, pairs):
+        telemetry = obs.Telemetry.create()
+        with obs.attached(telemetry):
+            predictor.predict_many(pairs, deadline=Deadline.after(60.0))
+        # One tree: the pool thread's forward spans are not roots.
+        (root,) = telemetry.tracer.roots()
+        assert root.find("forward").find("forward_inference") is not None
+
+    def test_call_without_deadline_stays_on_the_caller_thread(
+            self, trained, encoded):
+        executor = BucketExecutor(trained.trainer.model, batch_size=2)
+        executor.predict_log(encoded)
+        assert executor._pool is None
+
+    def test_concurrent_first_calls_build_one_pool(
+            self, trained, encoded, monkeypatch):
+        """Two first deadline-carrying calls racing build one pool.
+
+        Pool construction waits at a two-party barrier: if both calls
+        reach it, both build a pool and one of them leaks. Under the
+        executor's lock the second call waits for the first's pool, the
+        barrier times out, and exactly one pool is built.
+        """
+        import threading
+
+        import repro.core.execution as execution
+
+        barrier = threading.Barrier(2, timeout=0.5)
+        built = []
+        real = execution.ThreadPoolExecutor
+
+        def racing_pool(*args, **kwargs):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            pool = real(*args, **kwargs)
+            built.append(pool)
+            return pool
+
+        monkeypatch.setattr(execution, "ThreadPoolExecutor", racing_pool)
+        executor = BucketExecutor(trained.trainer.model, batch_size=2)
+        results, errors = [], []
+
+        def call() -> None:
+            try:
+                results.append(executor.predict_log(
+                    encoded, deadline=Deadline.after(60.0))[0])
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        callers = [threading.Thread(target=call) for _ in range(2)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=30.0)
+        try:
+            assert not any(thread.is_alive() for thread in callers)
+            assert not errors, errors
+            assert len(results) == 2
+            assert np.array_equal(results[0], results[1])
+            assert len(built) == 1
+        finally:
+            executor.close()
+            for pool in built:
+                pool.shutdown(wait=True)
+
+    def test_default_guard_builder_enforces_the_server_deadline(
+            self, trained, pipeline):
+        """A default server's ``--deadline-ms`` abandons a hung forward."""
+        from repro.serving.registry import default_guard_builder
+
+        predictor = CostPredictor(trained.encoder, trained.trainer)
+        guard = default_guard_builder(
+            pipeline.catalog, default_deadline_ms=50)("default")(predictor)
+        record = pipeline.records[0]
+        restore = FaultInjector().force_bucket_hang(predictor.trainer.model,
+                                                    seconds=0.5)
+        try:
+            start = time.monotonic()
+            result = guard.predict_explained(record.plan, record.resources)
+            elapsed = time.monotonic() - start
+        finally:
+            restore()
+            predictor.close()
+        assert result.source == "gpsj"
+        assert "deadline_exceeded" in result.reason
+        # Answered at the budget, not after the hang.
+        assert elapsed < 0.3
 
 
 # -- guarded chain integration ---------------------------------------------
@@ -760,7 +864,7 @@ class TestThreadAwareFaults:
         sleeps = []
         restore = FaultInjector().force_bucket_hang(
             model, seconds=0.25, sleep=sleeps.append)
-        executor = BucketExecutor(model, batch_size=2, threads=1)
+        executor = BucketExecutor(model, batch_size=2)
         try:
             executor.predict_log(encoded[:2])
             assert sleeps == [0.25]
@@ -804,10 +908,10 @@ class TestOverloadMetricsExport:
             # One deadline blown at the guard's post-encode check:
             stale = Deadline.after(0.0, clock=clock)
             guard.predict(record.plan, record.resources, deadline=stale)
-            # ...and one blown inside the executor, between buckets (the
+            # ...and one blown inside the executor, after its bucket (the
             # injected hang advances the deadline's clock):
             model = predictor.trainer.model
-            executor = BucketExecutor(model, batch_size=2, threads=1)
+            executor = BucketExecutor(model, batch_size=2)
             exec_clock = FakeClock()
             restore = FaultInjector().force_bucket_hang(
                 model, seconds=0.1, sleep=exec_clock.advance)

@@ -3,7 +3,9 @@
 ``BucketExecutor.predict_log`` groups encoded pairs by distinct plan,
 runs the plan side of the network once per plan and scores each plan's
 own profiles over a padded profile block. Every model variant that can
-serve is checked here, with and without bucket threading:
+serve is checked here, on the caller's thread (no deadline) and under
+the deadline watchdog (the executor's worker pool), from one caller and
+from three concurrent ones:
 
 * against ``tests/oracles.py``'s autograd forward (one row per pair)
   within 1e-8 — log-space error relative to ``max(|reference|, 1)`` —
@@ -12,11 +14,13 @@ serve is checked here, with and without bucket threading:
   than one bucket holds;
 * against the graph-free pairwise forward within 1e-12: the same math
   with regrouped GEMMs, so agreement is at rounding level;
-* threaded against single-threaded execution, bit for bit.
+* the watchdog path against the caller-thread path, bit for bit.
 
 The arena-backed collation and the masked softmax's logit floor are
 checked here too.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.core.execution import BucketExecutor, collate_inference, group_by_pla
 from repro.encoding import EncodedPlan
 from repro.nn.arena import ScratchArena
 from repro.nn.inference import _softmax, inference_weights, raal_forward_inference
+from repro.reliability import Deadline
 from tests.oracles import autograd_predict_log, pairwise_predict_log
 
 VARIANTS = {
@@ -98,18 +103,39 @@ SCENARIOS = ["ragged-duplicates", "one-plan-many-profiles",
              "many-plans-one-profile", "crosses-buckets"]
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("callers", [1, 3])
 @pytest.mark.parametrize("name", sorted(VARIANTS))
-def test_kernel_matches_autograd_oracle(name, threads):
+def test_kernel_matches_autograd_oracle(name, callers):
+    """Each caller scores every scenario with no deadline (its own
+    thread) and with a generous one (the watchdog pool); concurrent
+    callers share one executor."""
     model = make_model(name)
-    with BucketExecutor(model, batch_size=BATCH_SIZE,
-                        threads=threads) as executor:
-        for seed, kind in enumerate(SCENARIOS):
-            pairs = scenario(kind, model.config, seed)
-            got, _ = executor.predict_log(pairs)
-            want = autograd_predict_log(model, pairs, BATCH_SIZE)
-            err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
-            assert err.max() <= BUDGET, (kind, err.max())
+    cases = [(kind, scenario(kind, model.config, seed))
+             for seed, kind in enumerate(SCENARIOS)]
+    got: dict = {}
+
+    def call(caller: int) -> None:
+        for kind, pairs in cases:
+            for budget in (None, 60.0):
+                deadline = None if budget is None else Deadline.after(budget)
+                got[caller, kind, budget], _ = executor.predict_log(
+                    pairs, deadline=deadline)
+
+    with BucketExecutor(model, batch_size=BATCH_SIZE) as executor:
+        threads = [threading.Thread(target=call, args=(c,))
+                   for c in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == callers * len(cases) * 2
+    for kind, pairs in cases:
+        want = autograd_predict_log(model, pairs, BATCH_SIZE)
+        for (_, got_kind, budget), preds in got.items():
+            if got_kind == kind:
+                err = np.abs(preds - want) / np.maximum(np.abs(want), 1.0)
+                assert err.max() <= BUDGET, (kind, budget, err.max())
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -138,15 +164,27 @@ def test_grid_matches_pairwise_forward(name):
 
 
 @pytest.mark.parametrize("kind", ["many-plans-one-profile", "crosses-buckets"])
-def test_threaded_matches_single_thread_bitwise(kind):
+def test_threaded_matches_single_thread_bitwise(kind, monkeypatch):
+    """The watchdog path (a pool thread) equals the caller-thread path."""
     model = make_model("lstm")
     pairs = scenario(kind, model.config, seed=9)
-    single = BucketExecutor(model, batch_size=4)
-    with BucketExecutor(model, batch_size=4, threads=4) as threaded:
-        a, buckets = single.predict_log(pairs)
-        b, _ = threaded.predict_log(pairs)
+    forward = model.forward_inference
+    threads = []
+
+    def recording(batch, weights=None):
+        threads.append(threading.current_thread())
+        return forward(batch, weights)
+
+    monkeypatch.setattr(model, "forward_inference", recording)
+    with BucketExecutor(model, batch_size=4) as executor:
+        a, buckets = executor.predict_log(pairs)
+        caller = set(threads)
+        threads.clear()
+        b, _ = executor.predict_log(pairs, deadline=Deadline.after(60.0))
     assert buckets > 1
-    # Same buckets, same kernels: threading changes only the wall-clock.
+    assert caller == {threading.current_thread()}
+    assert threading.current_thread() not in threads
+    # Same buckets, same kernels: the hand-off changes only the thread.
     assert np.array_equal(a, b)
 
 

@@ -612,11 +612,11 @@ class TestPredictorFeedbackAPI:
         assert predictor.quality.snapshot()["overall"]["count"] == 1
 
     def test_configured_shares_the_tracker(self, trained):
-        from dataclasses import replace
+        from repro.core.predictor import PredictorConfig
 
         predictor = CostPredictor(trained.encoder, trained.trainer)
         predictor.record_observation(1.0, 1.0)
-        threaded = predictor.configured(replace(predictor.config, threads=2))
-        threaded.record_observation(1.0, 2.0)
+        configured = predictor.configured(PredictorConfig(factor_grids=True))
+        configured.record_observation(1.0, 2.0)
         snap = predictor.quality.snapshot()
         assert snap["overall"]["count"] == 2
