@@ -389,6 +389,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     previous = {sig: signal.signal(sig, signal.default_int_handler)
                 for sig in (signal.SIGINT, signal.SIGTERM)}
     server = None
+    interrupted = False
     try:
         server = http_serve(service, host=args.host, port=args.port,
                             background=True)
@@ -399,8 +400,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         while True:
             server._thread.join(1.0)
     except KeyboardInterrupt:
-        print("shutting down ...", flush=True)
+        interrupted = True
     finally:
+        # Drain once: a further SIGINT/SIGTERM must not abort close()
+        # (socketserver's shutdown wait) with a traceback.
+        for sig in previous:
+            signal.signal(sig, signal.SIG_IGN)
+        if interrupted:
+            print("shutting down ...", flush=True)
         (service if server is None else server).close()
         for sig, handler in previous.items():
             signal.signal(sig, handler)

@@ -79,7 +79,8 @@ class CostPredictor:
         # first record_observation when the caller didn't supply one.
         self.quality = quality
         self.executor = BucketExecutor(trainer.model,
-                                       trainer.config.batch_size)
+                                       trainer.config.batch_size,
+                                       memo_size=encoder.cache_size)
 
     def configured(self, config: PredictorConfig) -> "CostPredictor":
         """A predictor sharing this one's encoder/model under ``config``.

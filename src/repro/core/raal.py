@@ -70,9 +70,11 @@ class RAALBatch:
     Attributes
     ----------
     node_features:
-        ``(B, N, node_dim)`` float array, zero-padded.
+        ``(B, N, node_dim)`` float array, zero-padded. ``None`` in an
+        inference batch whose plan side is supplied precomputed.
     child_mask:
-        ``(B, N, N)`` boolean child adjacency.
+        ``(B, N, N)`` boolean child adjacency (``None`` with
+        ``node_features``).
     node_mask:
         ``(B, N)`` boolean; True on real nodes.
     resources:
@@ -95,7 +97,7 @@ class RAALBatch:
     @property
     def size(self) -> int:
         """Number of samples in the batch."""
-        return self.node_features.shape[0]
+        return self.node_mask.shape[0]
 
 
 class RAAL(Module):
@@ -185,8 +187,8 @@ class RAAL(Module):
         joined = Tensor.concat(parts, axis=1)
         return self.dense(joined).squeeze(-1)
 
-    def forward_inference(self, batch: RAALBatch,
-                          weights=None) -> np.ndarray:
+    def forward_inference(self, batch: RAALBatch, weights=None,
+                          plan_side=None) -> np.ndarray:
         """Graph-free eval-mode forward: ``(B,)``, or ``(B, P)`` for a block.
 
         Numerically equivalent to ``forward`` in eval mode (≤ 1e-8) but
@@ -196,12 +198,14 @@ class RAAL(Module):
         optionally supplies the weight bundle
         (:func:`repro.nn.inference.inference_weights`) built once by a
         caller running many batches; the default is built per call.
+        ``plan_side`` optionally supplies the batch's precomputed
+        ``(hidden, plan_vec)``, so only the resource side runs.
         """
         from repro import obs
         from repro.nn.inference import raal_forward_inference
 
         with obs.span("forward_inference", batch=batch.size):
-            return raal_forward_inference(self, batch, weights)
+            return raal_forward_inference(self, batch, weights, plan_side)
 
     def forward_backward(self, batch: RAALBatch) -> tuple[float, np.ndarray]:
         """Fused training step: graph-free forward + analytic backward.

@@ -16,6 +16,9 @@ sequential) recurrent ``h @ W_h`` product.
 The kernels read the model's weights through an
 :class:`InferenceWeights` bundle: the live float64 parameter arrays,
 by reference, with the dense head compiled to a flat op list.
+:func:`freeze_weights` rebinds every parameter to an immutable array —
+what serving does to every model it installs — so an in-place write
+raises instead of changing a served model under its callers.
 
 The forward is split into a *plan-side* stage (embedding → LSTM/CNN →
 node-aware attention; depends only on the plan) and a *resource-side*
@@ -26,7 +29,10 @@ block* ``(B, P, R)``: each plan scored under up to ``P`` profiles after
 one plan-side pass. The resource side treats the pairwise shape as a
 block with ``P = 1``, so both run the same arithmetic; the block form
 is how the inference engine serves every guarded batch (see
-:class:`repro.core.execution.BucketExecutor`).
+:class:`repro.core.execution.BucketExecutor`). A caller that already
+holds a plan's plan-side output passes it in as ``plan_side`` and only
+the resource side runs: the engine computes the plan side once per
+plan per served model version, because served weights are immutable.
 
 Entry point: :func:`raal_forward_inference`, also exposed as
 ``RAAL.forward_inference``.
@@ -44,6 +50,8 @@ from repro.nn.layers import Dropout, Linear, ReLU, Sequential
 __all__ = [
     "InferenceWeights",
     "inference_weights",
+    "freeze_weights",
+    "is_immutable",
     "fused_lstm_forward",
     "node_attention_forward",
     "resource_attention_forward",
@@ -251,14 +259,56 @@ class InferenceWeights:
     latent_dim: int
     node_dim: int
 
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Every weight array of the bundle, in a fixed order."""
+        parts = [self.embedding_w, self.embedding_b, *(self.lstm or ()),
+                 *(self.cnn[:2] if self.cnn is not None else ()),
+                 *(self.node_attention or ()),
+                 *(self.resource_attention or ())]
+        for op in self.dense:
+            if op[0] == "linear":
+                parts.extend(op[1:])
+        return tuple(a for a in parts if a is not None)
+
+
+def is_immutable(array: np.ndarray) -> bool:
+    """True when no one can write ``array`` or make it writeable again.
+
+    That holds for a read-only array whose memory is an immutable
+    ``bytes`` object (what :func:`freeze_weights` builds), not for a
+    read-only view of writable memory.
+    """
+    if array.flags.writeable:
+        return False
+    base = array.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
+def freeze_weights(model) -> None:
+    """Rebind every parameter of ``model`` to an immutable copy.
+
+    Each array is backed by a ``bytes`` buffer, so an in-place write
+    (an optimizer step, ``load_state_dict``, fault injection) raises,
+    and so does setting its ``WRITEABLE`` flag. Idempotent. A frozen
+    model changes only by rebinding its parameters to new arrays.
+    """
+    for param in model.parameters():
+        data = param.data
+        if not is_immutable(data):
+            param.data = np.ndarray(data.shape, dtype=data.dtype,
+                                    buffer=np.ascontiguousarray(data).tobytes())
+
 
 def inference_weights(model) -> InferenceWeights:
     """The model's weights as an execution bundle.
 
     Every array is the live parameter array itself (no copies), so a
-    bundle built per call is always current: an optimizer step, a
-    ``load_state_dict`` or an in-place edit reaches the next forward
-    with nothing to invalidate.
+    bundle built per call is always current: on a writable model an
+    optimizer step, a ``load_state_dict`` or an in-place edit reaches
+    the next forward with nothing to invalidate. On a frozen model
+    (:func:`freeze_weights`) such a write raises.
     """
     config = model.config
     lstm = cnn = None
@@ -319,8 +369,13 @@ def plan_side_forward(
 
     ``node_features`` must already be float64. Returns
     the feature-layer hidden states ``(B, N, H)`` and the node-attention
-    (or masked-mean) pooled plan vector ``(B, H)``.
+    (or masked-mean) pooled plan vector ``(B, H)``. A plan's rows of
+    both depend only on that plan, not on how far the batch is padded.
     """
+    if node_features.shape[2] != weights.node_dim:
+        raise ShapeError(
+            f"batch node_dim {node_features.shape[2]} != "
+            f"model node_dim {weights.node_dim}")
     emb = node_features @ weights.embedding_w
     if weights.embedding_b is not None:
         emb = emb + weights.embedding_b
@@ -385,7 +440,9 @@ def resource_side_forward(
 
 
 def raal_forward_inference(model, batch,
-                           weights: InferenceWeights | None = None) -> np.ndarray:
+                           weights: InferenceWeights | None = None,
+                           plan_side: tuple[np.ndarray, np.ndarray] | None = None,
+                           ) -> np.ndarray:
     """Graph-free eval-mode forward of a RAAL-family model.
 
     Numerically equivalent (≤ 1e-8) to ``model(batch)`` in eval mode,
@@ -403,6 +460,11 @@ def raal_forward_inference(model, batch,
         Optional weight bundle (:func:`inference_weights`), so a caller
         running many batches builds it once; defaults to the model's
         own.
+    plan_side:
+        Optional precomputed ``(hidden, plan_vec)`` of the batch's plans
+        (:func:`plan_side_forward`, ``hidden`` padded to the batch's
+        node count). Only the resource side then runs, and the batch's
+        ``node_features`` and ``child_mask`` are not read.
 
     Returns
     -------
@@ -412,13 +474,11 @@ def raal_forward_inference(model, batch,
     """
     if weights is None:
         weights = inference_weights(model)
-    node_features = np.asarray(batch.node_features, dtype=np.float64)
-    if node_features.shape[2] != weights.node_dim:
-        raise ShapeError(
-            f"batch node_dim {node_features.shape[2]} != "
-            f"model node_dim {weights.node_dim}")
-    hidden, plan_vec = plan_side_forward(
-        weights, node_features, batch.child_mask, batch.node_mask)
+    if plan_side is None:
+        plan_side = plan_side_forward(
+            weights, np.asarray(batch.node_features, dtype=np.float64),
+            batch.child_mask, batch.node_mask)
+    hidden, plan_vec = plan_side
     resources = np.asarray(batch.resources, dtype=np.float64)
     pairwise = resources.ndim == 2
     if pairwise:

@@ -36,6 +36,13 @@ a monotonically increasing generation plus the first 12 hex chars of
 the checkpoint's manifest hash
 (:func:`~repro.core.persistence.checkpoint_fingerprint`), so responses
 carry provenance that survives identical-weight redeploys.
+
+A model's weights are frozen when it enters serving (``install`` or
+``deploy``): a served model changes only by deploying another, and an
+in-place write to its parameters raises. Each version's executor
+therefore computes a plan's plan side once and keeps it for the
+version's lifetime; a candidate's shadow fills its own memo, never
+the incumbent's.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from repro.core.persistence import (
 from repro.core.predictor import CostPredictor
 from repro.errors import (CheckpointError, DeployConflict, ModelNotFound,
                           PredictionError)
+from repro.nn.inference import freeze_weights
 from repro.obs.audit import AuditTrail
 from repro.obs.quality import AccuracyTracker, DriftDetector
 from repro.obs.slo import SLO, SLOTracker
@@ -159,6 +167,17 @@ class ModelShard:
         return explained
 
     # -- hot swap ----------------------------------------------------------
+    def _serve(self, predictor: CostPredictor):
+        """The guard of a predictor entering serving, weights frozen.
+
+        A served model is changed only by deploying another: its
+        parameters become immutable, so an in-place write raises, and
+        its executor keeps each plan's plan side for the version's
+        lifetime.
+        """
+        freeze_weights(predictor.trainer.model)
+        return self._build_guard(predictor)
+
     def _next_version(self, checkpoint: str | None) -> str:
         self._generation += 1
         sha = "unversioned"
@@ -174,7 +193,7 @@ class ModelShard:
         """Install an initial (or forced) incumbent without shadowing."""
         model = ServingModel(
             version=self._next_version(checkpoint),
-            guard=self._build_guard(predictor),
+            guard=self._serve(predictor),
             checkpoint=checkpoint, loaded_at=self._clock())
         with self._swap_lock:
             if self.current is not None:
@@ -207,7 +226,7 @@ class ModelShard:
         predictor = load_predictor(checkpoint)
         model = ServingModel(
             version=self._next_version(checkpoint),
-            guard=self._build_guard(predictor),
+            guard=self._serve(predictor),
             checkpoint=checkpoint, loaded_at=self._clock())
         state = CandidateState(
             model=model, shadow_requests=max(int(shadow_requests), 0),

@@ -44,7 +44,8 @@ def autograd_forward(model, batch, weights=None) -> np.ndarray:
     """``RAAL.forward`` under ``no_grad``, as a ``forward_inference`` twin.
 
     ``weights`` is accepted for signature compatibility; the autograd
-    forward reads the live parameters.
+    forward reads the live parameters. It recomputes the plan side, so
+    the batch must carry its ``node_features`` and ``child_mask``.
     """
     with no_grad():
         return model(batch).numpy()
@@ -110,7 +111,8 @@ def autograd_training(model):
     """
     model.forward_backward = lambda batch: autograd_step(model, batch)
     model.forward_inference = (
-        lambda batch, weights=None: autograd_forward(model, batch, weights))
+        lambda batch, weights=None, plan_side=None:
+        autograd_forward(model, batch, weights))
     try:
         yield model
     finally:

@@ -381,3 +381,36 @@ class TestServeShutdown:
         output += rest.decode()
         assert proc.returncode == 0, output
         assert "shutting down" in output
+
+    def test_second_signal_during_drain_is_ignored(self, shared_model_dir):
+        """A second SIGINT sent while the server drains (inside
+        ``close()``, which waits for the accept loop to stop) neither
+        kills it nor prints a traceback."""
+        import select
+        import signal
+        import subprocess
+        import time
+
+        proc = self._serve(shared_model_dir)
+        try:
+            output = self._wait_healthy(proc)
+            proc.send_signal(signal.SIGINT)
+            deadline = time.monotonic() + 10.0
+            while "shutting down" not in output:
+                remaining = deadline - time.monotonic()
+                assert remaining > 0 and proc.poll() is None, output
+                ready, _, _ = select.select([proc.stdout], [], [], remaining)
+                if ready:
+                    output += proc.stdout.readline().decode()
+            proc.send_signal(signal.SIGINT)
+            try:
+                rest, _ = proc.communicate(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                pytest.fail("repro serve did not exit 10 s after SIGINT")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        output += rest.decode()
+        assert proc.returncode == 0, output
+        assert "Traceback" not in output, output

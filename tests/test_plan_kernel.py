@@ -17,20 +17,29 @@ from three concurrent ones:
 * the watchdog path against the caller-thread path, bit for bit.
 
 The arena-backed collation and the masked softmax's logit floor are
-checked here too.
+checked here too, and so is the plan-side memo: a frozen model's
+executor computes each plan's plan side once (hits agree with a fresh
+forward within 1e-12), a writable model's memo lives for one call, the
+memo is bounded by its capacity, and fault hooks and deadlines still
+reach memo hits.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro.core.execution as execution
 from repro.core import RAAL, RAALConfig
 from repro.core.execution import BucketExecutor, collate_inference, group_by_plan
 from repro.encoding import EncodedPlan
+from repro.errors import DeadlineExceeded
 from repro.nn.arena import ScratchArena
-from repro.nn.inference import _softmax, inference_weights, raal_forward_inference
+from repro.nn.inference import (_softmax, freeze_weights, inference_weights,
+                                is_immutable, raal_forward_inference)
 from repro.reliability import Deadline
+from tests.faults import FaultInjector
 from tests.oracles import autograd_predict_log, pairwise_predict_log
 
 VARIANTS = {
@@ -66,6 +75,19 @@ def random_plans(config: RAALConfig, count: int, rng) -> list:
             child_mask=child, resources=np.zeros(config.resource_dim),
             extras=rng.random(config.extras_dim)))
     return plans
+
+
+def count_plan_side_rows(monkeypatch) -> list:
+    """Plan rows per plan-side pass the executor runs, as a list."""
+    rows = []
+    side = execution.plan_side_forward
+
+    def counting(weights, node_features, *args):
+        rows.append(node_features.shape[0])
+        return side(weights, node_features, *args)
+
+    monkeypatch.setattr(execution, "plan_side_forward", counting)
+    return rows
 
 
 def pair(plan: EncodedPlan, profile: np.ndarray) -> EncodedPlan:
@@ -171,9 +193,9 @@ def test_threaded_matches_single_thread_bitwise(kind, monkeypatch):
     forward = model.forward_inference
     threads = []
 
-    def recording(batch, weights=None):
+    def recording(batch, weights=None, plan_side=None):
         threads.append(threading.current_thread())
-        return forward(batch, weights)
+        return forward(batch, weights, plan_side)
 
     monkeypatch.setattr(model, "forward_inference", recording)
     with BucketExecutor(model, batch_size=4) as executor:
@@ -243,18 +265,19 @@ def test_plan_side_runs_once_per_distinct_plan(name, monkeypatch):
     pairs = scenario("crosses-buckets", model.config, seed=7)
     groups = group_by_plan(pairs)
     assert 32 < len(groups) < len(pairs)
-    rows = []
+    rows = count_plan_side_rows(monkeypatch)
+    sizes = []
     forward = model.forward_inference
 
-    def counting(batch, weights=None):
-        rows.append(batch.node_features.shape[0])
-        return forward(batch, weights)
+    def counting(batch, weights=None, plan_side=None):
+        sizes.append(batch.size)
+        return forward(batch, weights, plan_side)
 
     monkeypatch.setattr(model, "forward_inference", counting)
     preds, buckets = BucketExecutor(model, batch_size=BATCH_SIZE).predict_log(
         pairs)
-    assert sum(rows) == len(groups)
-    assert buckets == len(rows) == 2
+    assert sum(rows) == sum(sizes) == len(groups)
+    assert buckets == len(sizes) == 2
     if name == "resource-blind":
         # The per-plan answer is broadcast to every one of its pairs.
         for members in groups:
@@ -272,3 +295,163 @@ def test_group_by_plan_keys_on_shared_arrays():
     # Equal content in separate arrays is its own group: pairs encoded
     # separately are never merged.
     assert group_by_plan(pairs) == [[0, 2], [1], [3]]
+
+
+# -- plan-side memo ----------------------------------------------------------
+MEMO_SIZE = 256  # the encoder's default cache_size
+
+
+def cached(pairs: list) -> list:
+    """The pairs with read-only plan arrays, as the encoder's cache
+    hands them out (the only plans the memo keeps)."""
+    for e in pairs:
+        for array in (e.node_features, e.child_mask, e.extras):
+            array.setflags(write=False)
+    return pairs
+
+
+def frozen_model(name: str) -> RAAL:
+    model = make_model(name)
+    freeze_weights(model)
+    return model
+
+
+def assert_close(got, want, budget=1e-12):
+    err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+    assert err.max() <= budget, err.max()
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_frozen_memo_runs_plan_side_once(name, monkeypatch):
+    model = frozen_model(name)
+    pairs = cached(scenario("crosses-buckets", model.config, seed=7))
+    fresh, _ = BucketExecutor(model, batch_size=BATCH_SIZE).predict_log(pairs)
+    rows = count_plan_side_rows(monkeypatch)
+    with BucketExecutor(model, BATCH_SIZE, memo_size=MEMO_SIZE) as executor:
+        first, _ = executor.predict_log(pairs)
+        assert sum(rows) == len(group_by_plan(pairs))
+        rows.clear()
+        second, buckets = executor.predict_log(pairs)
+    assert rows == [] and buckets == 2
+    assert_close(first, fresh)
+    assert_close(second, fresh)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_mixed_hit_miss_bucket_matches_all_miss(name, monkeypatch):
+    model = frozen_model(name)
+    pairs = cached(scenario("ragged-duplicates", model.config, seed=4))
+    groups = group_by_plan(pairs)
+    warm = [pairs[members[0]] for members in groups[::2]]
+    want, _ = BucketExecutor(model, batch_size=BATCH_SIZE).predict_log(pairs)
+    rows = count_plan_side_rows(monkeypatch)
+    with BucketExecutor(model, BATCH_SIZE, memo_size=MEMO_SIZE) as executor:
+        executor.predict_log(warm)
+        rows.clear()
+        got, buckets = executor.predict_log(pairs)
+    # One bucket: the warmed plans hit, the rest run one plan-side pass.
+    assert buckets == 1
+    assert rows == [len(groups) - len(warm)]
+    assert_close(got, want)
+
+
+def test_frozen_weights_reject_writes():
+    model = frozen_model("lstm")
+    params = model.parameters()
+    assert all(is_immutable(p.data) for p in params)
+    for p in params:
+        with pytest.raises(ValueError):
+            p.data[...] = 0.0
+        with pytest.raises(ValueError):
+            p.data.setflags(write=True)
+        with pytest.raises(ValueError):
+            p.data.reshape(-1).setflags(write=True)
+    with pytest.raises(ValueError):
+        FaultInjector(seed=0).corrupt_weights(model)
+    with pytest.raises(ValueError):
+        model.load_state_dict(make_model("lstm").state_dict())
+    # A read-only view of writable memory is not immutable.
+    view = np.zeros(3).view()
+    view.setflags(write=False)
+    assert not is_immutable(view)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_writable_model_sees_corruption_on_next_call(name):
+    model = make_model(name)
+    pairs = cached(scenario("many-plans-one-profile", model.config, seed=2))
+    with BucketExecutor(model, BATCH_SIZE, memo_size=MEMO_SIZE) as executor:
+        before, _ = executor.predict_log(pairs)
+        assert np.all(np.isfinite(before))
+        # Only the plan side reads the embedding: a memo kept past the
+        # first call would hide the corruption.
+        FaultInjector(seed=0).corrupt_weights(model.embedding)
+        after, _ = executor.predict_log(pairs)
+    assert not np.any(np.isfinite(after))
+
+
+@pytest.mark.parametrize("capacity", [0, 5])
+def test_memo_bounded_by_capacity(capacity, monkeypatch):
+    model = frozen_model("lstm")
+    pairs = cached(scenario("crosses-buckets", model.config, seed=7))
+    distinct = len(group_by_plan(pairs))
+    rows = count_plan_side_rows(monkeypatch)
+    with BucketExecutor(model, BATCH_SIZE, memo_size=capacity) as executor:
+        for _ in range(2):
+            executor.predict_log(pairs)
+            assert len(executor._memo) == capacity
+        # At most `capacity` plans were kept for the second call.
+        assert sum(rows) >= 2 * distinct - capacity
+        executor.close()
+        assert len(executor._memo) == 0
+
+
+def test_bucket_hang_stalls_memo_hit(monkeypatch):
+    model = frozen_model("lstm")
+    pairs = cached(scenario("many-plans-one-profile", model.config, seed=2))
+    rows = count_plan_side_rows(monkeypatch)
+    with BucketExecutor(model, BATCH_SIZE, memo_size=MEMO_SIZE) as executor:
+        want, _ = executor.predict_log(pairs)
+        rows.clear()
+        restore = FaultInjector().force_bucket_hang(model, seconds=1.0)
+        try:
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                executor.predict_log(pairs, deadline=Deadline.after(0.05))
+            assert time.monotonic() - start < 0.5
+        finally:
+            restore()
+        got, _ = executor.predict_log(pairs)
+    assert rows == []
+    assert np.array_equal(got, want)
+
+
+def test_concurrent_predicts_on_frozen_executor_agree():
+    model = frozen_model("lstm")
+    cases = [cached(scenario(kind, model.config, seed))
+             for seed, kind in enumerate(SCENARIOS)]
+    serial = [BucketExecutor(model, BATCH_SIZE).predict_log(pairs)[0]
+              for pairs in cases]
+    got: dict = {}
+    errors = []
+
+    def call(caller: int) -> None:
+        try:
+            for rep in range(3):
+                for c, pairs in enumerate(cases):
+                    deadline = Deadline.after(60.0) if caller % 2 else None
+                    got[caller, rep, c], _ = executor.predict_log(
+                        pairs, deadline=deadline)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    with BucketExecutor(model, BATCH_SIZE, memo_size=MEMO_SIZE) as executor:
+        threads = [threading.Thread(target=call, args=(c,)) for c in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(got) == 4 * 3 * len(cases)
+    for (_, _, c), preds in got.items():
+        assert_close(preds, serial[c])

@@ -441,6 +441,66 @@ class TestHotSwap:
                              "model": "nope"})
 
 
+# -- plan-side memo --------------------------------------------------------
+class TestPlanSideMemo:
+    """A served model's weights are frozen, so its executor computes a
+    plan's plan side once per model version; each version fills its
+    own memo."""
+
+    @staticmethod
+    def _counts(service):
+        registry = service.telemetry.registry
+        return (registry.counter("forward.plan_side.hits_total").value,
+                registry.counter("forward.plan_side.misses_total").value)
+
+    @staticmethod
+    def _executor(model):
+        return model.guard.predictor.executor
+
+    def test_served_weights_are_frozen(self, service):
+        from repro.nn.inference import is_immutable
+
+        model = service.registry.shard("default").current
+        predictor = model.guard.predictor
+        params = predictor.trainer.model.parameters()
+        assert all(is_immutable(p.data) for p in params)
+        with pytest.raises(ValueError):
+            params[0].data[...] = 0.0
+        assert predictor.executor.memo_size == predictor.encoder.cache_size
+
+    def test_repeat_predict_is_bitwise_and_all_hits(self, service, sql):
+        first = service.predict({"sql": sql})
+        hits, misses = self._counts(service)
+        assert hits == 0 and misses > 0
+        second = service.predict({"sql": sql})
+        assert ([p["seconds"] for p in second["plans"]]
+                == [p["seconds"] for p in first["plans"]])
+        assert self._counts(service) == (hits + misses, misses)
+
+    def test_candidate_shadow_uses_its_own_memo(self, service, checkpoint,
+                                                sql):
+        shard = service.registry.shard("default")
+        incumbent = self._executor(shard.current)
+        service.predict({"sql": sql})
+        hits, misses = self._counts(service)
+        distinct = len(incumbent._memo)
+        assert misses == distinct > 0
+        outcome = service.deploy({"checkpoint": checkpoint,
+                                  "shadow_requests": 1, "max_qerror": 10.0})
+        assert outcome["state"] == "shadowing"
+        candidate = self._executor(shard.candidate.model)
+        assert candidate._memo is not incumbent._memo
+        # The incumbent serves from its memo; the shadow computes every
+        # plan on the candidate's own weights, then promotes.
+        service.predict({"sql": sql})
+        assert self._counts(service) == (hits + distinct, misses + distinct)
+        assert self._executor(shard.current) is candidate
+        assert len(candidate._memo) == distinct
+        service.predict({"sql": sql})
+        assert self._counts(service) == (hits + 2 * distinct,
+                                         misses + distinct)
+
+
 # -- service endpoints -----------------------------------------------------
 class TestService:
     def test_predict_response_contract(self, service, sql):
