@@ -159,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dataset", default="imdb", choices=["imdb", "tpch"])
     serve.add_argument("--catalog-scale", type=float, default=0.15)
     serve.add_argument(
-        "--no-batching", dest="batching", action="store_false",
-        help="score every request on its own thread instead of fusing "
-             "requests that queue behind a running batch into one forward")
-    serve.add_argument(
         "--deadline-ms", type=float, default=None,
         help="default per-request latency budget when the request body "
              "carries no deadline_ms")
@@ -370,7 +366,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     config = ServingConfig(
         dataset=args.dataset, catalog_scale=args.catalog_scale,
-        batching=args.batching,
         default_deadline_ms=args.deadline_ms, shed_mode=args.shed_mode,
         max_in_flight=args.max_in_flight,
         max_queue_depth=args.max_queue_depth,
@@ -393,10 +388,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server = http_serve(service, host=args.host, port=args.port,
                             background=True)
-        mode = ("micro-batching" if config.batching
-                else "per-request dispatch")
         print(f"repro serve listening on http://{args.host}:{server.port} "
-              f"({mode}, shed_mode={config.shed_mode})", flush=True)
+              f"(shed_mode={config.shed_mode})", flush=True)
         while True:
             server._thread.join(1.0)
     except KeyboardInterrupt:

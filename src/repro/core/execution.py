@@ -20,9 +20,9 @@ path — a guarded request's learned stage, the deploy shadow,
   stale: a :class:`PlanSideMemo` keeps it for the executor's lifetime,
   keyed by the identity of the encoder's shared plan arrays, and a
   bucket runs the plan side only on the plans that miss. The memo is
-  dropped when the weight arrays are rebound and in :meth:`close`. On
-  a writable model (training, a direct guard) the memo lives for one
-  call — one plan-side pass per distinct plan per call — so an
+  dropped when the weight arrays are rebound and in :meth:`close`. A
+  writable model (training, evaluation, a direct guard) keeps no memo:
+  each call already runs one plan-side pass per distinct plan, so an
   in-place weight edit reaches the next call.
 * **Length bucketing** — distinct plans are stable-sorted by node
   count before batching, so a batch of short plans is never padded to
@@ -280,11 +280,12 @@ class BucketExecutor:
         Immutable weights get the executor's lifetime memo, replaced by
         a fresh one when the arrays' identity changes (a call still
         running on the old weights keeps filling the old one). Writable
-        weights get a memo for this call only.
+        weights get an empty one that keeps nothing: within one call a
+        distinct plan sits in one bucket, so a per-call memo never hits.
         """
         arrays = weights.arrays()
         if not all(is_immutable(a) for a in arrays):
-            return PlanSideMemo(self.memo_size)
+            return PlanSideMemo(0)
         with self._memo_lock:
             if (len(arrays) != len(self._memo_weights)
                     or any(a is not b

@@ -70,48 +70,17 @@ class CostPredictor:
     """
 
     def __init__(self, encoder: PlanEncoder, trainer: Trainer,
-                 config: PredictorConfig | None = None,
-                 quality=None) -> None:
+                 config: PredictorConfig | None = None) -> None:
         self.encoder = encoder
         self.trainer = trainer
         self.config = config or PredictorConfig()
-        # Optional repro.obs.quality.AccuracyTracker; built lazily on
-        # first record_observation when the caller didn't supply one.
-        self.quality = quality
         self.executor = BucketExecutor(trainer.model,
                                        trainer.config.batch_size,
                                        memo_size=encoder.cache_size)
 
     def configured(self, config: PredictorConfig) -> "CostPredictor":
-        """A predictor sharing this one's encoder/model under ``config``.
-
-        The quality tracker is shared too, so every configuration
-        reports into the same feedback accounting.
-        """
-        return CostPredictor(self.encoder, self.trainer, config,
-                             quality=self.quality)
-
-    def record_observation(self, prediction_seconds: float,
-                           observed_seconds: float, *,
-                           workload: str | None = None) -> float:
-        """Feed one (prediction, observed runtime) pair back.
-
-        The direct feedback API for callers that track their own
-        request identity (the guarded predictor offers the audit-ring
-        variant keyed by request id). Folds the pair into the
-        predictor's :class:`~repro.obs.quality.AccuracyTracker`
-        (created on first use when not injected). Returns the sample's
-        q-error (``nan`` for unusable ground truth).
-        """
-        if self.quality is None:
-            # Imported lazily: repro.obs.quality is cheap, but the
-            # predictor core should not force the quality layer on
-            # programs that never feed observations back.
-            from repro.obs.quality import AccuracyTracker
-
-            self.quality = AccuracyTracker()
-        return self.quality.record(prediction_seconds, observed_seconds,
-                                   workload=workload)
+        """A predictor sharing this one's encoder/model under ``config``."""
+        return CostPredictor(self.encoder, self.trainer, config)
 
     def close(self) -> None:
         """Release the engine's worker pool (idempotent)."""

@@ -299,6 +299,10 @@ class PlanEncoder:
         not receive edge information through any channel, so the
         attention child mask degrades to "every other node" — plain
         self-attention with no tree knowledge.
+
+        Raises :class:`EncodingError` when a feature is non-finite (a
+        poisoned vocabulary row, an infinite cardinality estimate), so
+        such a plan never reaches the cache or the model.
         """
         semantic = self._semantic_matrix(plan, memo)
         if self.use_structure:
@@ -309,11 +313,16 @@ class PlanEncoder:
             node_features = semantic
             n = plan.num_nodes
             child_mask = ~np.eye(n, dtype=bool)
-        return _PlanFeatures(
+        features = _PlanFeatures(
             node_features=np.ascontiguousarray(node_features, dtype=np.float64),
             child_mask=child_mask,
             extras=self._plan_extras(plan).astype(np.float64, copy=False),
         )
+        if not (np.all(np.isfinite(features.node_features))
+                and np.all(np.isfinite(features.extras))):
+            raise EncodingError(
+                f"non-finite plan features for a {plan.num_nodes}-node plan")
+        return features
 
     # -- encoding ------------------------------------------------------------
     def _semantic_matrix(self, plan: PhysicalPlan,

@@ -10,7 +10,6 @@ from repro.nn.arena import ScratchArena, thread_local_arena
 from repro.nn.attention import NodeAwareAttention, ResourceAwareAttention
 from repro.nn.inference import (
     InferenceWeights,
-    dense_forward,
     fused_lstm_forward,
     inference_weights,
     masked_mean_forward,
@@ -77,7 +76,6 @@ __all__ = [
     "node_attention_forward",
     "resource_attention_forward",
     "masked_mean_forward",
-    "dense_forward",
     "ScratchArena",
     "thread_local_arena",
     "InferenceWeights",

@@ -618,25 +618,9 @@ class GuardedCostPredictor:
     # -- the learned stage -------------------------------------------------
     def _raal_costs(self, pairs, deadline: Deadline | None = None
                     ) -> np.ndarray:
+        # The encoder rejects non-finite plan features where it makes
+        # them; _validate_inputs has checked every resource profile.
         encoded = self.predictor.encoder.encode_many(pairs)
-        # Encoded pairs share their plan-side and resource arrays (one
-        # per distinct plan and profile): check each array once.
-        finite: dict[int, bool] = {}
-
-        def all_finite(array: np.ndarray) -> bool:
-            verdict = finite.get(id(array))
-            if verdict is None:
-                verdict = finite[id(array)] = bool(np.all(np.isfinite(array)))
-            return verdict
-
-        bad = [i for i, e in enumerate(encoded)
-               if not (all_finite(e.node_features)
-                       and all_finite(e.resources)
-                       and all_finite(e.extras))]
-        if bad:
-            raise PredictionError(
-                f"non-finite encoded features for {len(bad)} of "
-                f"{len(encoded)} samples (first at index {bad[0]})")
         if deadline is not None:
             deadline.check("after encode")
         costs, saturated = self.predictor.predict_encoded(encoded,

@@ -4,32 +4,31 @@ A prediction service receives many small requests — one query's
 candidate plans under one resource profile — from many concurrent
 clients. Scoring each request alone wastes the engine: every call pays
 the guard/telemetry overhead and runs small, padding-heavy GEMMs.
-:class:`MicroBatcher` turns that stream into fused forwards, and it is
-**work-conserving**: the dispatcher never idles while work is queued.
+:class:`MicroBatcher` turns that stream into fused forwards without a
+thread of its own: **the callers run the batches**.
 
-* a request submitted while the dispatcher is idle is dispatched at
-  once, as a batch of one — it never waits for company;
-* requests submitted while a batch runs queue up, and the next batch
-  takes the whole queue, so fusion grows with load instead of being
-  bought with latency;
+* a request submitted while no batch runs is scored at once on its
+  caller's thread, as a batch of one — it never waits for company and
+  never hands off to another thread;
+* requests submitted while a batch runs queue up; when that batch
+  ends, one of the queued callers takes the whole queue (its own item
+  included) and runs it as the next batch, so fusion grows with load
+  instead of being bought with latency;
 * each fused batch runs through one ``execute`` call — which feeds the
   guarded predictor's length-bucketed
   :class:`~repro.core.execution.BucketExecutor` as a single forward —
   and the result vector is scattered back to the waiting callers.
 
-Deadlines are honoured per request: an expired request is answered
-with :class:`~repro.errors.DeadlineExceeded` without occupying the
-batch, and a fused batch executes under the *tightest* member deadline
-— under the guarded chain an expiry degrades the whole batch to the
+At most one batch runs at a time per batcher. Deadlines are honoured
+per request: an expired request is answered with
+:class:`~repro.errors.DeadlineExceeded` without occupying the batch,
+and a fused batch executes under the *tightest* member deadline —
+under the guarded chain an expiry degrades the whole batch to the
 analytic fallback (cheap and well within any budget) rather than
 returning late learned answers. Admission-control sheds surface per
 the guard's ``shed_mode`` exactly as they do for direct calls: the
 batch degrades (``fallback``) or every member sees
 :class:`~repro.errors.Overloaded` (``reject``).
-
-With ``batching=False`` every request is scored on its caller's thread
-— the comparison arm of the serving benchmark and the right mode for
-single-client deployments.
 """
 
 from __future__ import annotations
@@ -47,13 +46,13 @@ __all__ = ["BatchItem", "MicroBatcher"]
 class BatchItem:
     """One caller's slot in a fused batch (a tiny one-shot future)."""
 
-    __slots__ = ("pairs", "deadline", "event", "result", "offset",
+    __slots__ = ("pairs", "deadline", "done", "result", "offset",
                  "member", "batch_size", "error")
 
     def __init__(self, pairs, deadline: Deadline | None) -> None:
         self.pairs = pairs
         self.deadline = deadline
-        self.event = threading.Event()
+        self.done = False
         self.result = None          # ExplainedPredictions of the fused batch
         self.offset = 0             # this caller's slice start in the batch
         self.member = 0             # this caller's position among members
@@ -66,15 +65,15 @@ class BatchItem:
         self.offset = offset
         self.member = member
         self.batch_size = batch_size
-        self.event.set()
+        self.done = True
 
     def fail(self, error: BaseException) -> None:
         self.error = error
-        self.event.set()
+        self.done = True
 
 
 class MicroBatcher:
-    """Work-conserving request coalescer in front of one serving model.
+    """Caller-runs request coalescer in front of one serving model.
 
     Parameters
     ----------
@@ -84,47 +83,29 @@ class MicroBatcher:
         typically a closure over the model shard's current
         :class:`~repro.reliability.guard.GuardedCostPredictor` so the
         whole batch is served by exactly one model version.
-    batching:
-        ``False`` disables coalescing: submits execute inline on the
-        caller's thread.
-    name:
-        Telemetry label (``serve.batch.*`` metrics are shared; the
-        ``shard`` annotation distinguishes shards).
     """
 
-    def __init__(self, execute: Callable, batching: bool = True,
-                 name: str = "default") -> None:
+    def __init__(self, execute: Callable) -> None:
         self.execute = execute
-        self.enabled = bool(batching)
-        self.name = name
         self._cv = threading.Condition(threading.Lock())
         self._queue: list[BatchItem] = []
+        self._running = False
         self._closed = False
-        self._thread: threading.Thread | None = None
         # Cumulative accounting (also exported as serve.batch.* metrics).
         self.batches = 0
         self.batched_pairs = 0
         self.coalesced_requests = 0
 
-    # -- lifecycle ---------------------------------------------------------
-    def _ensure_thread(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._loop, name=f"repro-batcher-{self.name}",
-                daemon=True)
-            self._thread.start()
-
     def close(self) -> None:
-        """Stop the dispatcher; queued requests fail with a typed error."""
+        """Fail queued requests with a typed error and give a running
+        batch up to 5 s to finish; later submits run inline."""
         with self._cv:
             self._closed = True
             pending, self._queue = self._queue, []
+            for item in pending:
+                item.fail(PredictionError("batcher closed while request queued"))
             self._cv.notify_all()
-        for item in pending:
-            item.fail(PredictionError("batcher closed while request queued"))
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+            self._cv.wait_for(lambda: not self._running, 5.0)
 
     # -- submission --------------------------------------------------------
     def submit(self, pairs, deadline: Deadline | None = None,
@@ -144,38 +125,48 @@ class MicroBatcher:
             # still make their budget.
             deadline.check("at batch submit")
         item = BatchItem(pairs, deadline)
-        if not self.enabled or self._closed:
+        if self._closed:
             self._run_batch([item])
         else:
-            with self._cv:
-                if self._closed:
-                    raise PredictionError("batcher is closed")
-                self._queue.append(item)
-                self._ensure_thread()
-                self._cv.notify()
-            if not item.event.wait(timeout):
-                raise PredictionError(
-                    f"batched request timed out after {timeout}s "
-                    f"(dispatcher stalled?)")
+            batch = self._lead_or_wait(item, timeout)
+            if batch is not None:
+                try:
+                    self._run_batch(batch)
+                finally:
+                    with self._cv:
+                        for other in batch:
+                            if not other.done:
+                                other.fail(PredictionError(
+                                    "fused batch ended without an answer"))
+                        self._running = False
+                        self._cv.notify_all()
         if item.error is not None:
             raise item.error
         return item
 
-    # -- the dispatcher ----------------------------------------------------
-    def _collect(self) -> list[BatchItem]:
-        """Block until a request is queued, then take the whole queue."""
+    def _lead_or_wait(self, item: BatchItem,
+                      timeout: float | None) -> list[BatchItem] | None:
+        """Queue ``item`` and wait until it is answered or no batch runs.
+
+        In the latter case this caller leads the next batch: the whole
+        queue (``item`` included) is returned for it to run.
+        """
         with self._cv:
-            while not self._queue and not self._closed:
-                self._cv.wait()
+            if self._closed:
+                raise PredictionError("batcher is closed")
+            self._queue.append(item)
+            if not self._cv.wait_for(
+                    lambda: item.done or not self._running, timeout):
+                if item in self._queue:
+                    self._queue.remove(item)
+                raise PredictionError(
+                    f"batched request timed out after {timeout}s "
+                    f"(batch stalled?)")
+            if item.done:
+                return None
+            self._running = True
             batch, self._queue = self._queue, []
             return batch
-
-    def _loop(self) -> None:
-        while True:
-            batch = self._collect()
-            if not batch:
-                return
-            self._run_batch(batch)
 
     def _run_batch(self, batch: list[BatchItem]) -> None:
         """Execute one fused batch and scatter the results."""
@@ -192,7 +183,7 @@ class MicroBatcher:
         try:
             result = self.execute(fused, deadline,
                                   [len(item.pairs) for item in batch])
-        except BaseException as exc:  # scatter the failure, keep dispatching
+        except BaseException as exc:  # every member sees the failure
             for item in batch:
                 item.fail(exc)
             return
@@ -213,7 +204,6 @@ class MicroBatcher:
         with self._cv:
             queued = len(self._queue)
         return {
-            "enabled": self.enabled,
             "queued": queued,
             "batches": self.batches,
             "batched_pairs": self.batched_pairs,

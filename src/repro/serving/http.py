@@ -29,7 +29,7 @@ Status mapping (see ``docs/API.md``):
 Concurrency: :class:`ThreadingHTTPServer` gives one thread per
 connection (HTTP/1.1 keep-alive), which is exactly what the
 micro-batcher wants — request threads parked behind a running batch,
-so their pairs fuse into the next forward.
+so their pairs fuse into the next forward, which one of them runs.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ A shard's current model is replaced with **zero downtime**:
    :class:`~repro.reliability.shadow.ShadowScorer`, which records the
    per-pair candidate-vs-incumbent q-error under ``serve.shadow.*``
    (never into the incumbent's ``quality.*`` metrics). The re-score
-   runs in the shard's dispatcher thread before the batcher releases
-   the batch's members, so it adds the candidate's forward to every
-   shadowed response;
+   runs on the thread that runs the batch, before the batcher
+   releases the batch's members, so it adds the candidate's forward
+   to every shadowed response;
 3. ``promote`` — manual or automatic once ``shadow_requests`` batches
    are scored — atomically swaps the shard's model reference when the
    candidate's mean divergence is inside ``max_qerror`` (or is forced);
@@ -114,8 +114,8 @@ class CandidateState:
 class ModelShard:
     """One model id's serving lane: batcher + swap lock + history.
 
-    The shard's :class:`MicroBatcher` dispatcher thread is its worker;
-    shards never share queues, breakers, or swap locks. The per-shard
+    The shard's :class:`MicroBatcher` runs its batches on the callers'
+    own threads; shards never share queues, breakers, or swap locks. The per-shard
     :class:`~repro.obs.audit.AuditTrail` and
     :class:`~repro.obs.slo.SLOTracker` are shared across the shard's
     model *versions* (a swap must not reset request-id minting or the
@@ -124,7 +124,6 @@ class ModelShard:
     """
 
     def __init__(self, model_id: str, build_guard: Callable,
-                 batching: bool = True,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.model_id = model_id
         self._build_guard = build_guard
@@ -135,8 +134,7 @@ class ModelShard:
         self.candidate: CandidateState | None = None
         self._previous: ServingModel | None = None
         self._retired: list[ServingModel] = []
-        self.batcher = MicroBatcher(self._execute, batching=batching,
-                                    name=model_id)
+        self.batcher = MicroBatcher(self._execute)
 
     # -- serving -----------------------------------------------------------
     def predict(self, pairs, deadline: Deadline | None = None) -> BatchItem:
@@ -249,8 +247,8 @@ class ModelShard:
     def _shadow(self, pairs, explained) -> None:
         """Score one live batch on the candidate.
 
-        Runs in the dispatcher thread before the batcher releases the
-        batch's members, so a shadowed response waits for the
+        Runs on the batch's thread before the batcher releases its
+        members, so a shadowed response waits for the
         candidate's forward. A failing candidate is counted, never
         raised.
         """
@@ -350,7 +348,7 @@ class ModelShard:
 
     # -- lifecycle / introspection ----------------------------------------
     def close(self) -> None:
-        """Stop the dispatcher and release every version's executor."""
+        """Close the batcher and release every version's executor."""
         self.batcher.close()
         for model in self._retired:
             model.guard.close()
@@ -384,10 +382,8 @@ class ModelRegistry:
     """
 
     def __init__(self, build_guard_factory: Callable[[str], Callable],
-                 batching: bool = True,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self._factory = build_guard_factory
-        self._batching = batching
         self._clock = clock
         self._lock = threading.Lock()
         self._shards: dict[str, ModelShard] = {}
@@ -401,7 +397,7 @@ class ModelRegistry:
             if not create:
                 raise ModelNotFound(f"unknown model {model_id!r}")
             shard = ModelShard(model_id, self._factory(model_id),
-                               batching=self._batching, clock=self._clock)
+                               clock=self._clock)
             self._shards[model_id] = shard
             return shard
 

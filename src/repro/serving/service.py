@@ -65,9 +65,6 @@ class ServingConfig:
 
     dataset: str = "imdb"
     catalog_scale: float = 0.15
-    #: Fuse requests that queue behind a running batch into the next
-    #: one; ``False`` scores every request on its own thread.
-    batching: bool = True
     #: Synthesized per request when the body carries no ``deadline_ms``.
     default_deadline_ms: float | None = None
     #: ``fallback`` serves shed/blown-deadline requests analytically;
@@ -122,7 +119,7 @@ class PredictionService:
                 admission_config=AdmissionConfig(
                     max_in_flight=self.config.max_in_flight,
                     max_queue_depth=self.config.max_queue_depth)),
-            batching=self.config.batching, clock=clock)
+            clock=clock)
         self._plan_lock = threading.Lock()
         self._plan_cache: OrderedDict[str, list] = OrderedDict()
         self.draining = False
@@ -152,7 +149,7 @@ class PredictionService:
                                   checkpoint=checkpoint)
 
     def close(self) -> None:
-        """Drain: stop dispatchers, close executors, release telemetry."""
+        """Drain: close batchers and executors, release telemetry."""
         self.draining = True
         self.registry.close()
         if self._owns_telemetry and obs.active() is self.telemetry:
@@ -415,7 +412,6 @@ class PredictionService:
             "status": status,
             "uptime_seconds": self._clock() - self._started,
             "dataset": self.config.dataset,
-            "batching": self.config.batching,
             "models": models,
         }
 

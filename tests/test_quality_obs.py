@@ -600,23 +600,3 @@ class TestGuardedFeedbackLoop:
         guard = _feedback_guard(trained, pipeline, audit=None)
         with pytest.raises(PredictionError, match="AuditTrail"):
             guard.record_observation("req-000001", 1.0)
-
-
-class TestPredictorFeedbackAPI:
-    def test_lazy_tracker_and_tier_default(self, trained, pair):
-        predictor = CostPredictor(trained.encoder, trained.trainer)
-        assert predictor.quality is None
-        qe = predictor.record_observation(2.0, 4.0)
-        assert qe == pytest.approx(2.0)
-        assert predictor.quality is not None
-        assert predictor.quality.snapshot()["overall"]["count"] == 1
-
-    def test_configured_shares_the_tracker(self, trained):
-        from repro.core.predictor import PredictorConfig
-
-        predictor = CostPredictor(trained.encoder, trained.trainer)
-        predictor.record_observation(1.0, 1.0)
-        configured = predictor.configured(PredictorConfig(factor_grids=True))
-        configured.record_observation(1.0, 2.0)
-        snap = predictor.quality.snapshot()
-        assert snap["overall"]["count"] == 2

@@ -13,6 +13,7 @@ from repro.core import CostPredictor
 from repro.core.selector import PlanSelector
 from repro.core.advisor import ResourceAdvisor
 from repro.baselines.gpsj import GPSJCostModel
+from repro.errors import EncodingError
 from repro.eval.experiments import SMOKE, ExperimentPipeline
 from repro.reliability import (
     CLOSED,
@@ -270,6 +271,20 @@ class TestGuardedPredictor:
         result = guarded.predict_explained(record.plan, record.resources)
         assert result.source == "gpsj"
         assert "non-finite" in result.reason
+
+    def test_poisoned_plan_is_rejected_at_encode_and_never_cached(
+            self, guarded, pipeline):
+        FaultInjector(seed=3).poison_vocabulary(guarded.encoder, fraction=1.0)
+        record = pipeline.records[0]
+        with pytest.raises(EncodingError, match="non-finite"):
+            guarded.encoder.encode(record.plan, record.resources)
+        assert guarded.encoder.cache_info().size == 0
+        # The guard falls back on the encoder's error, before the model
+        # ever sees the features.
+        result = guarded.predict_explained(record.plan, record.resources)
+        assert result.source == "gpsj"
+        assert "non-finite plan features" in result.reason
+        assert guarded.encoder.cache_info().size == 0
 
     def test_encode_fault_falls_back(self, guarded, pipeline):
         FaultInjector().force_encode_errors(guarded.encoder)

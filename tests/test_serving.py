@@ -4,7 +4,7 @@ concurrent-clients-during-hot-swap integration contract (zero errors,
 only old-or-new provenance, never a torn state).
 
 The micro-batcher tests run against a fake ``execute`` and force
-fusion by holding the dispatcher inside a batch while others queue, so
+fusion by holding one caller inside a batch while others queue, so
 they are deterministic on loaded CI machines; the service
 and hot-swap tests share one small trained model via module-scoped
 fixtures (the same SMOKE pipeline the overload tests use).
@@ -86,15 +86,16 @@ def _wait_until(predicate, timeout=10.0):
         time.sleep(0.001)
 
 
-class HeldDispatcher:
-    """Hold a batcher's dispatcher inside a first one-request batch.
+class HeldBatch:
+    """Hold a batcher inside a first one-request batch.
 
-    ``start()`` submits that request and returns once ``execute`` is
-    running it; ``queue(...)`` submits more requests from their own
-    threads and returns once the batcher shows them queued behind the
-    held batch; ``release()`` lets the dispatcher go and joins every
-    client. Fusion is then forced by the work-conserving rule, not by
-    timing: the next batch takes the whole queue.
+    ``start()`` submits that request from its own thread, which runs
+    the batch, and returns once ``execute`` is running it;
+    ``queue(...)`` submits more requests from their own threads and
+    returns once the batcher shows them queued behind the held batch;
+    ``release()`` lets the held batch finish and joins every client.
+    Fusion is then forced by the caller-runs rule, not by timing: the
+    next batch takes the whole queue.
     """
 
     def __init__(self, batcher):
@@ -127,7 +128,7 @@ class HeldDispatcher:
 
     def start(self, pairs=(("p0", "r"),)):
         self._spawn("held", lambda: self.batcher.submit(list(pairs)))
-        assert self.running.wait(10.0), "dispatcher never ran the batch"
+        assert self.running.wait(10.0), "the held batch never ran"
 
     def queue(self, key, call):
         """Run ``call`` (one submit to the batcher) on its own thread."""
@@ -154,12 +155,20 @@ class TestMicroBatcher:
         return execute
 
     def test_lone_submit_on_idle_batcher_runs_at_once(self):
-        """An idle dispatcher takes a lone request straight away, as a
-        batch of one: nothing else is queued, so nothing is waited for."""
+        """An idle batcher runs a lone request straight away, as a batch
+        of one, on the submitting thread: nothing else is queued, so
+        nothing is waited for and nothing is handed off."""
         calls = []
-        batcher = MicroBatcher(self._echo_execute(calls))
-        assert batcher.enabled
+        threads = []
+        echo = self._echo_execute(calls)
+
+        def execute(pairs, deadline, sizes):
+            threads.append(threading.current_thread())
+            return echo(pairs, deadline, sizes)
+
+        batcher = MicroBatcher(execute)
         item = batcher.submit([("p", "r"), ("p2", "r")], timeout=10.0)
+        assert threads == [threading.current_thread()]
         assert len(calls) == 1 and len(calls[0][0]) == 2
         assert (item.offset, item.member, item.batch_size) == (0, 0, 2)
         snap = batcher.snapshot()
@@ -170,7 +179,7 @@ class TestMicroBatcher:
     def test_requests_queued_behind_a_running_batch_fuse_into_one(self):
         calls = []
         batcher = MicroBatcher(self._echo_execute(calls))
-        held = HeldDispatcher(batcher)
+        held = HeldBatch(batcher)
         held.start()
         for i in range(3):
             held.submit(i, [("p", f"r{i}"), ("p", f"s{i}")])
@@ -187,7 +196,7 @@ class TestMicroBatcher:
     def test_concurrent_submissions_fuse_into_one_batch(self):
         calls = []
         batcher = MicroBatcher(self._echo_execute(calls))
-        held = HeldDispatcher(batcher)
+        held = HeldBatch(batcher)
         held.start()
         for i in range(4):
             held.submit(i, [("plan", f"prof{i}")])
@@ -242,17 +251,6 @@ class TestMicroBatcher:
         assert snap["queued"] == 0
         batcher.close()
 
-    def test_batching_off_dispatches_inline(self):
-        calls = []
-        batcher = MicroBatcher(self._echo_execute(calls), batching=False)
-        assert not batcher.enabled
-        item = batcher.submit([("p", "r"), ("p2", "r")])
-        assert len(calls) == 1
-        assert item.offset == 0 and item.batch_size == 2
-        assert batcher.snapshot()["batches"] == 1
-        assert batcher._thread is None  # scored on the caller's thread
-        batcher.close()
-
     def test_expired_deadline_fails_fast_without_queueing(self):
         calls = []
         batcher = MicroBatcher(self._echo_execute(calls))
@@ -268,7 +266,7 @@ class TestMicroBatcher:
         batcher = MicroBatcher(self._echo_execute(calls))
         tight = Deadline.from_ms(60_000.0)
         loose = Deadline.from_ms(120_000.0)
-        held = HeldDispatcher(batcher)
+        held = HeldBatch(batcher)
         held.start()
         held.submit("loose", [("p", "r")], deadline=loose)
         held.submit("tight", [("p", "r")], deadline=tight)
@@ -282,7 +280,7 @@ class TestMicroBatcher:
             raise PredictionError("boom")
 
         batcher = MicroBatcher(explode)
-        held = HeldDispatcher(batcher)
+        held = HeldBatch(batcher)
         held.start()
         held.submit(0, [("p", "r")])
         held.submit(1, [("p", "r")])
@@ -290,12 +288,59 @@ class TestMicroBatcher:
         assert set(held.errors) == {"held", 0, 1}
         assert all(isinstance(e, PredictionError)
                    for e in held.errors.values())
-        # The dispatcher survives a failed batch.
+        # The batcher survives a failed batch.
         calls = []
         batcher.execute = self._echo_execute(calls)
         batcher.submit([("p", "r")])
         assert len(calls) == 1
         batcher.close()
+
+    def test_a_batch_that_dies_unanswered_fails_its_members(self):
+        """If running a fused batch raises before every member is
+        answered, the members still get a typed error, and the batcher
+        is free for the next request."""
+        calls = []
+        batcher = MicroBatcher(self._echo_execute(calls))
+        held = HeldBatch(batcher)
+        held.start()
+        held.submit(0, [("p", "r")])
+        held.submit(1, [("p", "r")])
+        run_batch = batcher._run_batch
+
+        def dies_on_fused(batch):
+            if len(batch) > 1:
+                raise RuntimeError("scatter lost")
+            run_batch(batch)
+
+        batcher._run_batch = dies_on_fused
+        held.release()
+        assert "held" in held.results
+        errors = sorted(type(e).__name__ for e in held.errors.values())
+        assert errors == ["PredictionError", "RuntimeError"]
+        assert batcher.submit([("p", "r")]).batch_size == 1
+        batcher.close()
+
+    def test_close_during_a_caller_led_batch(self):
+        """``close()`` fails the requests queued behind a running batch,
+        waits for that batch, and the caller running it gets its answer."""
+        calls = []
+        batcher = MicroBatcher(self._echo_execute(calls))
+        held = HeldBatch(batcher)
+        held.start()
+        held.submit(0, [("p", "r")])
+        held.submit(1, [("p", "r")])
+        closer = threading.Thread(target=batcher.close)
+        closer.start()
+        _wait_until(lambda: batcher.snapshot()["queued"] == 0)
+        assert closer.is_alive()  # waiting for the held batch
+        held.release()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        assert set(held.errors) == {0, 1}
+        assert all(isinstance(e, PredictionError)
+                   and "closed" in str(e) for e in held.errors.values())
+        assert held.results["held"].batch_size == 1
+        assert [len(pairs) for pairs, _ in calls] == [1]
 
     def test_submit_after_close_runs_inline(self):
         calls = []
@@ -307,12 +352,13 @@ class TestMicroBatcher:
         assert len(calls) == 2
 
     def test_empty_pairs_and_bad_config_raise(self):
-        batcher = MicroBatcher(lambda p, d, s: None, batching=False)
+        batcher = MicroBatcher(lambda p, d, s: None)
         with pytest.raises(PredictionError):
             batcher.submit([])
-        # The batching window and its early-close bound are gone.
+        # The batching window, its early-close bound and the on/off
+        # switch are gone.
         for retired in ({"window_ms": 2.0}, {"max_pairs": 64},
-                        {"clock": time.monotonic}):
+                        {"clock": time.monotonic}, {"batching": False}):
             with pytest.raises(TypeError):
                 MicroBatcher(lambda p, d, s: None, **retired)
 
@@ -537,7 +583,7 @@ class TestService:
             n_plans = len(svc.predict({"sql": sql})["plans"])
             profiles = [{"executors": 1 + k % 4}
                         for k in range(16 // n_plans + 1)]
-            held = HeldDispatcher(svc.registry.shard("default").batcher)
+            held = HeldBatch(svc.registry.shard("default").batcher)
             held.start([(plan, PAPER_CLUSTER)
                         for plan in svc._plans_for(sql)])
             # Queue the grid first, then the predict, behind the held
@@ -625,7 +671,8 @@ class TestService:
         assert health["status"] == "ok"
         model = health["models"]["default"]
         assert model["gate"] == {"state": "closed", "cause": None}
-        assert model["batcher"]["enabled"]
+        assert model["batcher"]["batches"] == 1
+        assert "batching" not in health
         models = service.models()
         assert models["models"]["default"]["version"].startswith("g")
         metrics = service.metrics_text()
