@@ -78,7 +78,7 @@ def _closed_loop(predictor: CostPredictor, requests: list) -> dict:
     telemetry = obs.Telemetry.create()
     samples: list[float] = []
     with obs.attached(telemetry):
-        # One warmup request primes the scratch arenas outside the
+        # One warmup request fills the encoder's plan cache outside the
         # measured stream.
         predictor.predict_many(requests[0])
         start = time.perf_counter()

@@ -162,14 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-ms", type=float, default=None,
         help="default per-request latency budget when the request body "
              "carries no deadline_ms")
-    serve.add_argument(
-        "--shed-mode", default="fallback", choices=["fallback", "reject"],
-        help="overload behaviour: serve the analytic fallback (default) "
-             "or reject with 429/504")
-    serve.add_argument("--max-in-flight", type=int, default=4,
-                       help="learned-stage admission: concurrent requests")
-    serve.add_argument("--max-queue-depth", type=int, default=8,
-                       help="learned-stage admission: queued requests")
     serve.add_argument("--plan-cache-size", type=int, default=256,
                        help="candidate-plan LRU entries (distinct SQL)")
 
@@ -333,18 +325,16 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     print(f"telemetry self-check OK (span tree '{root.name}' with "
           f"encode/forward stages, {len(telemetry.registry)} metrics)")
     # Overload-resilience posture: run the same prediction through the
-    # guard `repro serve` builds (GPSJ, admission, gate, quality, audit,
-    # SLO) with a 1 s deadline and report the resulting health state. A
-    # healthy checkpoint must serve from the learned stage, gate closed.
+    # guard `repro serve` builds (GPSJ, gate, quality, audit, SLO) with
+    # a 1 s deadline and report the resulting health state. A healthy
+    # checkpoint must serve from the learned stage, gate closed.
     guarded = default_guard_builder(catalog, default_deadline_ms=1000.0)(
         "doctor")(predictor)
     explained = guarded.predict_explained(plans[0], PAPER_CLUSTER)
     health = guarded.health_state()
-    admission = health.get("admission", {})
     gate = health["gate"]
     print(f"health state: gate={gate['state']} "
-          f"breakers={health['breakers']} "
-          f"shed={admission.get('shed_queue_full', 0) + admission.get('shed_wait_timeout', 0)}")
+          f"breakers={health['breakers']}")
     if explained.source != "raal" or gate["state"] != "closed":
         # Name the trip cause: OPERATIONS.md's triage table keys off it.
         print(f"health self-check FAILED: gate {gate['state']} "
@@ -366,9 +356,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     config = ServingConfig(
         dataset=args.dataset, catalog_scale=args.catalog_scale,
-        default_deadline_ms=args.deadline_ms, shed_mode=args.shed_mode,
-        max_in_flight=args.max_in_flight,
-        max_queue_depth=args.max_queue_depth,
+        default_deadline_ms=args.deadline_ms,
         plan_cache_size=args.plan_cache_size)
     service = PredictionService(config)
     for spec in args.model:
@@ -388,8 +376,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server = http_serve(service, host=args.host, port=args.port,
                             background=True)
-        print(f"repro serve listening on http://{args.host}:{server.port} "
-              f"(shed_mode={config.shed_mode})", flush=True)
+        print(f"repro serve listening on http://{args.host}:{server.port}",
+              flush=True)
         while True:
             server._thread.join(1.0)
     except KeyboardInterrupt:

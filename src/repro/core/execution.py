@@ -30,10 +30,6 @@ path — a guarded request's learned stage, the deploy shadow,
 * **One weight bundle per call** — every bucket's forward reads the
   same :class:`~repro.nn.inference.InferenceWeights`, the model's live
   float64 parameter arrays.
-* **Arena collation** — inference does not need the training collate's
-  Tensor targets or fresh allocations; pads are written into grow-only
-  per-thread scratch buffers, so a steady-state request stream performs
-  no collation allocations at all.
 * **One deadline rule** — a call without a
   :class:`~repro.reliability.deadline.Deadline` runs its buckets on the
   caller's thread. A call with one runs them as one task on the
@@ -66,7 +62,6 @@ import numpy as np
 from repro import obs
 from repro.core.raal import RAALBatch
 from repro.errors import DeadlineExceeded, PredictionError
-from repro.nn.arena import ScratchArena, thread_local_arena
 from repro.nn.inference import (inference_weights, is_immutable,
                                 plan_side_forward)
 
@@ -75,16 +70,13 @@ __all__ = ["BucketExecutor", "PlanSideMemo", "collate_inference",
 
 
 def collate_inference(encoded: list,
-                      arena: ScratchArena | None = None,
                       profiles: tuple[np.ndarray, np.ndarray] | None = None,
                       plan_arrays: bool = True) -> RAALBatch:
     """Zero-pad encoded plans into an inference-only :class:`RAALBatch`.
 
     The one padding implementation: the training
     :func:`repro.core.trainer.collate` calls it and adds targets. Pads
-    into float64 and — when given an ``arena`` — writes into reusable
-    scratch buffers instead of fresh allocations. Arena-backed batches
-    are only valid until the same thread's next collate call.
+    into fresh float64 arrays.
 
     Resources come from each encoded plan, ``(B, R)``, unless
     ``profiles`` gives ``(slots, rows)``: a boolean ``(B, P_max)`` mask
@@ -102,28 +94,17 @@ def collate_inference(encoded: list,
     node_dim = encoded[0].node_features.shape[1]
     resource_dim = len(encoded[0].resources)
 
-    def zeros(key, shape, dt=np.float64):
-        if arena is None:
-            return np.zeros(shape, dtype=dt)
-        return arena.zeros(key, shape, dt)
-
-    def empty(key, shape):
-        if arena is None:
-            return np.empty(shape, dtype=np.float64)
-        return arena.empty(key, shape, np.float64)
-
     feats = child = None
     if plan_arrays:
-        feats = zeros("collate.feats", (batch, n, node_dim))
-        child = zeros("collate.child", (batch, n, n), np.bool_)
-    mask = zeros("collate.mask", (batch, n), np.bool_)
-    extras = empty("collate.extras", (batch, len(encoded[0].extras)))
+        feats = np.zeros((batch, n, node_dim))
+        child = np.zeros((batch, n, n), dtype=np.bool_)
+    mask = np.zeros((batch, n), dtype=np.bool_)
+    extras = np.empty((batch, len(encoded[0].extras)))
     if profiles is None:
-        resources = empty("collate.resources", (batch, resource_dim))
+        resources = np.empty((batch, resource_dim))
     else:
         slots, rows = profiles
-        resources = zeros("collate.profiles",
-                          (batch, slots.shape[1], resource_dim))
+        resources = np.zeros((batch, slots.shape[1], resource_dim))
         resources[slots] = rows
     for i, e in enumerate(encoded):
         k = e.num_nodes
@@ -383,8 +364,7 @@ class BucketExecutor:
                             dtype=np.float64)
             all_miss = len(miss) == len(bucket_plans)
             batch = collate_inference(
-                bucket_plans, arena=thread_local_arena(), profiles=(slots, rows),
-                plan_arrays=all_miss)
+                bucket_plans, profiles=(slots, rows), plan_arrays=all_miss)
             if all_miss:
                 plan_side = plan_side_forward(
                     weights, batch.node_features, batch.child_mask,

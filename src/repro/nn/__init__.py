@@ -6,7 +6,6 @@ the LSTM (:mod:`repro.nn.rnn`), the paper's two attention mechanisms
 (:mod:`repro.nn.attention`), losses, and optimizers.
 """
 
-from repro.nn.arena import ScratchArena, thread_local_arena
 from repro.nn.attention import NodeAwareAttention, ResourceAwareAttention
 from repro.nn.inference import (
     InferenceWeights,
@@ -76,8 +75,6 @@ __all__ = [
     "node_attention_forward",
     "resource_attention_forward",
     "masked_mean_forward",
-    "ScratchArena",
-    "thread_local_arena",
     "InferenceWeights",
     "inference_weights",
     "raal_forward_backward",

@@ -25,10 +25,9 @@ per request: an expired request is answered with
 and a fused batch executes under the *tightest* member deadline —
 under the guarded chain an expiry degrades the whole batch to the
 analytic fallback (cheap and well within any budget) rather than
-returning late learned answers. Admission-control sheds surface per
-the guard's ``shed_mode`` exactly as they do for direct calls: the
-batch degrades (``fallback``) or every member sees
-:class:`~repro.errors.Overloaded` (``reject``).
+returning late learned answers. Running one batch at a time is also
+the learned stage's only concurrency bound in serving: a shard's guard
+never sees a second call while a batch is in flight.
 """
 
 from __future__ import annotations
@@ -112,10 +111,11 @@ class MicroBatcher:
                timeout: float | None = 30.0) -> BatchItem:
         """Score ``pairs``, coalescing with concurrent submissions.
 
-        Returns the resolved :class:`BatchItem`; raises the batch's
-        error when the fused call failed (``Overloaded`` under
-        ``shed_mode="reject"``, :class:`PredictionError` when the
-        guard's whole chain failed).
+        Returns the resolved :class:`BatchItem`; raises
+        :class:`~repro.errors.DeadlineExceeded` when ``deadline`` has
+        already expired, and the batch's error when the fused call
+        failed (:class:`PredictionError` when the guard's whole chain
+        failed).
         """
         if not pairs:
             raise PredictionError("cannot submit an empty pair list")

@@ -19,11 +19,11 @@ Status mapping (see ``docs/API.md``):
 409   deploy/promote/rollback conflicts
       (:class:`~repro.errors.DeployConflict`, and checkpoint
       verification failures)
-429   admission shed under ``shed_mode=reject``
-      (:class:`~repro.errors.Overloaded`)
 500   prediction chain exhausted, or any unexpected server error
-504   deadline blown under ``shed_mode=reject``
-      (:class:`~repro.errors.DeadlineExceeded`)
+504   the request's deadline had expired when it reached the
+      micro-batcher (:class:`~repro.errors.DeadlineExceeded`); a
+      deadline that runs out during the learned forward is answered
+      200 from the analytic fallback instead
 ====  ==================================================================
 
 Concurrency: :class:`ThreadingHTTPServer` gives one thread per
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import (CheckpointError, DeadlineExceeded, DeployConflict,
-                          ModelNotFound, Overloaded, PredictionError,
-                          ReproError, ServingError, SQLError)
+                          ModelNotFound, PredictionError, ReproError,
+                          ServingError, SQLError)
 from repro.serving.service import PredictionService
 
 __all__ = ["Route", "ROUTES", "ReproHTTPServer", "serve"]
@@ -68,7 +68,7 @@ ROUTES = (
     Route("GET", "/v1/models", "models", False,
           "List serving models, versions, and swap state"),
     Route("GET", "/healthz", "health", False,
-          "Liveness plus gate/breaker/admission posture per model"),
+          "Liveness plus gate/breaker/batcher posture per model"),
     Route("GET", "/metrics", "metrics_text", False,
           "Prometheus text exposition of the serving metrics"),
     Route("POST", "/admin/deploy", "deploy", True,
@@ -86,7 +86,6 @@ for _route in ROUTES:
 #: Most specific first — isinstance() walks this in order.
 _STATUS_MAP = (
     (DeadlineExceeded, 504),
-    (Overloaded, 429),
     (ModelNotFound, 404),
     (DeployConflict, 409),
     (CheckpointError, 409),

@@ -66,7 +66,6 @@ from repro.nn.inference import freeze_weights
 from repro.obs.audit import AuditTrail
 from repro.obs.quality import AccuracyTracker, DriftDetector
 from repro.obs.slo import SLO, SLOTracker
-from repro.reliability.admission import AdmissionController
 from repro.reliability.deadline import Deadline
 from repro.reliability.guard import GuardedCostPredictor
 from repro.reliability.shadow import ShadowScorer
@@ -376,9 +375,9 @@ class ModelShard:
 class ModelRegistry:
     """All shards of one serving process, keyed by model id.
 
-    ``build_guard`` is supplied by the service so every shard's guard
-    shares the serving policy (execution config, deadlines, shed mode)
-    while owning its own reliability state.
+    ``build_guard_factory`` is supplied by the service so every shard's
+    guard shares the serving policy (the GPSJ catalog and the default
+    deadline) while owning its own reliability state.
     """
 
     def __init__(self, build_guard_factory: Callable[[str], Callable],
@@ -417,16 +416,18 @@ class ModelRegistry:
 
 
 def default_guard_builder(catalog, workload: str | None = None,
-                          default_deadline_ms: float | None = None,
-                          shed_mode: str = "fallback",
-                          admission_config=None) -> Callable[[str], Callable]:
+                          default_deadline_ms: float | None = None
+                          ) -> Callable[[str], Callable]:
     """Standard serving guard wiring shared by CLI and tests.
 
     Returns a ``build_guard_factory`` for :class:`ModelRegistry`: per
     shard it creates one shared audit trail and SLO tracker, and per
-    model version a fully armed guard (GPSJ fallback, admission
-    control, quality tracking; the learned-stage gate at its
-    :class:`~repro.reliability.circuit.BreakerConfig` defaults).
+    model version a fully armed guard (GPSJ fallback, quality tracking;
+    the learned-stage gate at its
+    :class:`~repro.reliability.circuit.BreakerConfig` defaults). The
+    guard has no admission control: a shard's micro-batcher runs one
+    batch at a time, which already bounds the learned stage to one call
+    in flight per shard.
     ``repro serve``, ``repro predict`` and ``repro doctor`` all build
     their guard here.
     """
@@ -441,13 +442,11 @@ def default_guard_builder(catalog, workload: str | None = None,
             return GuardedCostPredictor(
                 predictor,
                 gpsj=GPSJCostModel(catalog) if catalog is not None else None,
-                admission=AdmissionController(admission_config),
                 quality=AccuracyTracker(drift=DriftDetector()),
                 audit=audit,
                 slo=slo,
                 workload=workload or model_id,
                 default_deadline_ms=default_deadline_ms,
-                shed_mode=shed_mode,
             )
         return build
     return factory

@@ -42,7 +42,6 @@ from repro.core.predictor import CostPredictor
 from repro.errors import ReproError, ServingError
 from repro.plan.builder import analyze
 from repro.plan.enumerator import enumerate_plans
-from repro.reliability.admission import AdmissionConfig
 from repro.reliability.deadline import Deadline
 from repro.serving.registry import ModelRegistry, default_guard_builder
 from repro.sql.parser import parse as parse_sql
@@ -67,12 +66,6 @@ class ServingConfig:
     catalog_scale: float = 0.15
     #: Synthesized per request when the body carries no ``deadline_ms``.
     default_deadline_ms: float | None = None
-    #: ``fallback`` serves shed/blown-deadline requests analytically;
-    #: ``reject`` surfaces 429/504 to the client instead.
-    shed_mode: str = "fallback"
-    #: Learned-stage concurrency bound (admission control).
-    max_in_flight: int = 4
-    max_queue_depth: int = 8
     #: Candidate-plan LRU entries (distinct SQL statements).
     plan_cache_size: int = 256
 
@@ -113,12 +106,7 @@ class PredictionService:
         self.catalog = catalog
         self.registry = ModelRegistry(
             default_guard_builder(
-                catalog,
-                default_deadline_ms=self.config.default_deadline_ms,
-                shed_mode=self.config.shed_mode,
-                admission_config=AdmissionConfig(
-                    max_in_flight=self.config.max_in_flight,
-                    max_queue_depth=self.config.max_queue_depth)),
+                catalog, default_deadline_ms=self.config.default_deadline_ms),
             clock=clock)
         self._plan_lock = threading.Lock()
         self._plan_cache: OrderedDict[str, list] = OrderedDict()
@@ -399,8 +387,6 @@ class PredictionService:
                 "version": current.version,
                 "gate": state["gate"],
                 "breakers": state["breakers"],
-                "shed_mode": state["shed_mode"],
-                "admission": state.get("admission"),
                 "candidate": (shard.candidate.snapshot()
                               if shard.candidate is not None else None),
                 "batcher": shard.batcher.snapshot(),

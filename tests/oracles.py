@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.execution import collate_inference
 from repro.nn import Tensor, mse_loss, no_grad
-from repro.nn.arena import thread_local_arena
 
 __all__ = ["autograd_predict_log", "autograd_predict_seconds",
            "autograd_forward", "autograd_step", "autograd_training",
@@ -81,8 +80,7 @@ def pairwise_predict_log(model, encoded: list, batch_size: int) -> np.ndarray:
     preds = np.empty(len(encoded))
     for lo in range(0, len(order), batch_size):
         idx = order[lo : lo + batch_size]
-        batch = collate_inference([encoded[i] for i in idx],
-                                  arena=thread_local_arena())
+        batch = collate_inference([encoded[i] for i in idx])
         preds[idx] = model.forward_inference(batch)
     return preds
 

@@ -36,10 +36,14 @@ class TestParser:
         (["serve", "--model", "m"], "--threads"),
         (["predict", "--model", "m", "--sql", "select count(*) from title t"],
          "--threads"),
-        (["serve", "--model", "m"], "--no-batching")],
+        (["serve", "--model", "m"], "--no-batching"),
+        (["serve", "--model", "m"], "--shed-mode"),
+        (["serve", "--model", "m"], "--max-in-flight"),
+        (["serve", "--model", "m"], "--max-queue-depth")],
         ids=["--batch-window-ms", "--max-batch-pairs", "serve--precision",
              "predict--precision", "serve--threads", "predict--threads",
-             "--no-batching"])
+             "--no-batching", "--shed-mode", "--max-in-flight",
+             "--max-queue-depth"])
     def test_retired_batching_knobs_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([*command, flag, "2"])

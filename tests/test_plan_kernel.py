@@ -16,12 +16,11 @@ from three concurrent ones:
   with regrouped GEMMs, so agreement is at rounding level;
 * the watchdog path against the caller-thread path, bit for bit.
 
-The arena-backed collation and the masked softmax's logit floor are
-checked here too, and so is the plan-side memo: a frozen model's
-executor computes each plan's plan side once (hits agree with a fresh
-forward within 1e-12), a writable model's memo lives for one call, the
-memo is bounded by its capacity, and fault hooks and deadlines still
-reach memo hits.
+The collation and the masked softmax's logit floor are checked here
+too, and so is the plan-side memo: a frozen model's executor computes
+each plan's plan side once (hits agree with a fresh forward within
+1e-12), a writable model's memo lives for one call, the memo is bounded
+by its capacity, and fault hooks and deadlines still reach memo hits.
 """
 
 import threading
@@ -35,7 +34,6 @@ from repro.core import RAAL, RAALConfig
 from repro.core.execution import BucketExecutor, collate_inference, group_by_plan
 from repro.encoding import EncodedPlan
 from repro.errors import DeadlineExceeded
-from repro.nn.arena import ScratchArena
 from repro.nn.inference import (_softmax, freeze_weights, inference_weights,
                                 is_immutable, raal_forward_inference)
 from repro.reliability import Deadline
@@ -217,7 +215,7 @@ def test_collate_inference_matches_training_collate():
     encoded = random_plans(model.config, 5, np.random.default_rng(9))
     reference = collate([TrainingSample(e, float(i))
                          for i, e in enumerate(encoded)])
-    batch = collate_inference(encoded, arena=ScratchArena())
+    batch = collate_inference(encoded)
     for name in ("node_features", "child_mask", "node_mask",
                  "resources", "extras"):
         got, want = getattr(batch, name), getattr(reference, name)
@@ -225,17 +223,6 @@ def test_collate_inference_matches_training_collate():
         assert np.array_equal(got, want), name
     assert batch.targets is None
     np.testing.assert_array_equal(reference.targets, np.log1p(np.arange(5.0)))
-
-
-def test_arena_reuses_buffers():
-    arena = ScratchArena()
-    a = arena.empty("x", (4, 8), np.float64)
-    bytes_after_first = arena.allocated_bytes
-    b = arena.empty("x", (2, 8), np.float64)
-    assert arena.allocated_bytes == bytes_after_first
-    assert b.base is a.base  # same backing buffer
-    z = arena.zeros("x", (3, 8), np.float64)
-    assert np.all(z == 0)
 
 
 def test_masked_softmax_produces_no_denormals():

@@ -37,6 +37,10 @@ from repro.reliability import Deadline
 from repro.serving import (MicroBatcher, PredictionService, ROUTES,
                            ServingConfig, serve)
 from repro.serving.http import _Handler
+from tests.faults import FaultInjector
+
+#: The per-model ``/healthz`` fields docs/API.md documents.
+HEALTHZ_MODEL_KEYS = {"version", "gate", "breakers", "candidate", "batcher"}
 
 
 # -- shared fixtures -------------------------------------------------------
@@ -615,6 +619,63 @@ class TestService:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize("field, value", [
+        ("shed_mode", "reject"), ("max_in_flight", 1),
+        ("max_queue_depth", 0)])
+    def test_retired_admission_fields_raise(self, field, value):
+        with pytest.raises(TypeError):
+            ServingConfig(**{field: value})
+
+    def test_learned_stage_runs_one_call_at_a_time(self, service, sql):
+        """The batcher is serving's one concurrency bound: under 8
+        contending client threads the shard's learned forward never has
+        a second call in flight."""
+        predictor = service.registry.shard("default").current.guard.predictor
+        forward = predictor.predict_encoded
+        lock = threading.Lock()
+        in_flight = [0]
+        peak = [0]
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                calls[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                time.sleep(0.0005)  # widen the window a second call needs
+                return forward(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        predictor.predict_encoded = counted
+        errors: list = []
+
+        def client():
+            try:
+                for _ in range(15):
+                    service.predict({"sql": sql})
+            except Exception as exc:  # any error fails the contract
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            del predictor.predict_encoded
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert peak[0] == 1
+        # Contention was real: queued requests fused into shared batches.
+        assert calls[0] < 8 * 15
+
     def test_predict_grid_shape(self, service, sql):
         body = service.predict_grid({
             "sql": sql,
@@ -670,6 +731,7 @@ class TestService:
         health = service.health()
         assert health["status"] == "ok"
         model = health["models"]["default"]
+        assert set(model) == HEALTHZ_MODEL_KEYS
         assert model["gate"] == {"state": "closed", "cause": None}
         assert model["batcher"]["batches"] == 1
         assert "batching" not in health
@@ -737,6 +799,10 @@ class TestHTTP:
         assert _get(server, "/v1/predict")[0] == 405
         assert _post(server, "/admin/promote", {})[0] == 409
         assert _post(server, "/admin/rollback", {})[0] == 409
+        # A budget that has run out before the batcher sees the request.
+        status, body = _post(server, "/v1/predict",
+                             {"sql": sql, "deadline_ms": 1e-9})
+        assert status == 504 and body["type"] == "DeadlineExceeded"
         # Raw non-JSON body.
         request = urllib.request.Request(
             server + "/v1/predict", data=b"not json",
@@ -745,10 +811,31 @@ class TestHTTP:
             urllib.request.urlopen(request, timeout=30.0)
         assert excinfo.value.code == 400
 
+    def test_server_deadline_degrades_a_hung_forward(self, pipeline,
+                                                     checkpoint, sql):
+        """A server deadline blown inside the learned forward is
+        answered 200 from the analytic stage, never 504."""
+        svc = PredictionService(ServingConfig(default_deadline_ms=50.0),
+                                catalog=pipeline.catalog)
+        svc.load_model(checkpoint)
+        model = svc.registry.shard("default").current.guard.trainer.model
+        restore = FaultInjector().force_bucket_hang(model, seconds=0.3)
+        srv = serve(svc, port=0, background=True)
+        try:
+            status, body = _post(f"http://127.0.0.1:{srv.port}",
+                                 "/v1/predict", {"sql": sql})
+        finally:
+            restore()
+            srv.close()
+        assert status == 200
+        assert body["source"] == "gpsj"
+        assert "raal: deadline_exceeded" in body["reason"]
+
     def test_health_metrics_and_models(self, server, sql):
         _post(server, "/v1/predict", {"sql": sql})
         status, health = _get(server, "/healthz")
         assert status == 200 and health["status"] == "ok"
+        assert set(health["models"]["default"]) == HEALTHZ_MODEL_KEYS
         status, metrics = _get(server, "/metrics")
         assert status == 200
         assert "serve_predict_requests_total" in metrics
