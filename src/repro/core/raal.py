@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ShapeError, TrainingError
+from repro.errors import TrainingError
 from repro.nn import (
     LSTM,
     Conv1d,
@@ -33,9 +33,7 @@ from repro.nn import (
     ReLU,
     ResourceAwareAttention,
     Sequential,
-    Tensor,
 )
-from repro.nn.functional import masked_mean
 
 __all__ = ["RAALConfig", "RAALBatch", "RAAL"]
 
@@ -150,51 +148,13 @@ class RAAL(Module):
         self.dense = Sequential(*layers)
 
     # -- forward ---------------------------------------------------------
-    def _hidden_states(self, batch: RAALBatch) -> Tensor:
-        x = Tensor(batch.node_features)
-        emb = self.embedding(x).tanh()
-        if self.plan_feature is not None:
-            hidden, _ = self.plan_feature(emb, mask=batch.node_mask)
-            return hidden
-        # CNN path (RAAC): left-pad so output length matches input.
-        pad_len = self.config.cnn_kernel - 1
-        if pad_len:
-            batch_size, _, dim = emb.shape
-            pad = Tensor(np.zeros((batch_size, pad_len, dim)))
-            emb = Tensor.concat([pad, emb], axis=1)
-        return self.cnn(emb).relu()
-
-    def forward(self, batch: RAALBatch) -> Tensor:
-        """Predict (log-)costs for a batch; returns shape ``(B,)``."""
-        if batch.node_features.shape[2] != self.config.node_dim:
-            raise ShapeError(
-                f"batch node_dim {batch.node_features.shape[2]} != "
-                f"model node_dim {self.config.node_dim}")
-        hidden = self._hidden_states(batch)
-
-        if self.node_attention is not None:
-            plan_vec = self.node_attention(hidden, batch.child_mask, batch.node_mask)
-        else:
-            plan_vec = masked_mean(hidden, batch.node_mask)
-
-        parts = [plan_vec]
-        if self.resource_attention is not None:
-            resource_vec = self.resource_attention(
-                hidden, Tensor(batch.resources), batch.node_mask)
-            parts.append(resource_vec)
-            parts.append(Tensor(batch.resources))
-        parts.append(Tensor(batch.extras))
-        joined = Tensor.concat(parts, axis=1)
-        return self.dense(joined).squeeze(-1)
-
     def forward_inference(self, batch: RAALBatch, weights=None,
                           plan_side=None) -> np.ndarray:
         """Graph-free eval-mode forward: ``(B,)``, or ``(B, P)`` for a block.
 
-        Numerically equivalent to ``forward`` in eval mode (≤ 1e-8) but
-        builds no autograd graph and fuses the LSTM input projections
-        into one GEMM — the inference fast path used by
-        :meth:`repro.core.trainer.Trainer.predict_seconds`. ``weights``
+        The model's one forward (:mod:`repro.nn.inference`), used by
+        :meth:`repro.core.trainer.Trainer.predict_seconds` and every
+        serving path. ``weights``
         optionally supplies the weight bundle
         (:func:`repro.nn.inference.inference_weights`) built once by a
         caller running many batches; the default is built per call.
@@ -210,12 +170,13 @@ class RAAL(Module):
     def forward_backward(self, batch: RAALBatch) -> tuple[float, np.ndarray]:
         """Fused training step: graph-free forward + analytic backward.
 
-        Computes the MSE loss against ``batch.targets`` and accumulates
-        closed-form gradients into every parameter's ``.grad`` —
-        numerically equivalent (≤ 1e-8 per parameter) to ``forward``
-        followed by ``mse_loss(...).backward()``, without building the
-        autograd graph. Returns ``(loss, predictions)``. The training
-        fast path used by :meth:`repro.core.trainer.Trainer.fit`.
+        Runs the forward :meth:`forward_inference` runs, computes the
+        MSE loss against ``batch.targets`` and accumulates closed-form
+        gradients into every parameter's ``.grad`` — numerically
+        equivalent (≤ 1e-8 per parameter) to the autograd reference
+        step in ``tests/oracles.py``, without building a graph. Returns
+        ``(loss, predictions)``. The training step of
+        :meth:`repro.core.trainer.Trainer.fit`.
         """
         from repro import obs
         from repro.nn.training import raal_forward_backward

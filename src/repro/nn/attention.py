@@ -10,21 +10,20 @@ Two layers are provided:
   each node; the result is a resource-conditioned plan summary.
 
 Both layers learn bilinear projections into a shared latent space of
-dimension ``K`` (the paper fixes ``K = 32``).
+dimension ``K`` (the paper fixes ``K = 32``). These modules hold the
+projections; the forwards are
+:func:`repro.nn.inference.node_attention_forward` and
+:func:`repro.nn.inference.resource_attention_forward`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
 from repro.nn import init
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor
 
 __all__ = ["NodeAwareAttention", "ResourceAwareAttention"]
-
-_NEG_INF = -1e9
 
 
 class NodeAwareAttention(Module):
@@ -46,51 +45,6 @@ class NodeAwareAttention(Module):
         self.w_query = init.xavier_uniform((hidden_size, latent_dim), rng)
         self.w_key = init.xavier_uniform((hidden_size, latent_dim), rng)
 
-    def forward(
-        self,
-        hidden: Tensor,
-        child_mask: np.ndarray,
-        node_mask: np.ndarray,
-    ) -> Tensor:
-        """Compute the plan relation vector ``P``.
-
-        Parameters
-        ----------
-        hidden:
-            LSTM hidden states ``(batch, n, hidden)``.
-        child_mask:
-            Boolean ``(batch, n, n)``; ``child_mask[b, i, j]`` is True
-            when node ``j`` is a child of node ``i`` in plan ``b``.
-        node_mask:
-            Boolean ``(batch, n)``; True on real (non-padded) nodes.
-
-        Returns
-        -------
-        Tensor
-            ``(batch, hidden)`` pooled relational representation.
-        """
-        batch, n, hid = hidden.shape
-        if child_mask.shape != (batch, n, n):
-            raise ShapeError(f"child_mask shape {child_mask.shape} != {(batch, n, n)}")
-        queries = hidden @ self.w_query           # (batch, n, K)
-        keys = hidden @ self.w_key                # (batch, n, K)
-        scores = queries @ keys.transpose(0, 2, 1)  # (batch, n, n)
-        scores = scores * (1.0 / np.sqrt(self.latent_dim))
-        bias = np.where(child_mask, 0.0, _NEG_INF)
-        attn = (scores + Tensor(bias)).softmax(axis=-1)      # (batch, n, n)
-        # Rows with no children produce a uniform distribution over the
-        # -inf-masked row; zero them out and substitute the node itself.
-        has_children = child_mask.any(axis=-1, keepdims=True)  # (batch, n, 1)
-        attn = attn * Tensor(has_children.astype(np.float64))
-        context = attn @ hidden                     # (batch, n, hidden)
-        self_term = hidden * Tensor(1.0 - has_children.astype(np.float64))
-        context = context + self_term
-        # Mean-pool over real nodes.
-        node_w = node_mask.astype(np.float64)
-        denom = np.maximum(node_w.sum(axis=1, keepdims=True), 1.0)
-        pooled = (context * Tensor(node_w[:, :, None])).sum(axis=1) * Tensor(1.0 / denom)
-        return pooled
-
 
 class ResourceAwareAttention(Module):
     """Resource-conditioned attention over plan-node hidden states.
@@ -109,32 +63,3 @@ class ResourceAwareAttention(Module):
         self.latent_dim = latent_dim
         self.w_resource = init.xavier_uniform((resource_dim, latent_dim), rng)
         self.w_key = init.xavier_uniform((hidden_size, latent_dim), rng)
-
-    def forward(self, hidden: Tensor, resources: Tensor, node_mask: np.ndarray) -> Tensor:
-        """Compute the resource-impact vector ``M``.
-
-        Parameters
-        ----------
-        hidden:
-            LSTM hidden states ``(batch, n, hidden)``.
-        resources:
-            Normalized resource features ``(batch, resource_dim)``.
-        node_mask:
-            Boolean ``(batch, n)``; True on real nodes.
-
-        Returns
-        -------
-        Tensor
-            ``(batch, hidden)`` resource-weighted plan summary.
-        """
-        if resources.shape[-1] != self.resource_dim:
-            raise ShapeError(
-                f"expected resource dim {self.resource_dim}, got {resources.shape[-1]}"
-            )
-        query = resources @ self.w_resource                 # (batch, K)
-        keys = hidden @ self.w_key                          # (batch, n, K)
-        scores = (keys @ query.expand_dims(2)).squeeze(2)   # (batch, n)
-        scores = scores * (1.0 / np.sqrt(self.latent_dim))
-        bias = np.where(node_mask, 0.0, _NEG_INF)
-        attn = (scores + Tensor(bias)).softmax(axis=-1)     # (batch, n)
-        return (hidden * attn.expand_dims(2)).sum(axis=1)   # (batch, hidden)

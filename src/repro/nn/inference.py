@@ -1,17 +1,20 @@
-"""Graph-free inference kernels for the RAAL model family.
+"""Graph-free forward kernels for the RAAL model family.
 
-The autograd :class:`~repro.nn.tensor.Tensor` pays for every operation
-twice at inference time: it allocates a Python object per intermediate
-and wires up a backward closure that is never called. The functions
-here re-implement the forward pass of each RAAL building block on raw
-numpy arrays — no graph, no Tensor wrappers — using the *same*
-formulas and operation order as the autograd layers, so results agree
-to float-rounding (≤ 1e-8) with the training path.
+RAAL's one forward — embedding → LSTM (CNN in the RAAC ablation) →
+node-aware attention (or masked-mean pooling) → resource-aware
+attention → dense head — written once, on raw numpy arrays: no
+autograd graph, no Tensor wrappers. Each block's kernel returns its
+output together with the activations its backward reads. Serving
+drops them; the training step (:mod:`repro.nn.training`) hands them to
+its closed-form backward, so training and serving run the same
+arithmetic. The autograd reference forward the kernels are checked
+against lives in the test suite (``tests/oracles.py``); predictions
+agree with it to float rounding (≤ 1e-8).
 
-The LSTM forward is additionally *fused*: the input projections of all
-timesteps are computed in a single ``(B·T, D) @ (D, 4H)`` GEMM up
-front, so the per-timestep loop only carries the (irreducibly
-sequential) recurrent ``h @ W_h`` product.
+The LSTM forward is *fused*: the input projections of all timesteps
+are computed in a single ``(B·T, D) @ (D, 4H)`` GEMM up front, so the
+per-timestep loop only carries the (irreducibly sequential) recurrent
+``h @ W_h`` product.
 
 The kernels read the model's weights through an
 :class:`InferenceWeights` bundle: the live float64 parameter arrays,
@@ -23,16 +26,16 @@ raises instead of changing a served model under its callers.
 The forward is split into a *plan-side* stage (embedding → LSTM/CNN →
 node-aware attention; depends only on the plan) and a *resource-side*
 stage (resource-aware attention → dense head; depends on the resource
-profile too). A batch's resources are either one vector per plan
-``(B, R)`` — the pairwise shape training uses — or a padded *profile
-block* ``(B, P, R)``: each plan scored under up to ``P`` profiles after
-one plan-side pass. The resource side treats the pairwise shape as a
-block with ``P = 1``, so both run the same arithmetic; the block form
-is how the inference engine serves every guarded batch (see
-:class:`repro.core.execution.BucketExecutor`). A caller that already
-holds a plan's plan-side output passes it in as ``plan_side`` and only
-the resource side runs: the engine computes the plan side once per
-plan per served model version, because served weights are immutable.
+profile too). The resource side scores a padded *profile block*
+``(B, P, R)``: each plan under up to ``P`` profiles after one
+plan-side pass. One resource vector per plan ``(B, R)`` — the shape
+training uses — is the block with ``P = 1``, so both run the same
+arithmetic; the block form is how the inference engine serves every
+guarded batch (see :class:`repro.core.execution.BucketExecutor`). A
+caller that already holds a plan's plan-side output passes it in as
+``plan_side`` and only the resource side runs: the engine computes
+the plan side once per plan per served model version, because served
+weights are immutable.
 
 Entry point: :func:`raal_forward_inference`, also exposed as
 ``RAAL.forward_inference``.
@@ -52,12 +55,16 @@ __all__ = [
     "inference_weights",
     "freeze_weights",
     "is_immutable",
+    "embedding_forward",
     "fused_lstm_forward",
+    "cnn_forward",
+    "masked_mean_forward",
     "node_attention_forward",
     "resource_attention_forward",
-    "masked_mean_forward",
-    "dense_forward_ops",
-    "conv1d_forward",
+    "dense_ops",
+    "dense_forward",
+    "plan_feature_forward",
+    "plan_pool_forward",
     "plan_side_forward",
     "resource_side_forward",
     "raal_forward_inference",
@@ -75,13 +82,6 @@ _NEG_INF = -1e9
 SOFTMAX_FLOOR = -200.0
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Same clipping as Tensor.sigmoid so the two paths agree bitwise on
-    # saturated gates.
-    x = np.clip(x, -60.0, 60.0)
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     np.clip(shifted, SOFTMAX_FLOOR, None, out=shifted)
@@ -95,13 +95,52 @@ def _mask_bias(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 0.0, _NEG_INF)
 
 
+def embedding_forward(x: np.ndarray, weight: np.ndarray,
+                      bias: np.ndarray | None) -> np.ndarray:
+    """The node embedding layer, ``tanh(x W + b)``.
+
+    Its backward reads only the input and this output.
+    """
+    if x.shape[-1] != weight.shape[0]:
+        raise ShapeError(
+            f"batch node_dim {x.shape[-1]} != model node_dim {weight.shape[0]}")
+    emb = x @ weight
+    if bias is not None:
+        emb += bias
+    return np.tanh(emb, out=emb)
+
+
+# ---------------------------------------------------------------------------
+# LSTM
+# ---------------------------------------------------------------------------
+
+@dataclass
+class LSTMCache:
+    """Per-timestep activations the LSTM backward reads.
+
+    Slabs are stored time-major ``(T, B, ·)`` so each step of the
+    forward/backward loops reads and writes one fully contiguous
+    ``(B, ·)`` block instead of a strided slice plus a copy.
+    """
+
+    x_t: np.ndarray             # (T, B, D) inputs, time-major
+    acts: np.ndarray            # (T, B, 4H) gate activations, i|f|g|o
+    tanh_c: np.ndarray          # (T, B, H) tanh(c_new) per step
+    outputs: np.ndarray         # (T, B, H) post-mask hidden states
+    c_states: np.ndarray        # (T, B, H) post-mask cell states
+    w_x: np.ndarray
+    w_h: np.ndarray
+    mf: np.ndarray | None       # (T, B, 1) float mask; None = all real
+    col_real: np.ndarray | None  # (T,) True where every row is real
+
+
 def fused_lstm_forward(
     x: np.ndarray,
     w_x: np.ndarray,
     w_h: np.ndarray,
     bias: np.ndarray,
     mask: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, LSTMCache]:
     """All hidden states of a unidirectional LSTM, graph-free.
 
     Parameters
@@ -114,21 +153,140 @@ def fused_lstm_forward(
         :class:`repro.nn.rnn.LSTMCell`).
     mask:
         Optional boolean ``(batch, seq)``; the state freezes on padded
-        (False) steps, matching :class:`repro.nn.rnn.LSTM`.
+        (False) steps.
 
     Returns
     -------
-    np.ndarray
-        Hidden states ``(batch, seq, H)``.
+    tuple[np.ndarray, LSTMCache]
+        Hidden states ``(batch, seq, H)`` and the activations the
+        backward reads: the gate activations, ``tanh(c)`` and the
+        (h, c) state of each step.
     """
-    # Single implementation with the training fast path: the cached
-    # time-major kernel is faster than a per-gate loop even counting the
-    # activation slabs it records (lazy import: training imports from
-    # this module).
-    from repro.nn.training import fused_lstm_forward_cached
+    if x.ndim != 3:
+        raise ShapeError(f"fused_lstm_forward expects (batch, seq, input), got {x.shape}")
+    batch, seq, input_size = x.shape
+    hs = w_h.shape[0]
+    # Time-major layout throughout: the fused input projection lands
+    # directly in the (T, B, 4H) activation slab, and every step then
+    # operates in place on one contiguous (B, 4H) block — no per-step
+    # slab copies at all.
+    x_t = np.ascontiguousarray(x.transpose(1, 0, 2))
+    acts = (x_t.reshape(seq * batch, input_size) @ w_x).reshape(seq, batch, 4 * hs)
+    acts += bias
+    # Scratch follows the dtype of the inputs.
+    dtype = acts.dtype
+    h = np.zeros((batch, hs), dtype=dtype)
+    c = np.zeros((batch, hs), dtype=dtype)
+    outputs = np.empty((seq, batch, hs), dtype=dtype)
+    tanh_c = np.empty((seq, batch, hs), dtype=dtype)
+    c_states = np.empty((seq, batch, hs), dtype=dtype)
+    mf = col_real = None
+    if mask is not None:
+        mf = np.ascontiguousarray(mask.T.astype(dtype))[:, :, None]
+        col_real = mask.all(axis=0)
+    gemm = np.empty((batch, 4 * hs), dtype=dtype)
+    g = np.empty((batch, hs), dtype=dtype)
+    for t in range(seq):
+        gates = acts[t]
+        np.matmul(h, w_h, out=gemm)
+        gates += gemm
+        # Tanh block first, then one in-place sigmoid sweep over the
+        # whole gate block (overwriting the tanh slice after) — one
+        # pass, no extra temporaries. σ(x) = (1 + tanh(x/2))/2 matches
+        # 1/(1+exp(-clip(x, ±60))) to one ulp and needs no clip pass
+        # (tanh saturates on its own).
+        np.tanh(gates[:, 2 * hs : 3 * hs], out=g)
+        gates *= 0.5
+        np.tanh(gates, out=gates)
+        gates += 1.0
+        gates *= 0.5
+        gates[:, 2 * hs : 3 * hs] = g
+        i = gates[:, 0 * hs : 1 * hs]
+        f = gates[:, 1 * hs : 2 * hs]
+        o = gates[:, 3 * hs : 4 * hs]
+        c_new = np.multiply(f, c, out=c_states[t])
+        c_new += i * g
+        tc = np.tanh(c_new, out=tanh_c[t])
+        h_new = np.multiply(o, tc, out=outputs[t])
+        if col_real is None or col_real[t]:
+            # Every row is real at this step (buckets are length-sorted,
+            # so that is the common case): no freeze blend needed.
+            h, c = h_new, c_new
+        else:
+            # m is binary, so blending in place via h + (h_new - h)*m
+            # selects exactly like h_new*m + h_prev*(1-m).
+            m = mf[t]
+            h_new -= h
+            h_new *= m
+            h_new += h
+            c_new -= c
+            c_new *= m
+            c_new += c
+            h, c = h_new, c_new
+    cache = LSTMCache(x_t=x_t, acts=acts, tanh_c=tanh_c, outputs=outputs,
+                      c_states=c_states, w_x=w_x, w_h=w_h, mf=mf,
+                      col_real=col_real)
+    return np.ascontiguousarray(outputs.transpose(1, 0, 2)), cache
 
-    outputs, _ = fused_lstm_forward_cached(x, w_x, w_h, bias, mask=mask)
-    return outputs
+
+# ---------------------------------------------------------------------------
+# CNN (the RAAC ablation's plan-feature layer)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CNNCache:
+    """Activations the CNN backward reads."""
+
+    cols: np.ndarray            # (B, N, k·D) im2col windows of the padded input
+    relu_mask: np.ndarray       # (B, N, H)
+    weight: np.ndarray
+    kernel: int
+
+
+def cnn_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                kernel: int) -> tuple[np.ndarray, CNNCache]:
+    """Conv1d (im2col, stride 1) + ReLU over ``x`` left-padded by
+    ``kernel - 1`` zero rows, so the output keeps the input's length:
+    ``(B, N, D)`` → ``(B, N, H)``."""
+    batch, seq, dim = x.shape
+    padded = np.zeros((batch, seq + kernel - 1, dim))
+    padded[:, kernel - 1 :] = x
+    cols = np.empty((batch, seq, kernel * dim))
+    for t in range(seq):
+        cols[:, t, :] = padded[:, t : t + kernel, :].reshape(batch, kernel * dim)
+    pre = cols @ weight + bias
+    relu_mask = pre > 0
+    return pre * relu_mask, CNNCache(cols, relu_mask, weight, kernel)
+
+
+# ---------------------------------------------------------------------------
+# Attention and pooling
+# ---------------------------------------------------------------------------
+
+def masked_mean_forward(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of ``x`` ``(B, N, D)`` over the real nodes of ``mask``.
+
+    Its backward reads only the mask.
+    """
+    weights = mask.astype(x.dtype)
+    denom = np.maximum(weights.sum(axis=1, keepdims=True), 1.0)
+    return (x * weights[:, :, None]).sum(axis=1) * (1.0 / denom)
+
+
+@dataclass
+class NodeAttentionCache:
+    """Activations the node-attention backward reads."""
+
+    hidden: np.ndarray          # (B, N, H)
+    queries: np.ndarray         # (B, N, K)
+    keys: np.ndarray            # (B, N, K)
+    attn0: np.ndarray           # raw softmax (B, N, N)
+    attn: np.ndarray            # attn0 * has_children
+    has_children: np.ndarray    # (B, N, 1) float
+    node_mask: np.ndarray       # (B, N) pooling mask
+    w_query: np.ndarray
+    w_key: np.ndarray
+    scale: float
 
 
 def node_attention_forward(
@@ -138,20 +296,43 @@ def node_attention_forward(
     child_mask: np.ndarray,
     node_mask: np.ndarray,
     latent_dim: int,
-) -> np.ndarray:
-    """Numpy twin of :class:`repro.nn.attention.NodeAwareAttention`."""
+) -> tuple[np.ndarray, NodeAttentionCache]:
+    """Node-aware attention (eqs. 8/9), mean-pooled: the plan vector ``(B, H)``.
+
+    Each node attends over its children only; a childless node (a leaf
+    or padding) keeps its own hidden state.
+    """
     batch, n, _ = hidden.shape
     if child_mask.shape != (batch, n, n):
         raise ShapeError(f"child_mask shape {child_mask.shape} != {(batch, n, n)}")
     queries = hidden @ w_query
     keys = hidden @ w_key
+    scale = 1.0 / np.sqrt(latent_dim)
     scores = queries @ keys.transpose(0, 2, 1)
-    scores = scores * (1.0 / float(np.sqrt(latent_dim)))
-    attn = _softmax(scores + _mask_bias(child_mask), axis=-1)
-    has_children = child_mask.any(axis=-1, keepdims=True).astype(hidden.dtype)
-    attn = attn * has_children
+    scores *= scale
+    scores += _mask_bias(child_mask)
+    attn0 = _softmax(scores, axis=-1)
+    has_children = child_mask.any(axis=-1, keepdims=True).astype(np.float64)
+    attn = attn0 * has_children
     context = attn @ hidden + hidden * (1.0 - has_children)
-    return masked_mean_forward(context, node_mask)
+    cache = NodeAttentionCache(
+        hidden=hidden, queries=queries, keys=keys, attn0=attn0, attn=attn,
+        has_children=has_children, node_mask=node_mask,
+        w_query=w_query, w_key=w_key, scale=scale)
+    return masked_mean_forward(context, node_mask), cache
+
+
+@dataclass
+class ResourceAttentionCache:
+    """Activations the resource-attention backward reads."""
+
+    hidden: np.ndarray          # (B, N, H)
+    resources: np.ndarray       # (B, P, R)
+    query: np.ndarray           # (B, P, K)
+    keys: np.ndarray            # (B, N, K)
+    attn: np.ndarray            # (B, N, P), normalized over nodes
+    w_key: np.ndarray
+    scale: float
 
 
 def resource_attention_forward(
@@ -161,60 +342,85 @@ def resource_attention_forward(
     w_key: np.ndarray,
     node_mask: np.ndarray,
     latent_dim: int,
-) -> np.ndarray:
-    """Numpy twin of :class:`repro.nn.attention.ResourceAwareAttention`.
+) -> tuple[np.ndarray, ResourceAttentionCache]:
+    """Resource-aware attention (eqs. 10/11) over a profile block.
 
-    Scores a profile block: ``hidden`` ``(B, N, H)`` and ``resources``
-    ``(B, P, R)`` give the resource-attended context ``(B, P, H)`` of
-    each plan under each of its ``P`` profiles. The keys are computed
-    once per plan, not once per profile.
+    ``hidden`` ``(B, N, H)`` and ``resources`` ``(B, P, R)`` give the
+    resource-attended context ``(B, P, H)`` of each plan under each of
+    its ``P`` profiles. The keys are computed once per plan, not once
+    per profile.
     """
     if resources.shape[-1] != w_resource.shape[0]:
         raise ShapeError(
             f"expected resource dim {w_resource.shape[0]}, got {resources.shape[-1]}")
-    query = resources @ w_resource                      # (B, P, K)
-    keys = hidden @ w_key                               # (B, N, K)
-    scores = keys @ query.transpose(0, 2, 1)            # (B, N, P)
-    scores *= 1.0 / float(np.sqrt(latent_dim))
+    query = resources @ w_resource                                   # (B, P, K)
+    keys = hidden @ w_key                                            # (B, N, K)
+    scale = 1.0 / np.sqrt(latent_dim)
+    scores = keys @ query.transpose(0, 2, 1)                         # (B, N, P)
+    scores *= scale
     scores += _mask_bias(node_mask)[:, :, None]
-    attn = _softmax(scores, axis=1)                     # over nodes
-    return attn.transpose(0, 2, 1) @ hidden             # (B, P, H)
+    attn = _softmax(scores, axis=1)                                  # over nodes
+    cache = ResourceAttentionCache(
+        hidden=hidden, resources=resources, query=query, keys=keys,
+        attn=attn, w_key=w_key, scale=scale)
+    return attn.transpose(0, 2, 1) @ hidden, cache                   # (B, P, H)
 
 
-def masked_mean_forward(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Numpy twin of :func:`repro.nn.functional.masked_mean`."""
-    weights = mask.astype(x.dtype)
-    denom = np.maximum(weights.sum(axis=1, keepdims=True), 1.0)
-    return (x * weights[:, :, None]).sum(axis=1) * (1.0 / denom)
+# ---------------------------------------------------------------------------
+# Dense head
+# ---------------------------------------------------------------------------
 
+def dense_ops(dense: Sequential, training: bool) -> list[tuple]:
+    """The head as a flat op list :func:`dense_forward` runs.
 
-def dense_forward_ops(ops: list[tuple], x: np.ndarray) -> np.ndarray:
-    """Eval-mode forward through a precompiled dense op list (see
-    :class:`InferenceWeights`): ``("linear", w, b)`` / ``("relu",)``
-    tuples, eval-mode Dropout already erased — no isinstance dispatch
-    on the hot path.
+    ``("linear", w, b)`` / ``("relu",)`` tuples, plus ``("dropout",
+    rng, p)`` for each active Dropout when ``training``; an eval-mode
+    Dropout is the identity and is left out, so the hot path never
+    touches Module objects.
     """
+    if not isinstance(dense, Sequential):
+        raise ShapeError("model.dense must be a Sequential of Linear/ReLU/Dropout")
+    ops: list[tuple] = []
+    for layer in dense:
+        if isinstance(layer, Linear):
+            ops.append(("linear", layer.weight.data,
+                        layer.bias.data if layer.bias is not None else None))
+        elif isinstance(layer, ReLU):
+            ops.append(("relu",))
+        elif isinstance(layer, Dropout):
+            if training and layer.p > 0.0:
+                ops.append(("dropout", layer._rng, layer.p))
+        else:
+            raise ShapeError(
+                f"no kernel for dense layer {type(layer).__name__}")
+    return ops
+
+
+def dense_forward(ops: list[tuple], x: np.ndarray
+                  ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run ``x`` through a :func:`dense_ops` list.
+
+    Returns the output and, per op, what the backward reads: a Linear's
+    input, a ReLU's or a Dropout's multiplicative mask. Dropout draws
+    its mask from the layer's own generator with the same call the
+    autograd layer makes, so both consume identical random streams.
+    """
+    saved = []
     for op in ops:
         if op[0] == "linear":
+            saved.append(x)
             x = x @ op[1]
             if op[2] is not None:
                 x = x + op[2]
-        else:  # relu
-            x = x * (x > 0)
-    return x
-
-
-def conv1d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                   kernel_size: int) -> np.ndarray:
-    """Numpy twin of :class:`repro.nn.layers.Conv1d` (im2col, stride 1)."""
-    batch, seq, channels = x.shape
-    if seq < kernel_size:
-        raise ShapeError(f"sequence length {seq} shorter than kernel {kernel_size}")
-    seq_out = seq - kernel_size + 1
-    cols = np.empty((batch, seq_out, kernel_size * channels), dtype=x.dtype)
-    for t in range(seq_out):
-        cols[:, t, :] = x[:, t : t + kernel_size, :].reshape(batch, kernel_size * channels)
-    return cols @ weight + bias
+            continue
+        if op[0] == "relu":
+            mask = x > 0
+        else:  # dropout
+            keep = 1.0 - op[2]
+            mask = (op[1].random(x.shape) < keep) / keep
+        saved.append(mask)
+        x = x * mask
+    return x, saved
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +431,8 @@ def conv1d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
 class InferenceWeights:
     """All arrays of one RAAL-family model, as the kernels read them.
 
-    ``dense`` is a flat op list — ``("linear", w, b)`` / ``("relu",)``
-    — mirroring the model's Sequential head with eval-mode Dropout
-    already erased, so the execution kernels never touch Module objects.
+    ``dense`` is the head's :func:`dense_ops` list; the bundle
+    :func:`inference_weights` builds is eval-mode (no Dropout).
     """
 
     embedding_w: np.ndarray
@@ -238,7 +443,6 @@ class InferenceWeights:
     resource_attention: tuple[np.ndarray, np.ndarray] | None  # w_resource, w_key
     dense: list[tuple]
     latent_dim: int
-    node_dim: int
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """Every weight array of the bundle, in a fixed order."""
@@ -307,21 +511,6 @@ def inference_weights(model) -> InferenceWeights:
         resource_attention = (model.resource_attention.w_resource.data,
                               model.resource_attention.w_key.data)
 
-    dense: list[tuple] = []
-    if not isinstance(model.dense, Sequential):
-        raise ShapeError("model.dense must be a Sequential of Linear/ReLU/Dropout")
-    for layer in model.dense:
-        if isinstance(layer, Linear):
-            dense.append(("linear", layer.weight.data,
-                          layer.bias.data if layer.bias is not None else None))
-        elif isinstance(layer, ReLU):
-            dense.append(("relu",))
-        elif isinstance(layer, Dropout):
-            pass  # identity at inference
-        else:
-            raise ShapeError(
-                f"no inference kernel for dense layer {type(layer).__name__}")
-
     return InferenceWeights(
         embedding_w=model.embedding.weight.data,
         embedding_b=(model.embedding.bias.data
@@ -330,15 +519,35 @@ def inference_weights(model) -> InferenceWeights:
         cnn=cnn,
         node_attention=node_attention,
         resource_attention=resource_attention,
-        dense=dense,
+        dense=dense_ops(model.dense, training=False),
         latent_dim=config.latent_dim,
-        node_dim=config.node_dim,
     )
 
 
 # ---------------------------------------------------------------------------
 # Staged forward
 # ---------------------------------------------------------------------------
+
+def plan_feature_forward(weights: InferenceWeights, emb: np.ndarray,
+                         node_mask: np.ndarray
+                         ) -> tuple[np.ndarray, LSTMCache | CNNCache]:
+    """The plan-feature layer — the LSTM, or RAAC's CNN — over the
+    embedded nodes: ``(hidden, activations)``."""
+    if weights.lstm is not None:
+        return fused_lstm_forward(emb, *weights.lstm, mask=node_mask)
+    return cnn_forward(emb, *weights.cnn)
+
+
+def plan_pool_forward(weights: InferenceWeights, hidden: np.ndarray,
+                      child_mask: np.ndarray, node_mask: np.ndarray
+                      ) -> tuple[np.ndarray, NodeAttentionCache | None]:
+    """Node-aware attention, or the NA-LSTM ablation's masked mean
+    (whose backward needs no activations): ``(plan_vec, activations)``."""
+    if weights.node_attention is None:
+        return masked_mean_forward(hidden, node_mask), None
+    return node_attention_forward(hidden, *weights.node_attention,
+                                  child_mask, node_mask, weights.latent_dim)
+
 
 def plan_side_forward(
     weights: InferenceWeights,
@@ -352,37 +561,21 @@ def plan_side_forward(
     the feature-layer hidden states ``(B, N, H)`` and the node-attention
     (or masked-mean) pooled plan vector ``(B, H)``. A plan's rows of
     both depend only on that plan, not on how far the batch is padded.
+    Each kernel's activations are dropped as it returns, so the LSTM's
+    per-step slabs are freed before the attention allocates.
     """
-    if node_features.shape[2] != weights.node_dim:
-        raise ShapeError(
-            f"batch node_dim {node_features.shape[2]} != "
-            f"model node_dim {weights.node_dim}")
-    emb = node_features @ weights.embedding_w
-    if weights.embedding_b is not None:
-        emb = emb + weights.embedding_b
-    emb = np.tanh(emb)
+    emb = embedding_forward(node_features, weights.embedding_w,
+                            weights.embedding_b)
+    hidden = plan_feature_forward(weights, emb, node_mask)[0]
+    return hidden, plan_pool_forward(weights, hidden, child_mask, node_mask)[0]
 
-    if weights.lstm is not None:
-        w_x, w_h, bias = weights.lstm
-        hidden = fused_lstm_forward(emb, w_x, w_h, bias, mask=node_mask)
-    else:
-        cnn_w, cnn_b, kernel = weights.cnn
-        pad_len = kernel - 1
-        if pad_len:
-            batch_size, _, dim = emb.shape
-            emb = np.concatenate(
-                [np.zeros((batch_size, pad_len, dim), dtype=emb.dtype), emb],
-                axis=1)
-        out = conv1d_forward(emb, cnn_w, cnn_b, kernel)
-        hidden = out * (out > 0)
 
-    if weights.node_attention is not None:
-        w_query, w_key = weights.node_attention
-        plan_vec = node_attention_forward(
-            hidden, w_query, w_key, child_mask, node_mask, weights.latent_dim)
-    else:
-        plan_vec = masked_mean_forward(hidden, node_mask)
-    return hidden, plan_vec
+@dataclass
+class ResourceSideCache:
+    """What the resource side's backward reads."""
+
+    attention: ResourceAttentionCache | None    # None: resource-blind
+    dense: list[np.ndarray]     # dense_forward's saved inputs and masks
 
 
 def resource_side_forward(
@@ -392,21 +585,24 @@ def resource_side_forward(
     resources: np.ndarray,
     extras: np.ndarray,
     node_mask: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, ResourceSideCache]:
     """Resource attention + dense head over a profile block: ``(B, P)``.
 
     ``resources`` is the float64 ``(B, P, R)`` block.
     The resource-blind ablation never reads it: its one answer per plan
-    is broadcast to every profile.
+    is broadcast to every profile. Also returns the activations the
+    backward reads (serving drops them): unlike the plan side's LSTM
+    slabs they are small, so the training step and serving share this
+    one composition.
     """
     batch, n_profiles, resource_dim = resources.shape
     if weights.resource_attention is None:
         joined = np.concatenate([plan_vec, extras], axis=1)
-        row = dense_forward_ops(weights.dense, joined)              # (B, 1)
-        return np.repeat(row, n_profiles, axis=1)
-    w_resource, w_key = weights.resource_attention
-    res_vec = resource_attention_forward(
-        hidden, resources, w_resource, w_key, node_mask, weights.latent_dim)
+        row, saved = dense_forward(weights.dense, joined)          # (B, 1)
+        return np.repeat(row, n_profiles, axis=1), ResourceSideCache(None, saved)
+    res_vec, attention = resource_attention_forward(
+        hidden, resources, *weights.resource_attention, node_mask,
+        weights.latent_dim)
     hs = plan_vec.shape[1]
     off = 2 * hs + resource_dim
     joined = np.empty((batch, n_profiles, off + extras.shape[1]),
@@ -415,9 +611,9 @@ def resource_side_forward(
     joined[:, :, hs : 2 * hs] = res_vec
     joined[:, :, 2 * hs : off] = resources
     joined[:, :, off:] = extras[:, None, :]
-    out = dense_forward_ops(weights.dense,
-                            joined.reshape(batch * n_profiles, -1))
-    return out.reshape(batch, n_profiles)
+    out, saved = dense_forward(weights.dense,
+                               joined.reshape(batch * n_profiles, -1))
+    return out.reshape(batch, n_profiles), ResourceSideCache(attention, saved)
 
 
 def raal_forward_inference(model, batch,
@@ -426,8 +622,9 @@ def raal_forward_inference(model, batch,
                            ) -> np.ndarray:
     """Graph-free eval-mode forward of a RAAL-family model.
 
-    Numerically equivalent (≤ 1e-8) to ``model(batch)`` in eval mode,
-    but builds no autograd graph and fuses the LSTM input projections.
+    The same kernels as the training step
+    (:func:`repro.nn.training.raal_forward_backward`), with the
+    activations they return dropped.
 
     Parameters
     ----------
@@ -465,6 +662,6 @@ def raal_forward_inference(model, batch,
     if pairwise:
         resources = resources[:, None, :]
     extras = np.asarray(batch.extras, dtype=np.float64)
-    out = resource_side_forward(
+    out, _ = resource_side_forward(
         weights, hidden, plan_vec, resources, extras, batch.node_mask)
     return out[:, 0] if pairwise else out

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "orthogonal", "zeros", "uniform"]
+__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "orthogonal", "zeros"]
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> Tensor:
@@ -54,11 +54,6 @@ def orthogonal(shape: tuple[int, int], rng: np.random.Generator, gain: float = 1
 def zeros(shape: tuple[int, ...]) -> Tensor:
     """All-zeros parameter (typical for biases)."""
     return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def uniform(shape: tuple[int, ...], rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> Tensor:
-    """Plain uniform initialization (used for embedding tables)."""
-    return Tensor(rng.uniform(low, high, size=shape), requires_grad=True)
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from repro.errors import ShapeError
 from repro.nn import init
 from repro.nn.tensor import Tensor
 
-__all__ = ["Module", "Linear", "Sequential", "ReLU", "Tanh", "Sigmoid", "Dropout", "Embedding", "LayerNorm", "Conv1d"]
+__all__ = ["Module", "Linear", "Sequential", "ReLU", "Dropout", "Conv1d"]
 
 
 class Module:
@@ -136,20 +136,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    """Elementwise tanh activation as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Elementwise sigmoid activation as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class Sequential(Module):
     """Chain of modules applied in order."""
 
@@ -191,50 +177,13 @@ class Dropout(Module):
         return x * Tensor(mask)
 
 
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
-
-    def __init__(self, num_embeddings: int, dim: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.num_embeddings = num_embeddings
-        self.dim = dim
-        self.weight = init.uniform((num_embeddings, dim), rng, low=-0.5 / dim, high=0.5 / dim)
-
-    def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
-            raise ShapeError(
-                f"embedding ids out of range [0, {self.num_embeddings}): "
-                f"[{ids.min()}, {ids.max()}]"
-            )
-        return self.weight[ids]
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis."""
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.dim = dim
-        self.eps = eps
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * (var + self.eps) ** -0.5
-        return normed * self.gamma + self.beta
-
-
 class Conv1d(Module):
-    """1-D convolution over a sequence, implemented via im2col.
+    """Parameters of a 1-D convolution over a sequence (im2col layout).
 
-    Input shape ``(batch, seq, in_channels)``, output
-    ``(batch, seq_out, out_channels)`` with ``seq_out = seq - kernel + 1``
-    (no padding, stride 1). Used by the RAAC ablation, which replaces
-    the LSTM plan-feature layer with a CNN.
+    ``weight`` is ``(kernel_size * in_channels, out_channels)``: one
+    row per (tap, channel) of a window, stride 1. Used by the RAAC
+    ablation, which replaces the LSTM plan-feature layer with a CNN;
+    its forward is :func:`repro.nn.inference.cnn_forward`.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng: np.random.Generator) -> None:
@@ -244,14 +193,3 @@ class Conv1d(Module):
         self.kernel_size = kernel_size
         self.weight = init.kaiming_uniform((kernel_size * in_channels, out_channels), rng)
         self.bias = init.zeros((out_channels,))
-
-    def forward(self, x: Tensor) -> Tensor:
-        batch, seq, channels = x.shape
-        if channels != self.in_channels:
-            raise ShapeError(f"expected {self.in_channels} input channels, got {channels}")
-        if seq < self.kernel_size:
-            raise ShapeError(f"sequence length {seq} shorter than kernel {self.kernel_size}")
-        windows = [x[:, t : t + self.kernel_size, :].reshape(batch, self.kernel_size * channels)
-                   for t in range(seq - self.kernel_size + 1)]
-        cols = Tensor.stack(windows, axis=1)  # (batch, seq_out, k*in)
-        return cols @ self.weight + self.bias

@@ -1,52 +1,16 @@
-"""Loss functions for regression cost models."""
+"""The regression loss RAAL trains with."""
 
 from __future__ import annotations
 
 from repro.errors import ShapeError
 from repro.nn.tensor import Tensor
 
-__all__ = ["mse_loss", "mae_loss", "huber_loss", "q_error"]
-
-
-def _check(pred: Tensor, target: Tensor) -> None:
-    if pred.shape != target.shape:
-        raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
+__all__ = ["mse_loss"]
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean squared error — the paper's training loss (Sec. IV-D)."""
-    _check(pred, target)
+    if pred.shape != target.shape:
+        raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
     return (diff * diff).mean()
-
-
-def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    _check(pred, target)
-    return (pred - target).abs().mean()
-
-
-def huber_loss(pred: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic near zero, linear in the tails.
-
-    Implemented as ``delta^2 * (sqrt(1 + (d/delta)^2) - 1)``
-    (pseudo-Huber), which is smooth and autograd-friendly.
-    """
-    _check(pred, target)
-    diff = (pred - target) * (1.0 / delta)
-    return ((diff * diff + 1.0) ** 0.5 - 1.0).mean() * (delta * delta)
-
-
-def q_error(pred: Tensor, target: Tensor, eps: float = 1e-9) -> Tensor:
-    """Mean q-error ``max(pred/actual, actual/pred)`` on positive values.
-
-    Not used for training in the paper but a standard diagnostic for
-    cost estimators.
-    """
-    _check(pred, target)
-    p = pred.abs() + eps
-    t = target.abs() + eps
-    ratio = p / t
-    inverse = t / p
-    # max(a, b) = (a + b + |a - b|) / 2, implemented with autograd ops.
-    return ((ratio + inverse + (ratio - inverse).abs()) * 0.5).mean()

@@ -12,14 +12,14 @@ cell ``g``, cell state ``c`` and hidden state ``h``:
     h_t = o_t * tanh(c_t)
 
 The four gate projections are fused into single ``(input, 4*hidden)``
-and ``(hidden, 4*hidden)`` matrices for speed.
+and ``(hidden, 4*hidden)`` matrices for speed. These modules hold the
+parameters; the forward is :func:`repro.nn.inference.fused_lstm_forward`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
 from repro.nn import init
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
@@ -28,7 +28,7 @@ __all__ = ["LSTMCell", "LSTM"]
 
 
 class LSTMCell(Module):
-    """A single LSTM step ``(x_t, (h, c)) -> (h', c')``."""
+    """The fused gate parameters of one LSTM step ``(x_t, (h, c)) -> (h', c')``."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
         super().__init__()
@@ -41,33 +41,13 @@ class LSTMCell(Module):
         bias[hidden_size : 2 * hidden_size] = 1.0
         self.bias = Tensor(bias, requires_grad=True)
 
-    def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        h_prev, c_prev = state
-        if x.shape[-1] != self.input_size:
-            raise ShapeError(f"LSTMCell expected input size {self.input_size}, got {x.shape[-1]}")
-        gates = x @ self.w_x + h_prev @ self.w_h + self.bias
-        hs = self.hidden_size
-        i = gates[..., 0 * hs : 1 * hs].sigmoid()
-        f = gates[..., 1 * hs : 2 * hs].sigmoid()
-        g = gates[..., 2 * hs : 3 * hs].tanh()
-        o = gates[..., 3 * hs : 4 * hs].sigmoid()
-        c = f * c_prev + i * g
-        h = o * c.tanh()
-        return h, c
-
-    def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        """Zero (h, c) state for a batch."""
-        return (Tensor(np.zeros((batch, self.hidden_size))),
-                Tensor(np.zeros((batch, self.hidden_size))))
-
 
 class LSTM(Module):
     """Unidirectional sequence LSTM over ``(batch, seq, input)`` inputs.
 
-    Returns all hidden states ``(batch, seq, hidden)`` plus the final
-    ``(h, c)``. An optional boolean mask (``(batch, seq)``) freezes the
-    state on padded steps so that variable-length plan sequences can be
-    batched together.
+    Produces all hidden states ``(batch, seq, hidden)``; a boolean mask
+    ``(batch, seq)`` freezes the state on padded steps so that
+    variable-length plan sequences can be batched together.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
@@ -75,28 +55,3 @@ class LSTM(Module):
         self.cell = LSTMCell(input_size, hidden_size, rng)
         self.input_size = input_size
         self.hidden_size = hidden_size
-
-    def forward(
-        self,
-        x: Tensor,
-        mask: np.ndarray | None = None,
-        state: tuple[Tensor, Tensor] | None = None,
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        if x.ndim != 3:
-            raise ShapeError(f"LSTM expects (batch, seq, input), got shape {x.shape}")
-        batch, seq, _ = x.shape
-        if state is None:
-            h, c = self.cell.initial_state(batch)
-        else:
-            h, c = state
-        outputs: list[Tensor] = []
-        for t in range(seq):
-            h_new, c_new = self.cell(x[:, t, :], (h, c))
-            if mask is not None:
-                m = Tensor(mask[:, t : t + 1].astype(np.float64))
-                h = h_new * m + h * (1.0 - m)
-                c = c_new * m + c * (1.0 - m)
-            else:
-                h, c = h_new, c_new
-            outputs.append(h)
-        return Tensor.stack(outputs, axis=1), (h, c)

@@ -123,11 +123,6 @@ class Tensor:
         """Return a tensor of ones with the given shape."""
         return Tensor(np.ones(shape), requires_grad=requires_grad)
 
-    @staticmethod
-    def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        """Wrap a numpy array (copied to float64) as a tensor."""
-        return Tensor(array, requires_grad=requires_grad)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -4,9 +4,9 @@ The **candidate shadow** re-scores every live batch of a shard on a
 deployed-but-not-promoted model; the promotion gate reads the mean
 candidate-vs-incumbent q-error.
 
-:class:`ShadowScorer` implements it: seeded sampling, a best-effort
-reference call, and per-pair q-error accounting. It publishes only
-under its own ``name`` (``<name>.samples_total``,
+:class:`ShadowScorer` implements it: a best-effort reference call and
+per-pair q-error accounting for every batch it is handed. It publishes
+only under its own ``name`` (``<name>.samples_total``,
 ``<name>.errors_total``, ``<name>.qerror``), never into the
 ``quality.*`` metrics that measure the served model against ground
 truth.
@@ -28,40 +28,21 @@ __all__ = ["ShadowScorer"]
 
 
 class ShadowScorer:
-    """Seeded shadow sampler with q-error accounting.
+    """Shadow re-scoring with q-error accounting.
 
     Parameters
     ----------
     name:
         Metric prefix and event component (e.g. ``"serve.shadow"``).
-    sample_rate:
-        Fraction of :meth:`should_sample` calls that answer ``True``.
-    seed:
-        Seed of the sampling RNG, for reproducible shadow streams.
     """
 
-    def __init__(self, name: str, sample_rate: float = 1.0,
-                 seed: int = 0) -> None:
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ReproError(
-                f"sample_rate must be in [0, 1], got {sample_rate}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.sample_rate = float(sample_rate)
-        self._rng = np.random.default_rng(seed)
         self._lock = threading.Lock()
         self._qerror = Histogram(f"{name}.qerror")
         self.samples = 0
         self.errors = 0
         self._last: float | None = None
-
-    def should_sample(self) -> bool:
-        """Whether this answer joins the shadow sample."""
-        if self.sample_rate <= 0.0:
-            return False
-        if self.sample_rate >= 1.0:
-            return True
-        with self._lock:
-            return bool(self._rng.random() < self.sample_rate)
 
     def score(self, served, reference: Callable[[], object]
               ) -> np.ndarray | None:

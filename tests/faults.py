@@ -105,20 +105,14 @@ class FaultInjector:
 
     def force_forward_errors(self, model: Module,
                              message: str = "injected forward fault") -> Callable[[], None]:
-        """Make the model's forward passes raise :class:`TrainingError`.
-
-        Patches both the autograd ``forward`` and the graph-free
-        ``forward_inference``. Returns a restore callable.
-        """
+        """Make the model's graph-free ``forward_inference`` raise
+        :class:`TrainingError`. Returns a restore callable."""
         def _boom(*args, **kwargs):
             raise TrainingError(message)
 
-        model.forward = _boom
-        if hasattr(model, "forward_inference"):
-            model.forward_inference = _boom
+        model.forward_inference = _boom
 
         def _restore() -> None:
-            model.__dict__.pop("forward", None)
             model.__dict__.pop("forward_inference", None)
 
         return _restore

@@ -23,6 +23,7 @@ from repro.eval.experiments import SMOKE, ExperimentPipeline
 from repro.nn import Tensor
 from repro.plan import analyze
 from repro.sql import parse
+from tests.oracles import raal_forward
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ class TestRAALModel:
     def test_forward_shape(self):
         config = RAALConfig(node_dim=20, hidden_size=16, embedding_dim=16)
         model = RAAL(config)
-        out = model(_random_batch(config))
+        out = raal_forward(model, _random_batch(config))
         assert out.shape == (3,)
 
     def test_wrong_node_dim_rejected(self):
@@ -66,7 +67,7 @@ class TestRAALModel:
         model = RAAL(config)
         bad = _random_batch(RAALConfig(node_dim=21))
         with pytest.raises(ShapeError):
-            model(bad)
+            raal_forward(model, bad)
 
     def test_invalid_feature_layer(self):
         with pytest.raises(TrainingError):
@@ -76,13 +77,13 @@ class TestRAALModel:
         config = RAALConfig(node_dim=20, hidden_size=16, embedding_dim=16,
                             feature_layer="cnn")
         model = RAAL(config)
-        assert model(_random_batch(config)).shape == (3,)
+        assert raal_forward(model, _random_batch(config)).shape == (3,)
 
     def test_no_node_attention_forward(self):
         config = RAALConfig(node_dim=20, hidden_size=16, embedding_dim=16,
                             use_node_attention=False)
         model = RAAL(config)
-        assert model(_random_batch(config)).shape == (3,)
+        assert raal_forward(model, _random_batch(config)).shape == (3,)
 
     def test_no_resource_attention_smaller_dense_input(self):
         with_ra = RAAL(RAALConfig(node_dim=20, use_resource_attention=True))
@@ -94,9 +95,9 @@ class TestRAALModel:
                             use_resource_attention=True)
         model = RAAL(config).eval()
         batch = _random_batch(config)
-        out1 = model(batch).numpy().copy()
+        out1 = raal_forward(model, batch).numpy().copy()
         batch.resources = batch.resources + 0.3
-        out2 = model(batch).numpy()
+        out2 = raal_forward(model, batch).numpy()
         assert not np.allclose(out1, out2)
 
     def test_gradients_flow_to_all_parameters(self):
@@ -104,7 +105,7 @@ class TestRAALModel:
                             dropout=0.0)
         model = RAAL(config)
         batch = _random_batch(config)
-        loss = (model(batch) ** 2.0).sum()
+        loss = (raal_forward(model, batch) ** 2.0).sum()
         loss.backward()
         missing = [name for name, p in model.named_parameters() if p.grad is None]
         assert not missing, f"no gradient for {missing}"
@@ -123,7 +124,7 @@ class TestVariants:
             cfg = RAALConfig(node_dim=20, hidden_size=16, embedding_dim=16,
                              use_node_attention=spec.use_node_attention,
                              feature_layer=spec.feature_layer)
-            assert model(_random_batch(cfg)).shape == (3,)
+            assert raal_forward(model, _random_batch(cfg)).shape == (3,)
 
     def test_variant_lookup_case_insensitive(self):
         assert variant("raal").name == "RAAL"

@@ -158,7 +158,7 @@ class TestAdmission:
 
 # -- shadow scorer ---------------------------------------------------------
 class TestCanary:
-    """:class:`ShadowScorer`: per-pair q-errors, sampling, failures."""
+    """:class:`ShadowScorer`: per-pair q-errors and failures."""
 
     def test_qerror_per_pair(self):
         qerrors = ShadowScorer("canary").score(np.array([1.0, 2.2]),
@@ -176,20 +176,6 @@ class TestCanary:
         assert snap["samples"] == 2 and snap["errors"] == 0
         assert snap["last"] == pytest.approx(1.1)
         assert snap["mean"] == pytest.approx(1.07)
-
-    def test_sampling_rates_and_determinism(self):
-        assert not ShadowScorer("canary", sample_rate=0.0).should_sample()
-        assert ShadowScorer("canary", sample_rate=1.0).should_sample()
-        a = ShadowScorer("canary", sample_rate=0.5, seed=7)
-        b = ShadowScorer("canary", sample_rate=0.5, seed=7)
-        draws = [a.should_sample() for _ in range(64)]
-        assert draws == [b.should_sample() for _ in range(64)]
-        assert 0 < sum(draws) < 64
-
-    def test_bad_sample_rate_rejected(self):
-        for rate in (-0.1, 1.5):
-            with pytest.raises(ReproError, match="sample_rate"):
-                ShadowScorer("canary", sample_rate=rate)
 
     def test_failing_reference_is_counted_and_swallowed(self):
         canary = ShadowScorer("canary")

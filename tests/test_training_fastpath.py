@@ -19,9 +19,12 @@ from repro.encoding import EncodedPlan
 from repro.errors import TrainingError
 from repro.nn import Tensor, mse_loss, raal_forward_backward
 from repro.nn.layers import Dropout
-from tests.oracles import autograd_training
+from tests import oracles
+from tests.oracles import autograd_training, raal_forward
 
 TOL = 1e-8
+#: Eval-mode forward_backward vs forward_inference on the same batch.
+SERVE_TOL = 1e-12
 
 VARIANT_SWITCHES = {
     "RAAL": {},
@@ -68,7 +71,7 @@ def make_batch(config: RAALConfig, batch=5, n=9, seed=0, pad=True,
 def autograd_reference(model, batch):
     """Legacy gradients: autograd forward + mse backward."""
     model.zero_grad()
-    loss = mse_loss(model(batch), Tensor(batch.targets))
+    loss = mse_loss(raal_forward(model, batch), Tensor(batch.targets))
     loss.backward()
     grads = {name: p.grad.copy() for name, p in model.named_parameters()}
     return float(loss.data), grads
@@ -92,6 +95,11 @@ class TestGradientEquivalence:
             assert param.grad is not None, pname
             dev = float(np.max(np.abs(param.grad - ref[pname])))
             assert dev <= TOL, f"{name}/{pname}: grad deviation {dev:.3e}"
+        # Train/serve agreement: in eval mode the training step's
+        # forward is the serving forward.
+        _, trained = model.eval().forward_backward(batch)
+        np.testing.assert_allclose(trained, model.forward_inference(batch),
+                                   rtol=0.0, atol=SERVE_TOL)
 
     def test_dropout_masks_align_with_autograd(self):
         """In train mode both paths draw identical masks from the same rng."""
@@ -221,10 +229,10 @@ class TestFitParity:
 
     def test_fast_fit_never_calls_autograd_forward(self, monkeypatch):
         calls = []
-        original = RAAL.forward
+        original = oracles.raal_forward
         monkeypatch.setattr(
-            RAAL, "forward",
-            lambda self, batch: calls.append(1) or original(self, batch))
+            oracles, "raal_forward",
+            lambda model, batch: calls.append(1) or original(model, batch))
         fit_once(epochs=2)
         assert not calls, "fit reached the autograd forward"
 
